@@ -23,66 +23,32 @@ import numpy as np
 from . import harness
 from .diagnostics import certify
 from .errors import ConfigurationError, EvaluationError, NumericalError
-from .problems import problem_from_config
+from .problems import as_point, problem_from_config
+
+
+def _print_rows(rows) -> int:
+    for row in rows:
+        print(
+            f"{row.algorithm}-{row.mode}-{'sgc' if row.sgc_arm else 'nosgc'} "
+            f"eps={row.epsilon:g} median_calls={row.median_calls_to_first_certified} "
+            f"sosp_fraction={row.sosp_fraction:.3f} success={row.success_rate:.2f}"
+        )
+    return 0
 
 
 def _cmd_run(args) -> int:
     spec = harness.experiment_from_config(args.spec)
-    rows = harness.run_experiment(
-        spec, out_dir=args.out, workers=args.workers, master_seed=args.master_seed
-    )
-    for row in rows:
-        print(
-            f"{row.algorithm}-{row.mode}-{'sgc' if row.sgc_arm else 'nosgc'} "
-            f"eps={row.epsilon:g} median_calls={row.median_calls_to_first_certified} "
-            f"sosp_fraction={row.sosp_fraction:.3f} success={row.success_rate:.2f}"
-        )
-    return 0
+    return _print_rows(harness.run_experiment(spec, args.out, args.workers, args.master_seed))
 
 
 def _cmd_summarize(args) -> int:
     directory = Path(args.dir)
-    groups: dict[tuple, list] = {}
-    for path in sorted(directory.glob("*.csv")):
-        if path.name == "summary.csv":
-            continue
-        trace = harness.read_trace(path)
-        meta = dict(
-            line.split(" = ", 1)
-            for line in trace.config_echo.splitlines()
-            if " = " in line
-        )
-        if "algorithm" not in meta or "epsilon" not in meta:
-            continue
-        key = (
-            meta["algorithm"],
-            meta.get("mode", ""),
-            meta.get("sgc_arm", "True") == "True",
-            float(meta["epsilon"]),
-        )
-        groups.setdefault(key, []).append(trace)
-    if not groups:
-        print(f"no trace files found under {directory}", file=sys.stderr)
-        return 1
-
-    class _Arm:
-        def __init__(self, algorithm, mode, sgc_arm):
-            self.algorithm, self.mode, self.sgc_arm = algorithm, mode, sgc_arm
-
-    rows = []
-    for (algorithm, mode, sgc_arm, eps), traces in sorted(groups.items()):
-        rows.append(
-            harness.summarize_traces(traces, _Arm(algorithm, mode, sgc_arm), eps, burn_in=0.2)
-        )
-    rows.sort(key=lambda r: (r.algorithm, r.mode, not r.sgc_arm, -r.epsilon))
-    harness.write_summary(rows, directory / "summary.csv")
-    for row in rows:
-        print(
-            f"{row.algorithm}-{row.mode}-{'sgc' if row.sgc_arm else 'nosgc'} "
-            f"eps={row.epsilon:g} median_calls={row.median_calls_to_first_certified} "
-            f"sosp_fraction={row.sosp_fraction:.3f} success={row.success_rate:.2f}"
-        )
-    return 0
+    paths = sorted(directory.glob("*_seed*.csv"))
+    if not paths:
+        raise ConfigurationError(f"no trace files found under {directory}")
+    rows = harness.summarize_traces(harness.read_trace(path) for path in paths)
+    harness.write_summary_outputs(rows, directory)
+    return _print_rows(rows)
 
 
 def _cmd_plot(args) -> int:
@@ -94,9 +60,12 @@ def _cmd_plot(args) -> int:
 
 def _cmd_certify(args) -> int:
     problem = problem_from_config(args.problem)
-    points = np.loadtxt(args.point, delimiter=",", ndmin=2)
+    try:
+        points = np.loadtxt(args.point, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ConfigurationError(f"{args.point}: {err}") from None
     for i, x in enumerate(points):
-        cert = certify(problem, x, args.epsilon)
+        cert = certify(problem, as_point(x, problem.meta.dim), args.epsilon)
         print(
             f"point {i}: certified={int(cert.certified)} score={cert.score!r} "
             f"grad_norm={cert.grad_norm!r} lambda_min={cert.lambda_min!r} "
@@ -116,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--master-seed", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sum = sub.add_parser("summarize", help="rebuild summary.csv from trace files")
+    p_sum = sub.add_parser("summarize", help="rebuild summary.csv and complexity.svg from trace files")
     p_sum.add_argument("--dir", required=True)
     p_sum.set_defaults(func=_cmd_summarize)
 

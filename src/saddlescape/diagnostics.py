@@ -73,6 +73,14 @@ class RunTrace:
                 raise EvaluationError("oracle_calls must be nondecreasing")
         self.rows.append(row)
 
+    def echo(self, key: str) -> str:
+        """Value of the ``key = value`` line of ``config_echo``."""
+        for line in self.config_echo.splitlines():
+            name, sep, value = line.partition(" = ")
+            if sep and name == key:
+                return value
+        raise ConfigurationError(f"trace config echo has no {key!r} line")
+
     def first_certified_calls(self) -> Optional[int]:
         """Oracle calls consumed up to the first certified row, if any."""
         for row in self.rows:

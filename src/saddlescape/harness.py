@@ -34,7 +34,7 @@ import numpy as np
 from . import config as _cfg
 from . import psgd as _psgd
 from . import scrn as _scrn
-from .diagnostics import RunTrace, TraceRow, certify, sosp_fraction
+from .diagnostics import RunTrace, SospCertificate, TraceRow, certify, sosp_fraction
 from .errors import ConfigurationError, EvaluationError, NumericalError
 from .problems import StochasticProblem, as_point, problem_from_config
 from .psgd import FIRST_ORDER, PsgdConfig, ScheduleConstants
@@ -98,6 +98,9 @@ class ExperimentSpec:
             raise ConfigurationError("max_steps and certify_every must be >= 1")
         if not 0.0 <= self.burn_in <= 0.9:
             raise ConfigurationError("burn_in must be in [0, 0.9]")
+        if self.stop_after_certified and self.algorithm == "scrn":
+            raise ConfigurationError("stop_after_certified is for psgd only: scrn runs "
+                                     "its full budget to certify the random iterate")
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
 
@@ -118,10 +121,6 @@ class SummaryRow:
     sosp_fraction: float
     success_rate: float
     median_calls_at_random_iterate: Optional[int] = None
-
-
-def _build_problem(spec: ExperimentSpec) -> StochasticProblem:
-    return problem_from_config(dict(spec.problem))
 
 
 def _schedule(spec: ExperimentSpec, p: StochasticProblem, epsilon: float):
@@ -147,7 +146,7 @@ def _x0(spec: ExperimentSpec, dim: int, stream: SeedStream) -> np.ndarray:
 
 def run_cell(spec: ExperimentSpec, epsilon: float, seed: int, master_seed: int = 0) -> RunTrace:
     """Run one (epsilon, seed) cell of an experiment."""
-    p = _build_problem(spec)
+    p = problem_from_config(dict(spec.problem))
     cfg = _schedule(spec, p, epsilon)
     theorem_T = cfg.T
     run_T = min(theorem_T, spec.max_steps)
@@ -163,6 +162,7 @@ def run_cell(spec: ExperimentSpec, epsilon: float, seed: int, master_seed: int =
     trace.config_echo += (
         f"\ntheorem_T = {theorem_T}\nsgc_arm = {spec.sgc_arm}"
         f"\nuser_seed = {seed}\nmaster_seed = {master_seed}"
+        f"\nburn_in = {float(spec.burn_in)!r}"
     )
     return trace
 
@@ -209,43 +209,38 @@ def _median_int(values: List[int]) -> Optional[int]:
     return int(round(float(np.median(values))))
 
 
-def summarize_traces(
-    traces: Iterable[RunTrace],
-    spec_like,
-    epsilon: float,
-    burn_in: float,
-) -> SummaryRow:
-    """Aggregate the traces of one (arm, epsilon) cell group."""
-    traces = list(traces)
-    if not traces:
-        raise EvaluationError("no traces to summarize")
-    first_hits = [t.first_certified_calls() for t in traces]
-    hits = [h for h in first_hits if h is not None]
-    fractions = []
+def summarize_traces(traces: Iterable[RunTrace]) -> List[SummaryRow]:
+    """Summary rows of finished runs, computed from their traces alone.
+
+    Traces are grouped by the (algorithm, mode, sgc_arm, epsilon) that their
+    config echo records, and each trace's stationarity fraction discards the
+    burn-in fraction it echoes.  Rows are sorted by (arm, epsilon descending).
+    """
+    groups: dict[tuple, list[RunTrace]] = {}
     for t in traces:
-        try:
-            fractions.append(sosp_fraction(t, burn_in))
-        except EvaluationError:
-            pass
-    algorithm = spec_like.algorithm
-    if algorithm == "scrn":
-        r_calls = [t.r_oracle_calls for t in traces if t.r_oracle_calls is not None]
-        successes = [t.r_certificate.certified for t in traces if t.r_certificate is not None]
-        success_rate = (sum(successes) / len(successes)) if successes else 0.0
-        median_r = _median_int(r_calls)
-    else:
-        success_rate = sum(h is not None for h in first_hits) / len(first_hits)
-        median_r = None
-    return SummaryRow(
-        epsilon=float(epsilon),
-        algorithm=algorithm,
-        mode=spec_like.mode,
-        sgc_arm=spec_like.sgc_arm,
-        median_calls_to_first_certified=_median_int(hits),
-        sosp_fraction=float(np.median(fractions)) if fractions else 0.0,
-        success_rate=float(success_rate),
-        median_calls_at_random_iterate=median_r,
-    )
+        key = (t.echo("algorithm"), t.echo("mode"), t.echo("sgc_arm") == "True",
+               float(t.echo("epsilon")))
+        groups.setdefault(key, []).append(t)
+    rows = []
+    for (algorithm, mode, sgc_arm, epsilon), group in groups.items():
+        hits = [t.first_certified_calls() for t in group]
+        if algorithm == "scrn":
+            successes = [t.r_certificate.certified for t in group if t.r_certificate is not None]
+            success_rate = (sum(successes) / len(successes)) if successes else 0.0
+            median_r = _median_int([t.r_oracle_calls for t in group if t.r_oracle_calls is not None])
+        else:
+            success_rate = sum(h is not None for h in hits) / len(hits)
+            median_r = None
+        fractions = [sosp_fraction(t, float(t.echo("burn_in"))) for t in group]
+        rows.append(SummaryRow(
+            epsilon, algorithm, mode, sgc_arm,
+            median_calls_to_first_certified=_median_int([h for h in hits if h is not None]),
+            sosp_fraction=float(np.median(fractions)),
+            success_rate=float(success_rate),
+            median_calls_at_random_iterate=median_r,
+        ))
+    rows.sort(key=lambda r: (r.algorithm, r.mode, not r.sgc_arm, -r.epsilon))
+    return rows
 
 
 def _trace_filename(spec: ExperimentSpec, epsilon: float, seed: int) -> str:
@@ -261,9 +256,10 @@ def run_experiment(
 ) -> List[SummaryRow]:
     """Execute all (epsilon, seed) cells; write traces, summary, and plot.
 
-    Cell failures are recorded and excluded from the medians; only I/O
-    failures abort the whole experiment.  Returns the summary rows sorted by
-    (arm, epsilon descending).
+    Cell failures are recorded in cells.txt and excluded from the summary;
+    only I/O failures abort the whole experiment, and EvaluationError is
+    raised when no cell succeeds.  Returns the summary rows sorted by (arm,
+    epsilon descending).
     """
     out = Path(os.environ.get(OUT_DIR_ENV) or out_dir or spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -283,28 +279,17 @@ def run_experiment(
     else:
         results = [run_one(cell) for cell in cells]
 
-    by_eps: dict[float, list[RunTrace]] = {eps: [] for eps in spec.epsilon_grid}
-    statuses = []
-    for (eps, seed), trace, err in results:
-        if err is not None:
-            statuses.append((eps, seed, f"failed: {err}"))
-            continue
-        statuses.append((eps, seed, "ok"))
-        by_eps[eps].append(trace)
-        write_trace(trace, out / _trace_filename(spec, eps, seed))
-
-    rows = [
-        summarize_traces(traces, spec, eps, spec.burn_in)
-        for eps, traces in by_eps.items()
-        if traces
-    ]
-    rows.sort(key=lambda r: (r.algorithm, r.mode, not r.sgc_arm, -r.epsilon))
-    write_summary(rows, out / "summary.csv")
-    if any(r.median_calls_to_first_certified for r in rows):
-        emit_plot(rows, out / "complexity.svg")
+    traces = []
     with open(out / "cells.txt", "w", encoding="utf-8") as fh:
-        for eps, seed, status in statuses:
-            fh.write(f"eps={eps:g} seed={seed} {status}\n")
+        for (eps, seed), trace, err in results:
+            fh.write(f"eps={eps:g} seed={seed} {'ok' if err is None else f'failed: {err}'}\n")
+            if err is None:
+                write_trace(trace, out / _trace_filename(spec, eps, seed))
+                traces.append(trace)
+    if not traces:
+        raise EvaluationError(f"no cell succeeded; see {out / 'cells.txt'}")
+    rows = summarize_traces(traces)
+    write_summary_outputs(rows, out)
     return rows
 
 
@@ -313,6 +298,10 @@ def run_experiment(
 
 _TRACE_COLUMNS = ("t", "f", "grad_norm", "lambda_min", "oracle_calls", "certified")
 _SCRN_EXTRA = ("h_norm", "model_decrease")
+
+
+def _columns(algorithm: str) -> tuple:
+    return _TRACE_COLUMNS + (_SCRN_EXTRA if algorithm == "scrn" else ())
 
 
 def _fmt(value) -> str:
@@ -325,18 +314,35 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# Header lines that write_trace adds after the config echo, in this order,
+# with the parser read_trace applies to each.  The r_* lines exist for
+# cubic-Newton runs only: the random iterate, the budget through it and the
+# fields of its SospCertificate.
+_TRACE_FIELDS = {
+    "seed": int, "total_oracle_calls": int, "r_index": int, "r_oracle_calls": int,
+    "r_certified": _flag, "r_grad_norm": float, "r_lambda_min": float,
+    "r_epsilon": float, "r_score": float,
+}
+_CERT_FIELDS = tuple(f.name for f in dataclasses.fields(SospCertificate))
+
+
 def write_trace(trace: RunTrace, path) -> None:
-    """Trace CSV: config echoed as '#' header comments, then one row per
-    certification checkpoint. Output is byte-deterministic."""
-    cols = _TRACE_COLUMNS + (_SCRN_EXTRA if trace.algorithm == "scrn" else ())
-    lines = [f"# {line}" for line in trace.config_echo.splitlines()]
-    lines.append(f"# seed = {trace.seed}")
-    lines.append(f"# total_oracle_calls = {trace.total_oracle_calls}")
+    """Trace CSV: config echo and run fields as '# key = value' header lines,
+    then one row per certification checkpoint.  Output is byte-deterministic
+    and ``read_trace`` inverts it exactly."""
+    fields = {"seed": trace.seed, "total_oracle_calls": trace.total_oracle_calls}
     if trace.r_index is not None:
-        lines.append(f"# r_index = {trace.r_index}")
-        lines.append(f"# r_oracle_calls = {trace.r_oracle_calls}")
-        lines.append(f"# r_certified = {int(trace.r_certificate.certified)}")
-    lines.append(",".join(cols))
+        fields.update(r_index=trace.r_index, r_oracle_calls=trace.r_oracle_calls)
+        fields.update({f"r_{k}": getattr(trace.r_certificate, k) for k in _CERT_FIELDS})
+    lines = [f"# {line}" for line in trace.config_echo.splitlines()]
+    lines += [f"# {key} = {_fmt(fields[key])}" for key in _TRACE_FIELDS if key in fields]
+    lines.append(",".join(_columns(trace.algorithm)))
     for row in trace.rows:
         vals = [row.t, row.f, row.grad_norm, row.lambda_min, row.oracle_calls, row.certified]
         if trace.algorithm == "scrn":
@@ -347,48 +353,47 @@ def write_trace(trace: RunTrace, path) -> None:
 
 
 def read_trace(path) -> RunTrace:
-    """Parse a trace CSV back into a RunTrace (headers become config_echo)."""
-    echo_lines: list[str] = []
-    rows: list[TraceRow] = []
-    header: Optional[list[str]] = None
-    meta: dict[str, str] = {}
+    """Parse a trace CSV written by ``write_trace`` back into the RunTrace.
+
+    Raises ConfigurationError naming the file and line on malformed content.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("# "):
-                echo_lines.append(line[2:])
-                if "=" in line:
-                    key, val = line[2:].split("=", 1)
-                    meta[key.strip()] = val.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
+        lines = fh.read().splitlines()
+    n_head = next((i for i, line in enumerate(lines) if not line.startswith("# ")), len(lines))
+    try:
+        echo, fields = [], {}
+        for lineno, line in enumerate(lines[:n_head], start=1):
+            key, sep, value = line[2:].partition(" = ")
+            if not sep:
+                raise ValueError("expected '# key = value'")
+            if key in _TRACE_FIELDS:
+                fields[key] = _TRACE_FIELDS[key](value)
+            else:
+                echo.append(line[2:])
+        lineno = n_head + 1
+        trace = RunTrace(
+            seed=fields["seed"], algorithm="", config_echo="\n".join(echo),
+            total_oracle_calls=fields["total_oracle_calls"],
+            r_index=fields.get("r_index"), r_oracle_calls=fields.get("r_oracle_calls"),
+        )
+        trace.algorithm = trace.echo("algorithm")
+        if trace.r_index is not None:
+            trace.r_certificate = SospCertificate(**{k: fields[f"r_{k}"] for k in _CERT_FIELDS})
+        columns = _columns(trace.algorithm)
+        if lines[n_head:n_head + 1] != [",".join(columns)]:
+            raise ValueError(f"expected the column line {','.join(columns)!r}")
+        for lineno, line in enumerate(lines[n_head + 1:], start=n_head + 2):
             parts = line.split(",")
-            if len(parts) < 6:
-                continue
-            row = TraceRow(
-                t=int(parts[0]),
-                f=float(parts[1]),
-                grad_norm=float(parts[2]),
-                lambda_min=float(parts[3]),
-                oracle_calls=int(parts[4]),
-                certified=parts[5] == "1",
-            )
-            if len(parts) >= 8:
-                row.h_norm = float(parts[6]) if parts[6] else None
-                row.model_decrease = float(parts[7]) if parts[7] else None
-            rows.append(row)
-    trace = RunTrace(
-        seed=int(meta.get("seed", "0")),
-        algorithm=meta.get("algorithm", "psgd"),
-        config_echo="\n".join(echo_lines),
-    )
-    trace.rows = rows
-    trace.total_oracle_calls = int(meta.get("total_oracle_calls", rows[-1].oracle_calls if rows else 0))
-    if "r_index" in meta:
-        trace.r_index = int(meta["r_index"])
-        trace.r_oracle_calls = int(meta["r_oracle_calls"])
+            if len(parts) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(parts)}")
+            trace.append(TraceRow(int(parts[0]), *map(float, parts[1:4]), int(parts[4]),
+                                  _flag(parts[5]), *(float(v) if v else None for v in parts[6:])))
+        if not trace.rows:
+            raise ValueError("trace has no data rows")
+    except KeyError as err:
+        raise ConfigurationError(f"{path}, line {lineno}: header has no {err} line") from None
+    except (ValueError, ConfigurationError, EvaluationError) as err:
+        raise ConfigurationError(f"{path}, line {lineno}: {err}") from None
     return trace
 
 
@@ -410,6 +415,15 @@ def write_summary(rows: Sequence[SummaryRow], path) -> None:
         ]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_summary_outputs(rows: Sequence[SummaryRow], out: Path) -> None:
+    """summary.csv, plus complexity.svg when some row has a median to plot."""
+    write_summary(rows, out / "summary.csv")
+    if any(r.median_calls_to_first_certified for r in rows):
+        emit_plot(rows, out / "complexity.svg")
+    else:
+        (out / "complexity.svg").unlink(missing_ok=True)
 
 
 def read_summary(path) -> List[SummaryRow]:
@@ -653,16 +667,12 @@ def experiment_from_config(source) -> ExperimentSpec:
         seeds=_cfg.as_int_list(raw["seeds"], "seeds"),
     )
     for key, conv in (
-        ("out_dir", str), ("x0_offset", float), ("max_steps", int),
-        ("certify_every", int), ("burn_in", float),
-        ("delta", float), ("a0", float), ("a1", float), ("c", float),
+        ("out_dir", lambda value, _: value), ("x0_offset", _cfg.as_float),
+        ("max_steps", _cfg.as_int), ("certify_every", _cfg.as_int),
+        ("burn_in", _cfg.as_float), ("stop_after_certified", _cfg.as_bool),
+        ("delta", _cfg.as_float), ("a0", _cfg.as_float), ("a1", _cfg.as_float),
+        ("c", _cfg.as_float), ("kappa", _cfg.as_float_list), ("mu", _cfg.as_float_list),
     ):
         if key in raw:
-            kwargs[key] = conv(raw[key])
-    if "stop_after_certified" in raw:
-        kwargs["stop_after_certified"] = _cfg.as_bool(raw["stop_after_certified"], "stop_after_certified")
-    if "kappa" in raw:
-        kwargs["kappa"] = _cfg.as_float_list(raw["kappa"], "kappa")
-    if "mu" in raw:
-        kwargs["mu"] = _cfg.as_float_list(raw["mu"], "mu")
+            kwargs[key] = conv(raw[key], key)
     return ExperimentSpec(**kwargs)

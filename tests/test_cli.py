@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from saddlescape.cli import main
 
@@ -46,6 +47,56 @@ def test_run_and_summarize_and_plot(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+SADDLE_TEXT = """
+family = multiplicative_saddle
+dim = 10
+neg_count = 1
+rho = 2.0
+quartic_coeff = 0.008
+epsilon_grid = 0.2, 0.1
+seeds = 0, 1, 2
+burn_in = 0.5
+"""
+
+
+@pytest.mark.parametrize("arm", [
+    "algorithm = psgd\nc = 0.01\nmax_steps = 1500\nstop_after_certified = true\n",
+    "algorithm = scrn\nmode = higher_order\nmax_steps = 100\n",
+], ids=["psgd", "scrn"])
+def test_summarize_reproduces_run_outputs(tmp_path, capsys, arm):
+    spec = tmp_path / "exp.cfg"
+    spec.write_text(SADDLE_TEXT + arm)
+    out = tmp_path / "runs"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    outputs = {name: (out / name).read_bytes() for name in ("summary.csv", "complexity.svg")}
+    (out / "notes.csv").write_text("not,a,trace\n")  # only *_seed*.csv files are traces
+    assert main(["summarize", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    for name, data in outputs.items():
+        assert (out / name).read_bytes() == data
+
+
+def test_summarize_rejects_malformed_trace(tmp_path, capsys):
+    (tmp_path / "psgd_eps0.2_seed0.csv").write_text("t,f\n0,1.0\n")
+    assert main(["summarize", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "psgd_eps0.2_seed0.csv, line 1" in err and len(err.splitlines()) == 1
+
+
+def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
+    spec = tmp_path / "exp.cfg"
+    # the strong-growth schedule needs a known rho, which phase retrieval lacks
+    spec.write_text("family = phase_retrieval\ndim = 4\nm = 20\n"
+                    "algorithm = psgd\nepsilon_grid = 0.2\nseeds = 0, 1\n")
+    out = tmp_path / "runs"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "cells.txt" in err and len(err.splitlines()) == 1
+    assert "rho_true" in (out / "cells.txt").read_text()
+    assert not (out / "summary.csv").exists()
+
+
 def test_certify_command(tmp_path, capsys):
     prob = tmp_path / "prob.cfg"
     prob.write_text(PROBLEM_TEXT)
@@ -61,11 +112,30 @@ def test_certify_command(tmp_path, capsys):
     assert lines[1].startswith("point 1: certified=1")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.0,0.0,0.0\n", "dimension 3"),
+    ("nan,0.0,0.0,0.0\n", "non-finite"),
+    ("0.0,zero,0.0,0.0\n", "points.csv"),
+])
+def test_certify_rejects_bad_points(tmp_path, capsys, text, message):
+    prob = tmp_path / "prob.cfg"
+    prob.write_text(PROBLEM_TEXT)
+    points = tmp_path / "points.csv"
+    points.write_text(text)
+    assert main(["certify", "--problem", str(prob), "--point", str(points),
+                 "--epsilon", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("algorithm = psgd\n")  # missing epsilon_grid and seeds
     assert main(["run", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+    bad.write_text(SPEC_TEXT.replace("max_steps = 1500", "max_steps = abc"))
+    assert main(["run", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "'max_steps'" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from saddlescape.diagnostics import sosp_fraction
 from saddlescape.errors import ConfigurationError, EvaluationError
 from saddlescape.harness import (
     ExperimentSpec,
@@ -18,6 +19,7 @@ from saddlescape.harness import (
     read_trace,
     run_cell,
     run_experiment,
+    summarize_traces,
     tune_constants,
     write_summary,
     write_trace,
@@ -53,6 +55,8 @@ def test_spec_validation():
         _spec(algorithm="bfgs")
     with pytest.raises(ConfigurationError):
         _spec(algorithm="scrn", mode="first_order")
+    with pytest.raises(ConfigurationError, match="stop_after_certified"):
+        _spec(algorithm="scrn", mode="higher_order", stop_after_certified=True)
 
 
 def test_single_cell_produces_one_trace_and_one_row(tmp_path):
@@ -75,16 +79,50 @@ def test_experiment_is_byte_reproducible(tmp_path):
 
 
 def test_trace_roundtrip(tmp_path):
-    spec = _spec()
-    trace = run_cell(spec, 0.2, 0)
-    path = tmp_path / "t.csv"
-    write_trace(trace, path)
-    back = read_trace(path)
-    assert len(back.rows) == len(trace.rows)
-    assert back.total_oracle_calls == trace.total_oracle_calls
-    for r1, r2 in zip(trace.rows, back.rows):
-        assert (r1.t, r1.oracle_calls, r1.certified) == (r2.t, r2.oracle_calls, r2.certified)
-        assert r1.f == r2.f and r1.grad_norm == r2.grad_norm  # repr round-trips floats
+    scrn = _spec(algorithm="scrn", mode="higher_order", max_steps=100, stop_after_certified=False)
+    for spec in (_spec(), scrn):
+        trace = run_cell(spec, 0.2, 0)
+        path, again = tmp_path / "t.csv", tmp_path / "again.csv"
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert back == trace  # every field, the random-iterate certificate included
+        write_trace(back, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert back.r_certificate is not None
+
+
+def test_read_trace_rejects_malformed_files(tmp_path):
+    good = tmp_path / "good.csv"
+    write_trace(run_cell(_spec(), 0.2, 0), good)
+    lines = good.read_text().splitlines()
+    n_head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cases = {
+        "notes.csv": (["a,b", "1,2"], 1),
+        "no_seed.csv": ([l for l in lines if not l.startswith("# seed =")], n_head),
+        "bad_header.csv": (["# just a comment"] + lines, 1),
+        "bad_number.csv": (lines[:-1] + [lines[-1].replace(",", ",x", 1)], len(lines)),
+        "short_row.csv": (lines + ["1,2"], len(lines) + 1),
+        "no_rows.csv": (lines[:n_head + 1], n_head + 1),
+    }
+    for name, (content, lineno) in cases.items():
+        path = tmp_path / name
+        path.write_text("\n".join(content) + "\n")
+        with pytest.raises(ConfigurationError, match=rf"{name}, line {lineno}:"):
+            read_trace(path)
+
+
+def test_summary_is_computed_from_traces_alone():
+    spec = _spec(algorithm="scrn", mode="higher_order", epsilon_grid=[0.2, 0.1],
+                 seeds=[0, 1, 2], max_steps=100, stop_after_certified=False, burn_in=0.5)
+    traces = [run_cell(spec, eps, s) for s in spec.seeds for eps in spec.epsilon_grid]
+    rows = summarize_traces(traces)
+    assert [r.epsilon for r in rows] == [0.2, 0.1]
+    for row in rows:
+        group = [t for t in traces if float(t.echo("epsilon")) == row.epsilon]
+        certified = [t.r_certificate.certified for t in group]
+        assert row.success_rate == sum(certified) / 3
+        assert row.sosp_fraction == np.median([sosp_fraction(t, 0.5) for t in group])
+    assert summarize_traces(reversed(traces)) == rows
 
 
 def test_summary_roundtrip(tmp_path):
