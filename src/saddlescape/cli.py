@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     directory = Path(args.dir)
-    paths = sorted(directory.glob("*_seed*.csv"))
+    paths = sorted(directory.glob(harness.TRACE_GLOB))
     if not paths:
         raise ConfigurationError(f"no trace files found under {directory}")
     rows = harness.summarize_traces(harness.read_trace(path) for path in paths)
@@ -61,9 +62,13 @@ def _cmd_plot(args) -> int:
 def _cmd_certify(args) -> int:
     problem = problem_from_config(args.problem)
     try:
-        points = np.loadtxt(args.point, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input is reported below
+            points = np.loadtxt(args.point, delimiter=",", ndmin=2)
     except ValueError as err:
         raise ConfigurationError(f"{args.point}: {err}") from None
+    if points.size == 0:
+        raise ConfigurationError(f"{args.point}: no points")
     for i, x in enumerate(points):
         cert = certify(problem, as_point(x, problem.meta.dim), args.epsilon)
         print(

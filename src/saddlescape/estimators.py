@@ -15,6 +15,9 @@ Oracle-call accounting is literal query counting: one value query is one
 call, so a zeroth-order gradient costs 2 per direction and a zeroth-order
 Hessian 3 per direction.
 
+Both zeroth-order estimators stream their directions in blocks of a fixed
+number of bytes, so memory does not grow with ``n1`` or ``n2``.
+
 Noise seeds and direction vectors come from independently split seed
 streams, so first-order and zeroth-order runs with the same master seed see
 the same noise-seed sequence (paired comparisons across oracle modes).
@@ -31,6 +34,7 @@ from .problems import StochasticProblem
 from .seeds import SeedStream, fold_int_states, fold_label_states, seed_blocks
 
 NU_FLOOR = 1e-12  # below this, forward differences are cancellation noise
+_BLOCK_BYTES = 1 << 18  # zeroth-order directions are streamed in blocks of this many bytes
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,12 @@ def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream
 
 def zo_gradient(p: StochasticProblem, x: np.ndarray, cfg: ZoConfig, stream: SeedStream) -> GradEstimate:
     """Gaussian-smoothing forward-difference gradient; 2 calls per direction."""
-    x = np.asarray(x, dtype=np.float64)
-    d = p.meta.dim
-    seeds = stream.child("xi").seeds(cfg.n1)
-    u = stream.child("u").rng().standard_normal((cfg.n1, d))
-    f_plus = p.sample_value_batch(x[None, :] + cfg.nu * u, seeds)
-    f_base = p.sample_value_batch(x, seeds)
-    coeff = (f_plus - f_base) / cfg.nu
-    return GradEstimate(g=(coeff[:, None] * u).mean(axis=0), oracle_calls=2 * cfg.n1)
+    g = np.zeros(p.meta.dim)
+    blocks = _direction_blocks(p, x, cfg.nu, cfg.n1, stream.child("xi"), stream.child("u").rng(),
+                               central=False)
+    for u, diff in blocks:
+        g += (diff / cfg.nu) @ u
+    return GradEstimate(g=g / cfg.n1, oracle_calls=2 * cfg.n1)
 
 
 def so_hessian(p: StochasticProblem, x: np.ndarray, n2: int, stream: SeedStream) -> HessEstimate:
@@ -105,17 +107,49 @@ def zo_hessian(p: StochasticProblem, x: np.ndarray, cfg: ZoConfig, stream: SeedS
     The averaged ``h_i (u_i u_i' - I)`` is symmetric in exact arithmetic; we
     symmetrize explicitly because floating-point accumulation is not.
     """
+    d = p.meta.dim
+    outer = np.zeros((d, d))
+    curv_sum = 0.0
+    blocks = _direction_blocks(p, x, cfg.nu, cfg.n2, stream.child("xih"), stream.child("uh").rng(),
+                               central=True)
+    for u, diff in blocks:
+        curv = diff / (2.0 * cfg.nu * cfg.nu)
+        outer += (u * curv[:, None]).T @ u
+        curv_sum += curv.sum()
+    h = outer / cfg.n2 - (curv_sum / cfg.n2) * np.eye(d)
+    return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * cfg.n2)
+
+
+def _block_rows(d: int) -> int:
+    """Directions per block: as many ``(d,)`` float64 rows as fit in _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * d))
+
+
+def _direction_blocks(p, x, nu, n, xi_stream, rng, central):
+    """Stream n Gaussian directions and their value differences, block by block.
+
+    Yields ``(u, diff)`` for consecutive blocks of at most ``_block_rows(d)``
+    directions, with ``diff_i = F(x + nu u_i) - F(x)`` (forward) or
+    ``F(x + nu u_i) + F(x - nu u_i) - 2 F(x)`` (central), every query of
+    direction i at noise seed ``xi_i``.  Block seeds are taken from
+    ``xi_stream`` by index and directions are drawn from ``rng`` in order, so
+    the blocks concatenate to the one-shot ``xi_stream.seeds(n)`` and
+    ``rng.standard_normal((n, d))``; no array grows with n.
+    """
     x = np.asarray(x, dtype=np.float64)
     d = p.meta.dim
-    seeds = stream.child("xih").seeds(cfg.n2)
-    u = stream.child("uh").rng().standard_normal((cfg.n2, d))
-    f_plus = p.sample_value_batch(x[None, :] + cfg.nu * u, seeds)
-    f_minus = p.sample_value_batch(x[None, :] - cfg.nu * u, seeds)
-    f_base = p.sample_value_batch(x, seeds)
-    curv = (f_plus + f_minus - 2.0 * f_base) / (2.0 * cfg.nu * cfg.nu)
-    outer = np.einsum("n,ni,nj->ij", curv, u, u) / cfg.n2
-    h = outer - curv.mean() * np.eye(d)
-    return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * cfg.n2)
+    rows = _block_rows(d)
+    for start in range(0, n, rows):
+        seeds = xi_stream.seeds(min(rows, n - start), start)
+        u = rng.standard_normal((len(seeds), d))
+        step = nu * u
+        f_plus = p.sample_value_batch(x + step, seeds)
+        f_base = p.sample_value_batch(x, seeds)
+        if central:
+            f_minus = p.sample_value_batch(x - step, seeds)
+            yield u, f_plus + f_minus - 2.0 * f_base
+        else:
+            yield u, f_plus - f_base
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,9 @@ def summarize_traces(traces: Iterable[RunTrace]) -> List[SummaryRow]:
     return rows
 
 
+TRACE_GLOB = "*_seed*.csv"  # the trace files of a run directory, as summarize reads them
+
+
 def _trace_filename(spec: ExperimentSpec, epsilon: float, seed: int) -> str:
     arm = spec.arm_label.replace("-", "_")
     return f"{arm}_eps{epsilon:g}_seed{seed}.csv"
@@ -279,6 +282,8 @@ def run_experiment(
     else:
         results = [run_one(cell) for cell in cells]
 
+    for stale in out.glob(TRACE_GLOB):  # an earlier run's traces would join the summary
+        stale.unlink()
     traces = []
     with open(out / "cells.txt", "w", encoding="utf-8") as fh:
         for (eps, seed), trace, err in results:
@@ -427,25 +432,32 @@ def write_summary_outputs(rows: Sequence[SummaryRow], out: Path) -> None:
 
 
 def read_summary(path) -> List[SummaryRow]:
-    rows: list[SummaryRow] = []
+    """Parse a summary.csv written by ``write_summary``.
+
+    Raises ConfigurationError naming the file and line on malformed content.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if tuple(header) != _SUMMARY_COLUMNS:
-            raise ConfigurationError(f"unexpected summary header in {path}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
+        lines = fh.read().splitlines()
+    if lines[:1] != [",".join(_SUMMARY_COLUMNS)]:
+        raise ConfigurationError(f"{path}, line 1: unexpected summary header")
+    rows: list[SummaryRow] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        try:
             if len(parts) != len(_SUMMARY_COLUMNS):
-                continue
+                raise ValueError(f"expected {len(_SUMMARY_COLUMNS)} fields, got {len(parts)}")
             rows.append(SummaryRow(
                 epsilon=float(parts[0]),
                 algorithm=parts[1],
                 mode=parts[2],
-                sgc_arm=parts[3] == "1",
+                sgc_arm=_flag(parts[3]),
                 median_calls_to_first_certified=int(parts[4]) if parts[4] else None,
                 sosp_fraction=float(parts[5]),
                 success_rate=float(parts[6]),
                 median_calls_at_random_iterate=int(parts[7]) if parts[7] else None,
             ))
+        except ValueError as err:
+            raise ConfigurationError(f"{path}, line {lineno}: {err}") from None
     return rows
 
 

@@ -211,8 +211,10 @@ def make_multiplicative_saddle(
         return h
 
     def value_batch(points, seeds):
-        pts = _rows(points, len(seeds), d)
-        return two_point_multiplier(seeds, rho) * f_rows(pts)
+        xi = two_point_multiplier(seeds, rho)
+        if np.ndim(points) == 1:
+            return xi * f_rows(_rows(points, 1, d))[0]
+        return xi * f_rows(_rows(points, len(seeds), d))
 
     def grad_batch(points, seeds):
         pts = _rows(points, len(seeds), d)

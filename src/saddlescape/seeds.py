@@ -104,9 +104,14 @@ class SeedStream:
         s.state = state
         return s
 
-    def seeds(self, n: int) -> np.ndarray:
-        """n independent oracle seeds (uint64); pure in (stream, n-prefix)."""
-        idx = np.arange(n, dtype=np.uint64)
+    def seeds(self, n: int, start: int = 0) -> np.ndarray:
+        """Oracle seeds ``start .. start + n - 1`` (uint64) of this stream.
+
+        Seed ``i`` is a pure function of (stream, i), so ``seeds(n)`` equals
+        ``seeds(k)`` followed by ``seeds(n - k, k)``: a batch can be derived
+        block by block.
+        """
+        idx = np.arange(start, start + n, dtype=np.uint64)
         return mix64_array(mix64_array(idx ^ np.uint64(TAG_SEQ)) ^ np.uint64(self.state))
 
     def rng(self) -> np.random.Generator:

@@ -77,6 +77,41 @@ def test_summarize_reproduces_run_outputs(tmp_path, capsys, arm):
         assert (out / name).read_bytes() == data
 
 
+def test_run_replaces_earlier_traces(tmp_path, capsys):
+    spec = tmp_path / "exp.cfg"
+    out = tmp_path / "runs"
+    arm = "algorithm = scrn\nmode = higher_order\nmax_steps = 100\n"
+    spec.write_text(SADDLE_TEXT + arm)
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    spec.write_text(SADDLE_TEXT.replace("seeds = 0, 1, 2", "seeds = 0") + arm)
+    capsys.readouterr()
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert sorted(p.name for p in out.glob("*_seed*.csv")) == [
+        "scrn_higher_order_sgc_eps0.1_seed0.csv", "scrn_higher_order_sgc_eps0.2_seed0.csv",
+    ]
+    assert main(["summarize", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.2,psgd,first_order,1,1500", "line 2: expected 8 fields, got 5"),
+    ("0.2,psgd,first_order,1,many,0.75,1.0,", "line 2: invalid literal"),
+], ids=["cut", "unparsable"])
+def test_plot_rejects_malformed_summary(tmp_path, capsys, row, message):
+    summary = tmp_path / "summary.csv"
+    summary.write_text(
+        "epsilon,algorithm,mode,sgc_arm,median_calls_to_first_certified,"
+        "sosp_fraction,success_rate,median_calls_at_random_iterate\n"
+        f"{row}\n0.1,psgd,first_order,1,4200,0.75,1.0,\n"
+    )
+    svg = tmp_path / "curve.svg"
+    assert main(["plot", "--summary", str(summary), "--out", str(svg)]) == 1
+    err = capsys.readouterr().err
+    assert f"summary.csv, {message}" in err and len(err.splitlines()) == 1
+    assert not svg.exists()
+
+
 def test_summarize_rejects_malformed_trace(tmp_path, capsys):
     (tmp_path / "psgd_eps0.2_seed0.csv").write_text("t,f\n0,1.0\n")
     assert main(["summarize", "--dir", str(tmp_path)]) == 1
@@ -116,16 +151,19 @@ def test_certify_command(tmp_path, capsys):
     ("0.0,0.0,0.0\n", "dimension 3"),
     ("nan,0.0,0.0,0.0\n", "non-finite"),
     ("0.0,zero,0.0,0.0\n", "points.csv"),
+    ("", "no points"),
 ])
-def test_certify_rejects_bad_points(tmp_path, capsys, text, message):
+def test_certify_rejects_bad_points(tmp_path, capsys, recwarn, text, message):
     prob = tmp_path / "prob.cfg"
     prob.write_text(PROBLEM_TEXT)
     points = tmp_path / "points.csv"
     points.write_text(text)
     assert main(["certify", "--problem", str(prob), "--point", str(points),
                  "--epsilon", "0.05"]) == 1
-    err = capsys.readouterr().err
-    assert message in err and len(err.splitlines()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and len(captured.err.splitlines()) == 1
+    assert len(recwarn) == 0
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import constant_problem, counting_problem
 from saddlescape.errors import CapabilityError, ConfigurationError
 from saddlescape.estimators import (
     ZoConfig,
+    _block_rows,
     estimate_sgc_rho,
     fo_gradient,
     grad_minibatch_trials,
@@ -284,6 +287,16 @@ def test_oracle_call_accounting():
     est = zo_hessian(p, x, ZoConfig(nu=0.1, n2=4), SeedStream(0))
     assert est.oracle_calls == 12 == counter.value
 
+    # batches that span several streamed blocks
+    n = 2 * _block_rows(4) + 5
+    p, counter = counting_problem(base)
+    est = zo_gradient(p, x, ZoConfig(nu=0.1, n1=n), SeedStream(0))
+    assert est.oracle_calls == 2 * n == counter.value
+
+    p, counter = counting_problem(base)
+    est = zo_hessian(p, x, ZoConfig(nu=0.1, n2=n + 1), SeedStream(0))
+    assert est.oracle_calls == 3 * (n + 1) == counter.value
+
 
 def test_gaussian_norm_moment_bound():
     # E||u||^k <= (d+k)^{k/2} for standard normal u
@@ -302,3 +315,55 @@ def test_paired_noise_seeds_across_modes():
     a = zo_gradient(p, np.ones(3), ZoConfig(nu=0.01, n1=6), stream)
     b = zo_gradient(p, np.ones(3), ZoConfig(nu=0.01, n1=6), stream)
     assert np.array_equal(a.g, b.g)
+
+
+# ---------------------------------------------------------------------------
+# streamed zeroth-order estimation
+
+def _one_block_reference(p, x, nu, n, stream, label):
+    """The zeroth-order estimators with every direction drawn at once."""
+    seeds = stream.child("xi" + label).seeds(n)
+    u = stream.child("u" + label).rng().standard_normal((n, p.meta.dim))
+    f_plus = p.sample_value_batch(x + nu * u, seeds)
+    f_base = p.sample_value_batch(x, seeds)
+    if not label:
+        return ((f_plus - f_base) / nu) @ u / n
+    f_minus = p.sample_value_batch(x - nu * u, seeds)
+    curv = (f_plus + f_minus - 2.0 * f_base) / (2.0 * nu * nu)
+    h = np.einsum("n,ni,nj->ij", curv, u, u) / n - curv.mean() * np.eye(p.meta.dim)
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
+def test_streamed_estimators_match_one_block(offset):
+    d = 4
+    p = make_multiplicative_saddle(d=d, neg_count=1, rho=2.0, quartic_coeff=0.01)
+    n = offset[0] * _block_rows(d) + offset[1]
+    x = np.array([0.3, -0.8, 0.5, 0.1])
+    stream = SeedStream(61).child(n)
+    cfg = ZoConfig(nu=0.05, n1=n, n2=n)
+    for est, label in ((zo_gradient(p, x, cfg, stream).g, ""),
+                       (zo_hessian(p, x, cfg, stream).H, "h")):
+        ref = _one_block_reference(p, x, cfg.nu, n, stream, label)
+        np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
+    # the (n2, d) direction array alone would take 84 MB
+    cfg = ZoConfig(nu=1e-3, n2=2**20)
+    tracemalloc.start()
+    try:
+        zo_hessian(sgc_saddle_10d, 0.1 * np.ones(10), cfg, SeedStream(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_single_point_value_batch_matches_rows(sgc_saddle_10d):
+    x = np.linspace(-0.3, 0.5, 10)
+    seeds = SeedStream(8).seeds(257)
+    rows = [sgc_saddle_10d.sample_value_batch(x[None, :], seeds[i:i + 1])[0]
+            for i in range(len(seeds))]
+    assert np.array_equal(sgc_saddle_10d.sample_value_batch(x, seeds), np.array(rows))

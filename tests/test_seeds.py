@@ -30,6 +30,8 @@ def test_stream_children_are_deterministic_and_distinct():
 def test_seed_blocks_are_prefix_stable():
     s = SeedStream(7).child("xi")
     assert np.array_equal(s.seeds(10)[:4], s.seeds(4))
+    # a block that starts at an offset continues the same sequence
+    assert np.array_equal(np.concatenate([s.seeds(4), s.seeds(6, 4)]), s.seeds(10))
     # distinct streams give distinct seed blocks
     assert not np.array_equal(SeedStream(7).child("xi").seeds(4), SeedStream(8).child("xi").seeds(4))
 
