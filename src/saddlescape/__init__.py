@@ -51,7 +51,7 @@ from .psgd import (
     schedule_first_order,
     schedule_zeroth_order,
 )
-from .scrn import CubicModel, CubicSolution, ScrnConfig, run_scrn, schedule_scrn, scrn_step, solve_cubic
+from .scrn import CubicModel, CubicSolution, ScrnConfig, run_scrn, schedule_scrn, solve_cubic
 from .seeds import SeedStream
 
 __version__ = "0.1.0"
@@ -99,7 +99,6 @@ __all__ = [
     "schedule_first_order",
     "schedule_scrn",
     "schedule_zeroth_order",
-    "scrn_step",
     "so_hessian",
     "solve_cubic",
     "sosp_fraction",

@@ -282,8 +282,10 @@ def run_experiment(
     else:
         results = [run_one(cell) for cell in cells]
 
-    for stale in out.glob(TRACE_GLOB):  # an earlier run's traces would join the summary
-        stale.unlink()
+    # an earlier run's traces would join the summary, and its summary and
+    # plot would outlive a run in which no cell succeeds
+    for stale in [*out.glob(TRACE_GLOB), out / "summary.csv", out / "complexity.svg"]:
+        stale.unlink(missing_ok=True)
     traces = []
     with open(out / "cells.txt", "w", encoding="utf-8") as fh:
         for (eps, seed), trace, err in results:

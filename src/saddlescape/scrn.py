@@ -20,6 +20,9 @@ minimum eigenspace and ``psi(s_min) < s_min`` (the hard case), the step is
 completed with an explicit minimum-eigenvector component of the norm that
 lands ``||h*||`` exactly on ``s_min``.
 
+The root is found by Newton on the secular equation, safeguarded by Brent
+(``_secular_root``).
+
 Solving exactly (rather than with an iterative subsolver) is the right
 trade at desk scale: the eigendecomposition is cheap for the dimensions we
 run, and exactness is what makes the optimality conditions testable
@@ -54,6 +57,10 @@ ZEROTH_ORDER = "zeroth_order"
 _STATIONARITY_TOL = 1e-8
 _PSD_TOL = 1e-8
 _DECREASE_TOL = 1e-8
+# Newton on the secular equation takes a few steps, more (under 50) when the
+# eigenvalues span many decades; a solve that reaches this cap finishes with
+# Brent's method on the bracket
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -104,15 +111,84 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _psi(a: np.ndarray, b: np.ndarray, t: float) -> float:
+    """``||b / (a + t)||`` for nonzero ``b``; inf on or past a pole."""
+    den = a + t
+    if not np.all(den > 0.0):
+        return math.inf
+    return float(np.linalg.norm(b / den))
+
+
+def _product_root(p: float, q: float, c: float) -> float:
+    """Root ``t >= 0`` of ``(t + p)(t + q) = c`` for ``p, q >= 0``; 0 if ``pq >= c``."""
+    return max(0.0, 2.0 * (c - p * q) / (p + q + math.sqrt((p - q) ** 2 + 4.0 * c)))
+
+
+def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: float) -> float:
+    """Root ``t >= 0`` of the secular equation ``psi(t) = 2 (lam0 + t) / M``.
+
+    The multiplier is ``lam0 + t`` and ``a = w + lam0 >= 0`` ascending, with
+    ``w`` and ``b != 0`` the components the solve keeps; a pole at ``t = 0``
+    has ``a = 0`` exactly, so near it the denominators carry no cancellation.
+    Newton runs on ``phi(t) = 1/psi(t) - M / (2 (lam0 + t))``, which is
+    concave and increasing (Moré & Sorensen 1983; Cartis, Gould & Toint
+    2011), so from a start below the root every iterate is a lower bound and
+    the iterates climb to the root quadratically; the loop stops when an
+    iterate no longer increases.  Since ``||b|| / (a_max + t) <= psi(t) <=
+    ||b|| / (a_min + t)``, the root of ``(a_max + t)(lam0 + t) = M ||b|| / 2``
+    is a valid start, and twice the root with ``a_min`` lies above the root.
+    A loop that reaches ``_NEWTON_MAX_ITER`` finishes with Brent's method on
+    that bracket, to a relative error of ``tol * 1e-6`` in ``t`` (at least
+    machine precision): near a pole the root is ``t`` itself, so only a
+    relative tolerance keeps the step's stationarity.
+    """
+    c = 0.5 * M * float(np.linalg.norm(b))
+    if c == 0.0:
+        return 0.0
+    t = _product_root(float(a[-1]), lam0, c)
+    for _ in range(_NEWTON_MAX_ITER):
+        den = a + t
+        pole = den == 0.0
+        if pole.any():
+            # at a pole 1/psi vanishes, with slope 1 / ||b on the pole||
+            inv_psi, slope = 0.0, 1.0 / float(np.linalg.norm(b[pole]))
+        else:
+            q = b / den
+            inv_psi = 1.0 / float(np.linalg.norm(q))
+            slope = float(q @ (q / den)) * inv_psi**3
+        lam = lam0 + t
+        t_next = t + (0.5 * M / lam - inv_psi) / (slope + 0.5 * M / (lam * lam))
+        if not t_next > t:
+            return t
+        t = t_next
+
+    def phi(u: float) -> float:
+        return 1.0 / _psi(a, b, u) - 0.5 * M / (lam0 + u)
+
+    if phi(t) >= 0.0:
+        return t
+    return float(
+        brentq(
+            phi,
+            t,
+            2.0 * _product_root(float(a[0]), lam0, c),
+            xtol=np.finfo(float).tiny,
+            rtol=max(tol * 1e-6, 4 * np.finfo(float).eps),
+            maxiter=200,
+        )
+    )
+
+
 def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
     """Global minimizer of the cubic model.
 
-    Eigendecomposition plus a bracketed (Brent) root find on the secular
-    equation ``psi(s) = s``; the secular function is monotone on the bracket
-    so the root find always terminates.  The hard case is detected from the
-    gradient's component on the minimum eigenspace and resolved by adding a
-    null-direction component of the prescribed norm, with a deterministic
-    sign convention.
+    Eigendecomposition plus Newton on the secular equation ``psi(s) = s``,
+    safeguarded by Brent: the Newton iterates climb monotonically to the
+    root, and a loop that reaches its iteration cap finishes with a Brent
+    root find on the bracket, to a relative tolerance of ``tol * 1e-6``.
+    The hard case is detected from the gradient's component on the minimum
+    eigenspace and resolved by adding a null-direction component of the
+    prescribed norm, with a deterministic sign convention.
 
     Raises ``NumericalError`` for non-finite model entries or if the
     optimality conditions fail to hold at the computed step.
@@ -129,7 +205,8 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
     b = Q.T @ g
     w_min = float(w[0])
     g_norm = float(np.linalg.norm(g))
-    eig_scale = max(1.0, float(np.abs(w).max()))
+    H_norm = float(np.abs(w).max())
+    eig_scale = max(1.0, H_norm)
     # eigenvalues below eigh's resolution are zero curvature, not an escape
     # direction: without this, exactly-singular PSD Hessians trigger
     # ulp-sized hard-case steps
@@ -138,22 +215,23 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
     active = w <= w_min + 1e-12 * eig_scale
     b_active = float(np.linalg.norm(b[active]))
     hard_candidate = b_active <= 1e-11 * max(1.0, g_norm)
-
-    def psi(s: float, mask=None) -> float:
-        den = w + 0.5 * M * s
-        num = b if mask is None else np.where(mask, 0.0, b)
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-            ratio = np.where(num == 0.0, 0.0, ratio)
-        if np.any(np.isinf(ratio)):
-            return math.inf
-        return float(np.linalg.norm(ratio))
+    # psi runs over the components the solve keeps: zero ones add nothing,
+    # and a hard candidate's negligible minimum-eigenspace part is dropped
+    keep = b != 0.0
+    if hard_candidate:
+        keep &= ~active
+    w_keep, b_keep = w[keep], b[keep]
+    # multipliers are measured from lam0, the larger of the multiplier at
+    # s_min and the pole of the smallest kept eigenvalue
+    lam0 = 0.0 if psd_at_tol else -w_min
+    if w_keep.size:
+        lam0 = max(lam0, -float(w_keep[0]))
+    a = w_keep + lam0
 
     hard_case = False
     if g_norm == 0.0 and psd_at_tol:
         h = np.zeros_like(g)
-        radius = 0.0
-    elif hard_candidate and not psd_at_tol and psi(s_min, mask=active) < s_min:
+    elif hard_candidate and not psd_at_tol and _psi(a, b_keep, 0.0) < s_min:
         # Hard case: no pole at s_min and the interior solution is too short;
         # pad with a minimum-eigenvector component to land exactly on s_min.
         hard_case = True
@@ -162,73 +240,34 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
         interior = float(np.linalg.norm(coeff))
         alpha = math.sqrt(max(s_min * s_min - interior * interior, 0.0))
         h = -Q @ coeff + alpha * _canonical_sign(Q[:, 0])
-        radius = s_min
     else:
-        mask = active if hard_candidate else None
-
-        def secular(s: float) -> float:
-            return psi(s, mask=mask) - s
-
-        lo = s_min
-        val_lo = secular(lo)
-        if val_lo == math.inf:
-            # pole at s_min: approach it until the secular value is positive finite
-            delta = max(s_min, 1.0)
-            while True:
-                val_lo = secular(s_min + delta)
-                if 0.0 < val_lo < math.inf:
-                    break
-                delta /= 16.0
-                if delta < 1e-300:
-                    raise NumericalError("could not bracket the secular root near its pole")
-            lo = s_min + delta
-        if val_lo < 0.0:
-            raise NumericalError("secular equation has no root above s_min")
-        if val_lo == 0.0:
-            radius = lo
-        else:
-            hi = max(2.0 * lo, 1.0)
-            while secular(hi) > 0.0:
-                hi *= 2.0
-                if hi > 1e300:
-                    raise NumericalError("secular root bracketing diverged")
-            radius = float(
-                brentq(
-                    secular,
-                    lo,
-                    hi,
-                    xtol=max(tol * 1e-6, 1e-15),
-                    rtol=4 * np.finfo(float).eps,
-                    maxiter=200,
-                )
-            )
-        den = w + 0.5 * M * radius
-        safe = np.where(den > 0.0, den, np.inf)
-        coeff = b / safe
-        if mask is not None:
-            coeff = np.where(mask, 0.0, coeff)
+        den = a + _secular_root(a, b_keep, M, lam0, tol)
+        coeff = np.zeros_like(b)
+        coeff[keep] = b_keep / np.where(den > 0.0, den, np.inf)
         h = -Q @ coeff
-        radius = float(np.linalg.norm(h))
 
-    decrease = model.value(h)
+    radius = float(np.linalg.norm(h))
     sol = CubicSolution(
         h_star=h,
-        model_decrease=decrease,
-        radius=float(np.linalg.norm(h)),
-        multiplier=0.5 * M * float(np.linalg.norm(h)),
+        model_decrease=model.value(h),
+        radius=radius,
+        multiplier=0.5 * M * radius,
         hard_case=hard_case,
     )
-    _validate_solution(model, sol, g_norm, w_min)
+    _validate_solution(model, sol, g_norm, w_min, H_norm)
     return sol
 
 
-def _validate_solution(model: CubicModel, sol: CubicSolution, g_norm: float, w_min: float) -> None:
+def _validate_solution(
+    model: CubicModel, sol: CubicSolution, g_norm: float, w_min: float, H_norm: float
+) -> None:
     # fixed tolerances at moderate model scales; for very large-magnitude
     # models the floating-point floor (~eps times the terms combined) takes
-    # over, since no float64 step can do better
+    # over, since no float64 step can do better.  H_norm is ||H||_2, the
+    # largest |eigenvalue| from the solve's eigh.
     h = sol.h_star
     eps = np.finfo(float).eps
-    h_scale = float(np.linalg.norm(model.H, 2)) * sol.radius
+    h_scale = H_norm * sol.radius
     resid = float(np.linalg.norm(model.g + model.H @ h + sol.multiplier * h))
     resid_tol = max(
         _STATIONARITY_TOL * max(1.0, g_norm),
@@ -313,15 +352,6 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream:
     if not np.all(np.isfinite(x_new)):
         raise NumericalError("cubic step produced non-finite entries")
     return x_new, grad.oracle_calls + hess.oracle_calls, sol
-
-
-def scrn_step(p: StochasticProblem, x, cfg: ScrnConfig, stream: SeedStream):
-    """One cubic-Newton step; returns (new point, oracle calls)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("iterate has non-finite entries")
-    x_new, calls, _ = _estimate_step(p, x, cfg, stream)
-    return x_new, calls
 
 
 def run_scrn(

@@ -132,6 +132,24 @@ def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+def test_failed_run_removes_earlier_summary(tmp_path, capsys):
+    spec = tmp_path / "exp.cfg"
+    out = tmp_path / "runs"
+    spec.write_text(SPEC_TEXT.replace("seeds = 0, 1", "seeds = 0"))
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    assert (out / "summary.csv").exists() and (out / "complexity.svg").exists()
+    spec.write_text("family = phase_retrieval\ndim = 4\nm = 20\n"
+                    "algorithm = psgd\nepsilon_grid = 0.2\nseeds = 0\n")
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    assert not list(out.glob("*_seed*.csv"))
+    assert not (out / "summary.csv").exists() and not (out / "complexity.svg").exists()
+    capsys.readouterr()
+    svg = tmp_path / "curve.svg"
+    assert main(["plot", "--summary", str(out / "summary.csv"), "--out", str(svg)]) == 1
+    assert "summary.csv" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_certify_command(tmp_path, capsys):
     prob = tmp_path / "prob.cfg"
     prob.write_text(PROBLEM_TEXT)

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
+from saddlescape import scrn
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
 from saddlescape.estimators import ZoConfig
 from saddlescape.problems import (
@@ -17,9 +18,9 @@ from saddlescape.scrn import (
     ZEROTH_ORDER,
     CubicModel,
     ScrnConfig,
+    _estimate_step,
     run_scrn,
     schedule_scrn,
-    scrn_step,
     solve_cubic,
 )
 from saddlescape.seeds import SeedStream
@@ -145,6 +146,98 @@ def test_scale_covariance():
         assert np.allclose(scaled.h_star, base.h_star, rtol=1e-8, atol=1e-10)
 
 
+def _brentq_radius(model):
+    """Reference secular root by bracketing plus Brent on psi(s) - s; None in the hard case.
+
+    Same hard-case rule as the solver: a minimum-eigenspace gradient part
+    below 1e-11 max(1, ||g||) is dropped.
+    """
+    w, Q = np.linalg.eigh(model.H)
+    b = Q.T @ model.g
+    M = model.M
+    scale = max(1.0, float(np.abs(w).max()))
+    s_min = 0.0 if w[0] >= -1e-13 * scale else -2.0 * w[0] / M
+    active = w <= w[0] + 1e-12 * scale
+    if np.linalg.norm(b[active]) <= 1e-11 * max(1.0, np.linalg.norm(model.g)):
+        b = np.where(active, 0.0, b)
+    live = b != 0.0
+
+    def secular(s):
+        den = w[live] + 0.5 * M * s
+        return math.inf if np.any(den <= 0.0) else np.linalg.norm(b[live] / den) - s
+
+    lo = s_min
+    if secular(lo) < 0.0:
+        return None
+    if secular(lo) == 0.0:
+        return lo
+    if secular(lo) == math.inf:  # pole at s_min: approach it from above
+        delta = max(s_min, 1.0)
+        while not 0.0 < secular(s_min + delta) < math.inf:
+            delta /= 16.0
+        lo = s_min + delta
+    hi = max(2.0 * lo, 1.0)
+    while secular(hi) > 0.0:
+        hi *= 2.0
+    return brentq(secular, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+
+
+def _secular_models():
+    rng = np.random.default_rng(77)
+    models = {}
+    for d in (1, 3, 10):
+        for k in range(8):
+            basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            H = basis @ np.diag(rng.uniform(-2.0, 2.0, d)) @ basis.T
+            models[f"random-d{d}-{k}"] = CubicModel(
+                g=rng.standard_normal(d), H=0.5 * (H + H.T), M=(0.5, 2.0, 8.0)[k % 3])
+        models[f"zero-eigenvalue-psd-d{d}"] = CubicModel(
+            g=rng.standard_normal(d), H=np.diag(np.linspace(0.0, 2.0, d)), M=1.5)
+        models[f"zero-hessian-d{d}"] = CubicModel(g=rng.standard_normal(d), H=np.zeros((d, d)), M=3.0)
+        # negative curvature with ||b|| about 1e-9 on the minimum eigenspace:
+        # the root sits about 1e-9 above the pole at s_min
+        eigs = np.linspace(-1.5, 1.0, d) if d > 1 else np.array([-1.5])
+        g = np.concatenate([[1e-9], 0.1 * rng.standard_normal(d - 1)])
+        models[f"near-hard-d{d}"] = CubicModel(g=basis @ g, H=basis @ np.diag(eigs) @ basis.T, M=2.0)
+        tiny = rng.standard_normal(d)
+        tiny *= 1e-12 / np.linalg.norm(tiny)
+        models[f"gradient-1e-12-indefinite-d{d}"] = CubicModel(
+            g=tiny, H=models[f"random-d{d}-0"].H, M=2.0)
+        models[f"gradient-1e-12-psd-d{d}"] = CubicModel(
+            g=tiny, H=np.diag(np.linspace(0.5, 2.0, d)), M=2.0)
+        base = models[f"random-d{d}-1"]
+        models[f"scaled-1e3-d{d}"] = CubicModel(g=1e3 * base.g, H=1e3 * base.H, M=1e3 * base.M)
+    return models
+
+
+SECULAR_MODELS = _secular_models()
+
+
+@pytest.mark.parametrize("name", sorted(SECULAR_MODELS))
+def test_radius_matches_brentq_reference(name):
+    model = SECULAR_MODELS[name]
+    sol = solve_cubic(model)
+    reference = _brentq_radius(model)
+    assert sol.hard_case == (reference is None)
+    if reference is not None:
+        assert sol.radius == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_brentq_safeguard_returns_the_same_radius(monkeypatch):
+    radii = {name: solve_cubic(model).radius for name, model in SECULAR_MODELS.items()}
+    calls = []
+
+    def counting_brentq(*args, **kwargs):
+        calls.append(args)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(scrn, "_NEWTON_MAX_ITER", 0)
+    monkeypatch.setattr(scrn, "brentq", counting_brentq)
+    for name, model in SECULAR_MODELS.items():
+        assert solve_cubic(model).radius == pytest.approx(radii[name], rel=1e-12, abs=0.0), name
+    assert calls
+
+
 # ---------------------------------------------------------------------------
 # steps and runs
 
@@ -167,7 +260,7 @@ def test_step_fixed_at_second_order_stationary_point():
     p = make_phase_retrieval(d=4, m=24, planted_seed=3)
     xs = SeedStream(3, "phase_retrieval").child("planted").rng().standard_normal(4)
     xs /= np.linalg.norm(xs)
-    x1, calls = scrn_step(p, xs, _ho_config(M=5.0, n1=3, n2=3), SeedStream(0))
+    x1, calls, _ = _estimate_step(p, xs, _ho_config(M=5.0, n1=3, n2=3), SeedStream(0))
     assert np.array_equal(x1, xs)
     assert calls == 6
 
@@ -176,7 +269,8 @@ def test_step_escapes_saddle_with_closed_form_radius():
     # deterministic quadratic saddle at the origin: step radius is 2|lambda_min|/M
     p = make_multiplicative_saddle(d=3, neg_count=1, rho=1.0, quartic_coeff=0.0)
     M = 4.0
-    x1, _ = scrn_step(p, np.zeros(3), _ho_config(M=M), SeedStream(1))
+    x1, _, sol = _estimate_step(p, np.zeros(3), _ho_config(M=M), SeedStream(1))
+    assert sol.hard_case
     assert np.linalg.norm(x1) == pytest.approx(2.0 / M, abs=1e-10)
     assert abs(x1[0]) == pytest.approx(2.0 / M, abs=1e-10)
 
@@ -184,9 +278,9 @@ def test_step_escapes_saddle_with_closed_form_radius():
 def test_step_bitwise_deterministic(sgc_saddle_10d):
     cfg = _ho_config(M=50.0, n1=4, n2=4)
     x = 0.2 * np.ones(10)
-    a, _ = scrn_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
-    b, _ = scrn_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
-    assert np.array_equal(a, b)
+    a, _, _ = _estimate_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
+    b, _, _ = _estimate_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
+    assert np.all(np.isfinite(a)) and np.array_equal(a, b)
 
 
 def test_run_single_step_matches_step():
