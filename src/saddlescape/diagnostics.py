@@ -11,6 +11,7 @@ oracles only and consumes no stochastic budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -99,24 +100,28 @@ def min_eigenvalue(H: np.ndarray, sym_tol: float = 1e-10):
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ConfigurationError(f"expected a square matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise NumericalError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
-    if float(np.abs(H - H.T).max()) > sym_tol * scale:
+    # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
+    if float((H - H.T).max()) > sym_tol * scale:
         raise ConfigurationError("matrix is not symmetric within tolerance")
     d = H.shape[0]
     if d <= DENSE_EIG_LIMIT:
         w, v = np.linalg.eigh(0.5 * (H + H.T))
-        lam, vec = float(w[0]), v[:, 0]
+        lam, vec = float(w[0]), v[:, 0].copy()
+        norm = max(-lam, float(w[-1]))  # ||H||_2 from the ends of the ascending spectrum
     else:
         from scipy.sparse.linalg import eigsh
 
         v0 = np.cos(np.arange(d, dtype=np.float64))  # deterministic start
         w, v = eigsh(0.5 * (H + H.T), k=1, which="SA", v0=v0, tol=1e-12)
-        lam, vec = float(w[0]), v[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    norm = float(np.linalg.norm(H, 2)) if d > DENSE_EIG_LIMIT else float(np.max(np.abs(w)))
-    resid = float(np.linalg.norm(H @ vec - lam * vec))
+        lam, vec = float(w[0]), v[:, 0].copy()
+        norm = float(np.linalg.norm(H, 2))
+    # math.sqrt(v @ v) is np.linalg.norm(v) for a contiguous vector
+    vec = vec / math.sqrt(vec @ vec)
+    r = H @ vec - lam * vec
+    resid = math.sqrt(r @ r)
     if resid > 1e-8 * max(norm, 1e-300):
         raise NumericalError(f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||H||")
     return lam, vec
@@ -129,14 +134,15 @@ def certify(p: StochasticProblem, x, epsilon: float) -> SospCertificate:
     if p.meta.L_H <= 0:
         raise ConfigurationError("certification needs metadata L_H > 0")
     x = np.asarray(x, dtype=np.float64)
-    grad_norm = float(np.linalg.norm(p.exact_grad(x)))
+    g = np.ascontiguousarray(p.exact_grad(x), dtype=np.float64)
+    grad_norm = math.sqrt(g @ g)
     lam, _ = min_eigenvalue(p.exact_hess(x))
-    score = max(np.sqrt(grad_norm), -lam / p.meta.L_H)
+    score = max(math.sqrt(grad_norm), -lam / p.meta.L_H)
     return SospCertificate(
         grad_norm=grad_norm,
         lambda_min=lam,
         epsilon=float(epsilon),
-        certified=bool(score <= np.sqrt(epsilon)),
+        certified=bool(score <= math.sqrt(epsilon)),
         score=float(score),
     )
 

@@ -25,6 +25,7 @@ growth; it serves as the control arm in benchmark comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -135,7 +136,7 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 
 def clamp_to_box(x: np.ndarray, radius: float) -> np.ndarray:
     """Project onto the ball ||x|| <= radius (declared Lipschitz region)."""
-    norm = float(np.linalg.norm(x))
+    norm = math.sqrt(x @ x)
     if norm <= radius:
         return x
     return x * (radius / norm)
@@ -146,7 +147,7 @@ def _rows(points: np.ndarray, n: int, dim: int) -> np.ndarray:
     if pts.ndim == 1:
         if pts.size != dim:
             raise ConfigurationError(f"point dimension {pts.size} != {dim}")
-        return np.broadcast_to(pts, (n, dim))
+        return pts[None, :] if n == 1 else np.broadcast_to(pts, (n, dim))
     if pts.shape != (n, dim):
         raise ConfigurationError(f"points shape {pts.shape} incompatible with {(n, dim)}")
     return pts
@@ -156,7 +157,7 @@ def two_point_multiplier(seeds: np.ndarray, rho: float) -> np.ndarray:
     """xi in {0, rho} with P(xi = rho) = 1/rho, so E xi = 1 and E xi^2 = rho."""
     if rho == 1.0:
         return np.ones(len(seeds), dtype=np.float64)
-    u = uniform01(np.asarray(seeds, dtype=np.uint64), tag=_TAG_XI)
+    u = uniform01(seeds, tag=_TAG_XI)
     return np.where(u <= 1.0 / rho, rho, 0.0)
 
 
@@ -203,12 +204,14 @@ def make_multiplicative_saddle(
             g = g + (4.0 * q) * (pts * pts).sum(axis=1, keepdims=True) * pts
         return g
 
+    a_mat = np.diag(a_diag)
+    eye = np.eye(d)
+
     def hess_at(x: np.ndarray) -> np.ndarray:
-        h = np.diag(a_diag).copy()
-        if q:
-            nrm2 = float(x @ x)
-            h += 4.0 * q * nrm2 * np.eye(d) + 8.0 * q * np.outer(x, x)
-        return h
+        if not q:
+            return a_mat.copy()
+        nrm2 = float(x @ x)
+        return a_mat + (4.0 * q * nrm2 * eye + 8.0 * q * np.outer(x, x))
 
     def value_batch(points, seeds):
         xi = two_point_multiplier(seeds, rho)
@@ -216,17 +219,19 @@ def make_multiplicative_saddle(
             return xi * f_rows(_rows(points, 1, d))[0]
         return xi * f_rows(_rows(points, len(seeds), d))
 
+    # a single (d,) point is evaluated once and scaled by each seed's xi;
+    # every row equals the one an (n, d) batch of copies gives, bit for bit
     def grad_batch(points, seeds):
-        pts = _rows(points, len(seeds), d)
-        return two_point_multiplier(seeds, rho)[:, None] * grad_rows(pts)
+        xi = two_point_multiplier(seeds, rho)
+        if np.ndim(points) == 1:
+            return np.multiply.outer(xi, grad_rows(_rows(points, 1, d))[0])
+        return xi[:, None] * grad_rows(_rows(points, len(seeds), d))
 
     def hess_batch(points, seeds):
-        pts = _rows(points, len(seeds), d)
         xi = two_point_multiplier(seeds, rho)
-        if points.ndim == 1:
-            h = hess_at(np.asarray(points, dtype=np.float64))
-            return xi[:, None, None] * h[None, :, :]
-        return xi[:, None, None] * np.stack([hess_at(p) for p in pts])
+        if np.ndim(points) == 1:
+            return np.multiply.outer(xi, hess_at(_rows(points, 1, d)[0]))
+        return xi[:, None, None] * np.stack([hess_at(p) for p in _rows(points, len(seeds), d)])
 
     if q > 0:
         f_star = -1.0 / (16.0 * q)
@@ -367,8 +372,10 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
         vals = p.sample_value_batch(points, seeds)
         if sigma == 0:
             return vals
-        noise = standard_normals(np.asarray(seeds, dtype=np.uint64), 1, tag=_TAG_VALUE_NOISE)
-        return vals + sigma * noise[:, 0]
+        noise = standard_normals(seeds, 1, tag=_TAG_VALUE_NOISE)[:, 0]
+        noise *= sigma
+        noise += vals
+        return noise
 
     grad_batch = None
     if p.has_grad_oracle:
@@ -377,8 +384,10 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
             grads = p.sample_grad_batch(points, seeds)
             if sigma == 0:
                 return grads
-            noise = standard_normals(np.asarray(seeds, dtype=np.uint64), d, tag=_TAG_GRAD_NOISE)
-            return grads + sigma * noise
+            noise = standard_normals(seeds, d, tag=_TAG_GRAD_NOISE)
+            noise *= sigma
+            noise += grads
+            return noise
 
     meta = replace(
         base_meta,

@@ -127,7 +127,7 @@ def psgd_step(
 ):
     """One perturbed gradient step; returns (new point, oracle calls)."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
     if cfg.mode == ZEROTH_ORDER:
         est = zo_gradient(p, x, cfg.zo, stream)
@@ -135,7 +135,7 @@ def psgd_step(
         est = fo_gradient(p, x, cfg.n1, stream)
     theta = draw_perturbation(stream, p.meta.dim, cfg.r)
     x_new = clamp_to_box(x - cfg.eta * (est.g + theta), cfg.box_radius)
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise NumericalError("update produced non-finite entries")
     return x_new, est.oracle_calls
 

@@ -83,14 +83,15 @@ class CubicModel:
         if not self.M > 0:
             raise ConfigurationError(f"cubic penalty M must be positive, got {self.M}")
         scale = max(1.0, float(np.abs(H).max()) if H.size else 1.0)
-        if np.all(np.isfinite(H)) and float(np.abs(H - H.T).max()) > 1e-10 * scale:
+        # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
+        if np.isfinite(H).all() and float((H - H.T).max()) > 1e-10 * scale:
             raise ConfigurationError("model Hessian must be symmetric")
 
     def value(self, h: np.ndarray) -> float:
         """Model decrease m(x + h) - m(x) at displacement h."""
         h = np.asarray(h, dtype=np.float64)
         return float(
-            self.g @ h + 0.5 * h @ self.H @ h + (self.M / 6.0) * np.linalg.norm(h) ** 3
+            self.g @ h + 0.5 * h @ self.H @ h + (self.M / 6.0) * math.sqrt(h @ h) ** 3
         )
 
 
@@ -114,9 +115,10 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 def _psi(a: np.ndarray, b: np.ndarray, t: float) -> float:
     """``||b / (a + t)||`` for nonzero ``b``; inf on or past a pole."""
     den = a + t
-    if not np.all(den > 0.0):
+    if not (den > 0.0).all():
         return math.inf
-    return float(np.linalg.norm(b / den))
+    q = b / den
+    return math.sqrt(q @ q)
 
 
 def _product_root(p: float, q: float, c: float) -> float:
@@ -142,7 +144,7 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: floa
     machine precision): near a pole the root is ``t`` itself, so only a
     relative tolerance keeps the step's stationarity.
     """
-    c = 0.5 * M * float(np.linalg.norm(b))
+    c = 0.5 * M * math.sqrt(b @ b)
     if c == 0.0:
         return 0.0
     t = _product_root(float(a[-1]), lam0, c)
@@ -151,10 +153,11 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: floa
         pole = den == 0.0
         if pole.any():
             # at a pole 1/psi vanishes, with slope 1 / ||b on the pole||
-            inv_psi, slope = 0.0, 1.0 / float(np.linalg.norm(b[pole]))
+            b_pole = b[pole]
+            inv_psi, slope = 0.0, 1.0 / math.sqrt(b_pole @ b_pole)
         else:
             q = b / den
-            inv_psi = 1.0 / float(np.linalg.norm(q))
+            inv_psi = 1.0 / math.sqrt(q @ q)
             slope = float(q @ (q / den)) * inv_psi**3
         lam = lam0 + t
         t_next = t + (0.5 * M / lam - inv_psi) / (slope + 0.5 * M / (lam * lam))
@@ -196,16 +199,17 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
     if not 0.0 < tol <= 1e-4:
         raise ConfigurationError(f"tol must be in (0, 1e-4], got {tol}")
     g, H, M = model.g, model.H, model.M
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+    if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise NumericalError("cubic model has non-finite entries")
 
     w, Q = np.linalg.eigh(H)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericalError("eigendecomposition produced non-finite eigenvalues")
     b = Q.T @ g
     w_min = float(w[0])
-    g_norm = float(np.linalg.norm(g))
-    H_norm = float(np.abs(w).max())
+    # math.sqrt(v @ v) is np.linalg.norm(v) for a contiguous vector
+    g_norm = math.sqrt(g @ g)
+    H_norm = max(-w_min, float(w[-1]))  # ||H||_2 from the ends of the ascending spectrum
     eig_scale = max(1.0, H_norm)
     # eigenvalues below eigh's resolution are zero curvature, not an escape
     # direction: without this, exactly-singular PSD Hessians trigger
@@ -213,7 +217,8 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
     psd_at_tol = w_min >= -1e-13 * eig_scale
     s_min = 0.0 if psd_at_tol else -2.0 * w_min / M
     active = w <= w_min + 1e-12 * eig_scale
-    b_active = float(np.linalg.norm(b[active]))
+    b_min = b[active]
+    b_active = math.sqrt(b_min @ b_min)
     hard_candidate = b_active <= 1e-11 * max(1.0, g_norm)
     # psi runs over the components the solve keeps: zero ones add nothing,
     # and a hard candidate's negligible minimum-eigenspace part is dropped
@@ -237,7 +242,7 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
         hard_case = True
         den = w + 0.5 * M * s_min
         coeff = np.where(active, 0.0, b / np.where(active, 1.0, den))
-        interior = float(np.linalg.norm(coeff))
+        interior = math.sqrt(coeff @ coeff)
         alpha = math.sqrt(max(s_min * s_min - interior * interior, 0.0))
         h = -Q @ coeff + alpha * _canonical_sign(Q[:, 0])
     else:
@@ -246,7 +251,7 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
         coeff[keep] = b_keep / np.where(den > 0.0, den, np.inf)
         h = -Q @ coeff
 
-    radius = float(np.linalg.norm(h))
+    radius = math.sqrt(h @ h)
     sol = CubicSolution(
         h_star=h,
         model_decrease=model.value(h),
@@ -268,7 +273,8 @@ def _validate_solution(
     h = sol.h_star
     eps = np.finfo(float).eps
     h_scale = H_norm * sol.radius
-    resid = float(np.linalg.norm(model.g + model.H @ h + sol.multiplier * h))
+    r = model.g + model.H @ h + sol.multiplier * h
+    resid = math.sqrt(r @ r)
     resid_tol = max(
         _STATIONARITY_TOL * max(1.0, g_norm),
         64.0 * eps * (g_norm + h_scale + sol.multiplier * sol.radius),
@@ -349,7 +355,7 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream:
         hess = so_hessian(p, x, cfg.n2, stream)
     sol = solve_cubic(CubicModel(g=grad.g, H=hess.H, M=cfg.M), tol=cfg.solver_tol)
     x_new = clamp_to_box(x + sol.h_star, cfg.box_radius)
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise NumericalError("cubic step produced non-finite entries")
     return x_new, grad.oracle_calls + hess.oracle_calls, sol
 

@@ -16,6 +16,8 @@ and a zeroth-order run with the same master seed consume the same noise-seed
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -31,6 +33,12 @@ TAG_U01 = 0xA511E9B3D1C6A127
 TAG_NORMAL = 0x8B72E0F355D1E3A9
 
 
+# the array kernels' constants, built once as 0-d uint64 arrays: a cheaper
+# ufunc operand than an np.uint64 scalar
+_GAMMA_U64, _MIX1_U64, _MIX2_U64, _TAG_SEQ_U64, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (
+    np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX1, _MIX2, TAG_SEQ, 11, 27, 30, 31))
+
+
 def mix64(z: int) -> int:
     """splitmix64 finalizer on a Python int (exact 64-bit wraparound)."""
     z = (z + _GAMMA) & _MASK
@@ -39,15 +47,23 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array the caller owns."""
+    z += _GAMMA_U64
+    z ^= z >> _SHIFT30
+    z *= _MIX1_U64
+    z ^= z >> _SHIFT27
+    z *= _MIX2_U64
+    z ^= z >> _SHIFT31
+    return z
+
+
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; input is converted to uint64."""
-    z = np.asarray(z, dtype=np.uint64)
-    z = z + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 finalizer; input is converted to uint64 and left unchanged."""
+    return _mix_inplace(np.array(z, dtype=np.uint64))
 
 
+@functools.lru_cache(maxsize=256)
 def _label_hash(label: str) -> int:
     h = _FNV_OFFSET
     for b in label.encode("utf-8"):
@@ -77,12 +93,17 @@ def fold_label_states(states: np.ndarray, label: str) -> np.ndarray:
     return mix64_array(np.asarray(states, dtype=np.uint64) ^ np.uint64(_label_hash(label)))
 
 
+def _index_hashes(start: int, n: int) -> np.ndarray:
+    """Stream-independent first hash of the seed indices ``start .. start + n - 1``."""
+    z = np.arange(start, start + n, dtype=np.uint64)
+    z ^= _TAG_SEQ_U64
+    return _mix_inplace(z)
+
+
 def seed_blocks(states: np.ndarray, n: int) -> np.ndarray:
     """(len(states), n) oracle-seed grid; row i equals the ``seeds(n)`` of a
     stream whose state is ``states[i]``."""
-    idx = np.arange(n, dtype=np.uint64)
-    pre = mix64_array(idx ^ np.uint64(TAG_SEQ))
-    return mix64_array(pre[None, :] ^ np.asarray(states, dtype=np.uint64)[:, None])
+    return _mix_inplace(_index_hashes(0, n)[None, :] ^ np.asarray(states, dtype=np.uint64)[:, None])
 
 
 class SeedStream:
@@ -111,11 +132,11 @@ class SeedStream:
         ``seeds(k)`` followed by ``seeds(n - k, k)``: a batch can be derived
         block by block.
         """
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        return mix64_array(mix64_array(idx ^ np.uint64(TAG_SEQ)) ^ np.uint64(self.state))
+        return _mix_inplace(_index_hashes(start, n) ^ np.uint64(self.state))
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.state)
+        """PCG64 generator seeded with the state: the stream of ``default_rng(state)``."""
+        return np.random.Generator(np.random.PCG64(self.state))
 
     def __repr__(self):
         return f"SeedStream(0x{self.state:016x})"
@@ -123,19 +144,40 @@ class SeedStream:
 
 def uniform01(seeds: np.ndarray, tag: int = TAG_U01) -> np.ndarray:
     """Uniforms in (0, 1], one per seed."""
-    h = mix64_array(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(tag))
-    return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    h = np.array(seeds, dtype=np.uint64)
+    h ^= np.uint64(tag)
+    return ((_mix_inplace(h) >> _SHIFT11).astype(np.float64) + 1.0) * 2.0**-53
+
+
+@functools.lru_cache(maxsize=64)
+def _column_hashes(dim: int) -> np.ndarray:
+    """(2, 1, dim) read-only hashes of the column counters 2j (row 0) and 2j + 1 (row 1)."""
+    j = np.arange(dim, dtype=np.uint64)
+    h = _mix_inplace(np.stack([j + j, j + j + np.uint64(1)]))
+    h.flags.writeable = False
+    return h[:, None, :]
 
 
 def standard_normals(seeds: np.ndarray, dim: int, tag: int = TAG_NORMAL) -> np.ndarray:
     """(n, dim) standard normals, row i a pure function of seeds[i].
 
-    Box-Muller on hashed uniforms; two hashes per normal.
+    Box-Muller on hashed uniforms; two hashes per normal.  Both uniforms of
+    every entry are hashed in one ``(2, n, dim)`` pass: u1 = (h1 + 1) 2^-53
+    in (0, 1] from counter 2j, u2 = h2 2^-53 in [0, 1) from counter 2j + 1,
+    with h the top 53 bits of the hash.
     """
-    s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) ^ np.uint64(tag)
-    cols = np.arange(dim, dtype=np.uint64).reshape(1, -1)
-    h1 = mix64_array(s + mix64_array(np.uint64(2) * cols))
-    h2 = mix64_array(s + mix64_array(np.uint64(2) * cols + np.uint64(1)))
-    u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    s = np.array(seeds, dtype=np.uint64).reshape(1, -1, 1)
+    s ^= np.uint64(tag)
+    h = _mix_inplace(s + _column_hashes(dim))
+    h >>= _SHIFT11
+    u = h.astype(np.float64)
+    u1, u2 = u
+    u1 += 1.0
+    u *= 2.0**-53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1

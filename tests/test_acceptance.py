@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
+from cubic_reference import reference_min
 from saddlescape.diagnostics import sosp_fraction
 from saddlescape.estimators import (
     ZoConfig,
@@ -113,40 +113,6 @@ def test_criterion_1_variance_contraction(bench_problem):
     assert ok, line
 
 
-def _model_value(model, h):
-    return model.g @ h + 0.5 * h @ model.H @ h + model.M / 6.0 * np.linalg.norm(h) ** 3
-
-
-def _oracle_min(model, seed):
-    """Independent subproblem oracle: dense grid for d<=2, plus multistart
-    Nelder-Mead polish everywhere (the literal 1e-3 grid is unaffordable in
-    3-d at radius up to 24; detection power is preserved)."""
-    d = model.g.size
-    radius = 3.0 * max(1.0, 2.0 * np.linalg.norm(model.g) / model.M)
-    best = 0.0
-    if d == 1:
-        hs = np.arange(-radius, radius + 1e-3, 1e-3)
-        vals = model.g[0] * hs + 0.5 * model.H[0, 0] * hs**2 + model.M / 6.0 * np.abs(hs) ** 3
-        best = min(best, float(vals.min()))
-    elif d == 2:
-        res = radius / 1200.0
-        xs = np.arange(-radius, radius + res, res)
-        for x0 in xs:
-            h1 = np.full_like(xs, x0)
-            quad = model.g[0] * h1 + model.g[1] * xs + 0.5 * (
-                model.H[0, 0] * h1**2 + 2 * model.H[0, 1] * h1 * xs + model.H[1, 1] * xs**2
-            )
-            vals = quad + model.M / 6.0 * (h1**2 + xs**2) ** 1.5
-            best = min(best, float(vals.min()))
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(d)] + [radius * rng.uniform(-1, 1, d) for _ in range(40)]
-    for s in starts:
-        r = minimize(lambda h: _model_value(model, h), s, method="Nelder-Mead",
-                     options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000})
-        best = min(best, float(r.fun))
-    return best
-
-
 def test_criterion_2_cubic_solver_exactness():
     """Exact subproblem solves: oracle value, stationarity, PSD, M/12 decrease."""
     rng = np.random.default_rng(77)
@@ -167,7 +133,7 @@ def test_criterion_2_cubic_solver_exactness():
         ok &= resid <= 1e-8 * max(1.0, np.linalg.norm(model.g))
         ok &= np.linalg.eigvalsh(model.H)[0] + sol.multiplier >= -1e-8
         ok &= sol.model_decrease <= -(M / 12.0) * sol.radius**3 + 1e-8
-        ok &= sol.model_decrease <= _oracle_min(model, seed=trial) + 1e-4
+        ok &= sol.model_decrease <= reference_min(model, seed=trial) + 1e-4
     line = _report(2, "cubic subproblem solved exactly on 100 random models", ok)
     assert ok, line
 

@@ -131,6 +131,26 @@ def test_oracles_are_pure_functions_of_x_and_seed():
     assert np.array_equal(direct, again)
 
 
+@pytest.mark.parametrize("rho, sigma", [(2.0, 0.0), (1.0, 0.5)], ids=["saddle", "additive"])
+def test_single_point_oracles_match_tiled_batch(rho, sigma):
+    p = make_multiplicative_saddle(d=10, neg_count=1, rho=rho, quartic_coeff=0.008)
+    if sigma:
+        p = make_additive_noise_variant(p, sigma)
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 1534):
+        x = rng.uniform(-2.0, 2.0, 10)
+        seeds = SeedStream(8).seeds(n)
+        tiled = np.tile(x, (n, 1))
+        grads = p.sample_grad_batch(tiled, seeds)
+        hessians = p.sample_hess_batch(tiled, seeds)
+        # a (d,) point, as an array or as any array-like
+        for point in (x, list(x)):
+            assert np.array_equal(p.sample_grad_batch(point, seeds), grads)
+            assert np.array_equal(p.sample_hess_batch(point, seeds), hessians)
+    with pytest.raises(ConfigurationError):
+        p.sample_hess_batch(np.zeros(9), seeds)
+
+
 # ---------------------------------------------------------------------------
 # phase retrieval
 

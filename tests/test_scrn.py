@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
+from cubic_reference import grid_min, reference_min
 from saddlescape import scrn
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
 from saddlescape.estimators import ZoConfig
@@ -24,43 +25,6 @@ from saddlescape.scrn import (
     solve_cubic,
 )
 from saddlescape.seeds import SeedStream
-
-
-def _model_value(model, h):
-    return model.g @ h + 0.5 * h @ model.H @ h + model.M / 6.0 * np.linalg.norm(h) ** 3
-
-
-def _grid_oracle_1d(model, radius, resolution=1e-3):
-    hs = np.arange(-radius, radius + resolution, resolution)
-    vals = model.g[0] * hs + 0.5 * model.H[0, 0] * hs**2 + model.M / 6.0 * np.abs(hs) ** 3
-    return vals.min()
-
-
-def _grid_oracle_2d(model, radius, resolution):
-    xs = np.arange(-radius, radius + resolution, resolution)
-    best = 0.0
-    g, H, M = model.g, model.H, model.M
-    for x0 in xs:  # chunk one row of the grid at a time
-        h1 = np.full_like(xs, x0)
-        quad = g[0] * h1 + g[1] * xs + 0.5 * (
-            H[0, 0] * h1**2 + 2 * H[0, 1] * h1 * xs + H[1, 1] * xs**2
-        )
-        val = quad + M / 6.0 * (h1**2 + xs**2) ** 1.5
-        best = min(best, val.min())
-    return best
-
-
-def _polish_oracle(model, radius, starts=40, seed=0):
-    """Multi-start local minimization; independent of the eigen path."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    points = [np.zeros(model.g.size)]
-    points += [radius * rng.uniform(-1, 1, model.g.size) for _ in range(starts)]
-    for x0 in points:
-        res = minimize(lambda h: _model_value(model, h), x0, method="Nelder-Mead",
-                       options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000})
-        best = min(best, res.fun)
-    return best
 
 
 def test_cubic_model_validation():
@@ -84,7 +48,7 @@ def test_one_dimensional_example_matches_fine_grid():
     sol = solve_cubic(model)
     assert sol.h_star[0] == pytest.approx(-1.0 / math.sqrt(3.0), abs=1e-10)
     assert sol.model_decrease == pytest.approx(-2.0 / (3.0 * math.sqrt(3.0)), abs=1e-10)
-    grid = _grid_oracle_1d(model, radius=3.0, resolution=1e-6)
+    grid = grid_min(model, radius=3.0, resolution=1e-6)
     assert abs(sol.model_decrease - grid) < 1e-10
 
 
@@ -96,7 +60,7 @@ def test_hard_case_example_matches_plane_grid():
     assert abs(sol.h_star[0]) == pytest.approx(2.0, abs=1e-12)
     assert sol.h_star[1] == pytest.approx(0.0, abs=1e-12)
     assert sol.model_decrease == pytest.approx(-4.0 / 3.0, abs=1e-12)
-    grid = _grid_oracle_2d(model, radius=3.0, resolution=1e-3)
+    grid = grid_min(model, radius=3.0, resolution=1e-3)
     assert sol.model_decrease <= grid + 1e-4
 
 
@@ -123,16 +87,9 @@ def test_solution_invariants_and_oracle_on_random_models():
         assert np.linalg.eigvalsh(model.H)[0] + sol.multiplier >= -1e-8
         assert sol.model_decrease <= -(M / 12.0) * sol.radius**3 + 1e-8
 
-        # never worse than an independent search
-        radius = 3.0 * max(1.0, 2.0 * np.linalg.norm(model.g) / M)
-        if d == 1:
-            oracle = _grid_oracle_1d(model, radius, resolution=1e-3)
-        elif d == 2:
-            oracle = min(_grid_oracle_2d(model, radius, resolution=radius / 1500),
-                         _polish_oracle(model, radius, seed=trial))
-        else:
-            oracle = _polish_oracle(model, radius, seed=trial)
-        assert sol.model_decrease <= oracle + 1e-4
+        # never worse than an independent search: grids for d <= 2 and a
+        # 41-start local polish
+        assert sol.model_decrease <= reference_min(model, seed=trial) + 1e-4
 
 
 def test_scale_covariance():
