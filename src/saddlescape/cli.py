@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    saddlescape run --spec exp.cfg --out runs/ [--workers N] [--master-seed S]
+    saddlescape run --spec exp.cfg --out runs/ [--master-seed S]
     saddlescape summarize --dir runs/
     saddlescape plot --summary runs/summary.csv --out curve.svg
     saddlescape certify --problem prob.cfg --point point.csv --epsilon 0.05
@@ -39,7 +39,7 @@ def _print_rows(rows) -> int:
 
 def _cmd_run(args) -> int:
     spec = harness.experiment_from_config(args.spec)
-    return _print_rows(harness.run_experiment(spec, args.out, args.workers, args.master_seed))
+    return _print_rows(harness.run_experiment(spec, args.out, master_seed=args.master_seed))
 
 
 def _cmd_summarize(args) -> int:
@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an experiment spec")
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--master-seed", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, EvaluationError, FileNotFoundError) as err:
+    except (ConfigurationError, EvaluationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericalError as err:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -34,9 +33,10 @@ import numpy as np
 from . import config as _cfg
 from . import psgd as _psgd
 from . import scrn as _scrn
-from .diagnostics import RunTrace, SospCertificate, TraceRow, certify, sosp_fraction
+# certify is unused here, but the benchmark's tracer patches it in this module
+from .diagnostics import RunTrace, SospCertificate, TraceRow, certify, sosp_fraction  # noqa: F401
 from .errors import ConfigurationError, EvaluationError, NumericalError
-from .problems import StochasticProblem, as_point, problem_from_config
+from .problems import StochasticProblem, problem_from_config
 from .psgd import FIRST_ORDER, PsgdConfig, ScheduleConstants
 from .scrn import HIGHER_ORDER, ZEROTH_ORDER
 from .seeds import SeedStream
@@ -94,6 +94,8 @@ class ExperimentSpec:
         if not seeds:
             raise ConfigurationError("need at least one seed")
         object.__setattr__(self, "seeds", seeds)
+        if not (math.isfinite(self.x0_offset) and self.x0_offset >= 0):
+            raise ConfigurationError(f"x0_offset must be finite and >= 0, got {self.x0_offset}")
         if self.max_steps < 1 or self.certify_every < 1:
             raise ConfigurationError("max_steps and certify_every must be >= 1")
         if not 0.0 <= self.burn_in <= 0.9:
@@ -167,40 +169,12 @@ def run_cell(spec: ExperimentSpec, epsilon: float, seed: int, master_seed: int =
     return trace
 
 
+# run_cell could call run_psgd directly; this wrapper remains because the
+# benchmark's tracer times the stopping run loop under its name
 def _run_psgd_stopping(p, x0, cfg: PsgdConfig, certify_every: int, seed: int) -> RunTrace:
-    """Variant of run_psgd that ends at the first certified checkpoint.
-
-    The stopping rule is a pure function of the trajectory, so traces stay
-    byte-reproducible; only the complexity sweep uses it, where everything
-    after the first hit is irrelevant.
-    """
-    x = as_point(x0, p.meta.dim)
-    stream = SeedStream(seed, "psgd")
-    trace = RunTrace(seed=seed, algorithm="psgd", config_echo=cfg.echo())
-
-    def record(t, calls):
-        cert = certify(p, x, cfg.epsilon)
-        trace.append(TraceRow(t=t, f=p.exact_value(x), grad_norm=cert.grad_norm,
-                              lambda_min=cert.lambda_min, oracle_calls=calls,
-                              certified=cert.certified))
-        return cert.certified
-
-    calls = 0
-    done = record(0, calls)
-    for t in range(1, cfg.T + 1):
-        if done:
-            break
-        try:
-            x, step_calls = _psgd.psgd_step(p, x, cfg, stream.child("step", t))
-        except NumericalError as err:
-            err.iterate = t
-            err.trace = trace
-            raise
-        calls += step_calls
-        if t % certify_every == 0 or t == cfg.T:
-            done = record(t, calls)
-    trace.total_oracle_calls = calls
-    return trace
+    """run_psgd ending at the first certified checkpoint (complexity sweeps)."""
+    return _psgd.run_psgd(p, x0, cfg, certify_every=certify_every, seed=seed,
+                          stop_after_certified=True)
 
 
 def _median_int(values: List[int]) -> Optional[int]:
@@ -259,11 +233,15 @@ def run_experiment(
 ) -> List[SummaryRow]:
     """Execute all (epsilon, seed) cells; write traces, summary, and plot.
 
+    Cells run one after another in this process.  ``workers`` must be 1:
+    the keyword remains for the benchmark worker, which passes it.
     Cell failures are recorded in cells.txt and excluded from the summary;
     only I/O failures abort the whole experiment, and EvaluationError is
     raised when no cell succeeds.  Returns the summary rows sorted by (arm,
     epsilon descending).
     """
+    if workers != 1:
+        raise ConfigurationError(f"workers must be 1, got {workers}")
     out = Path(os.environ.get(OUT_DIR_ENV) or out_dir or spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -276,11 +254,7 @@ def run_experiment(
         except (NumericalError, ConfigurationError) as err:
             return cell, None, err
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, cells))
-    else:
-        results = [run_one(cell) for cell in cells]
+    results = [run_one(cell) for cell in cells]
 
     # an earlier run's traces would join the summary, and its summary and
     # plot would outlive a run in which no cell succeeds

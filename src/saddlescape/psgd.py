@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class PsgdConfig:
     epsilon: float
     mode: str = FIRST_ORDER
     zo: Optional[ZoConfig] = None
+    algorithm = "psgd"  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -98,7 +99,7 @@ class PsgdConfig:
 
     def echo(self) -> str:
         parts = [
-            "algorithm = psgd",
+            f"algorithm = {self.algorithm}",
             f"mode = {self.mode}",
             f"eta = {self.eta!r}",
             f"r = {self.r!r}",
@@ -146,46 +147,73 @@ def run_psgd(
     cfg: PsgdConfig,
     certify_every: int = 1,
     seed: int = 0,
+    stop_after_certified: bool = False,
 ) -> RunTrace:
-    """Run T perturbed steps, certifying on exact oracles along the way.
+    """Run T perturbed steps with certification rows (see ``run_steps``)."""
+    return run_steps(
+        p, x0, cfg, lambda x, stream: (*psgd_step(p, x, cfg, stream), None),
+        certify_every=certify_every, seed=seed, stop_after_certified=stop_after_certified,
+    )
 
-    Certification rows are recorded at t = 0, every ``certify_every`` steps,
-    and at the final step.  Diagnostic evaluations use exact oracles only and
-    are never charged to the stochastic budget.  Step failures propagate as
-    ``NumericalError`` with the partial trace attached.
+
+# lives here rather than in diagnostics: the benchmark's tracer patches
+# certify in psgd, scrn and harness, not in diagnostics
+def run_steps(
+    p: StochasticProblem,
+    x0,
+    cfg,
+    step: Callable,
+    certify_every: int = 1,
+    seed: int = 0,
+    stop_after_certified: bool = False,
+    r_index: Optional[int] = None,
+) -> RunTrace:
+    """The run loop of PSGD and cubic Newton: T steps with certification rows.
+
+    ``step(x, stream)`` returns ``(x_new, oracle_calls, sol)``, with ``sol``
+    the cubic step's ``CubicSolution``, whose radius and model decrease the
+    rows record, or None.  Rows are certified on exact oracles, never charged
+    to the budget, at t = 0, every ``certify_every`` steps and at step T.
+    ``stop_after_certified`` ends the run at its first certified row (a pure
+    function of the trajectory, so traces stay byte-reproducible); ``r_index``
+    keeps that step's iterate and budget and certifies the iterate at the end.
+    A ``NumericalError`` carries the step index and the partial trace.
     """
     if certify_every < 1:
         raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
     x = as_point(x0, p.meta.dim)
-    stream = SeedStream(seed, "psgd")
-    trace = RunTrace(seed=seed, algorithm="psgd", config_echo=cfg.echo())
+    stream = SeedStream(seed, cfg.algorithm)
+    trace = RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=cfg.echo())
 
-    def record(t: int, calls: int) -> None:
+    def record(t: int, calls: int, sol) -> bool:
         cert = certify(p, x, cfg.epsilon)
-        trace.append(
-            TraceRow(
-                t=t,
-                f=p.exact_value(x),
-                grad_norm=cert.grad_norm,
-                lambda_min=cert.lambda_min,
-                oracle_calls=calls,
-                certified=cert.certified,
-            )
-        )
+        trace.append(TraceRow(
+            t, p.exact_value(x), cert.grad_norm, cert.lambda_min, calls, cert.certified,
+            *((None, None) if sol is None else (sol.radius, sol.model_decrease)),
+        ))
+        return stop_after_certified and cert.certified
 
     calls = 0
-    record(0, calls)
+    done = record(0, calls, None)
+    x_at_r = calls_at_r = None
     for t in range(1, cfg.T + 1):
+        if done:
+            break
         try:
-            x, step_calls = psgd_step(p, x, cfg, stream.child("step", t))
+            x, step_calls, sol = step(x, stream.child("step", t))
         except NumericalError as err:
             err.iterate = t
             err.trace = trace
             raise
         calls += step_calls
+        if t == r_index:
+            x_at_r, calls_at_r = x.copy(), calls
         if t % certify_every == 0 or t == cfg.T:
-            record(t, calls)
+            done = record(t, calls, sol)
     trace.total_oracle_calls = calls
+    if r_index is not None:
+        trace.r_index, trace.r_oracle_calls = r_index, calls_at_r
+        trace.r_certificate = certify(p, x_at_r, cfg.epsilon)
     return trace
 
 

@@ -38,7 +38,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .diagnostics import RunTrace, TraceRow, certify
+# certify is unused here, but the benchmark's tracer patches it in this module
+from .diagnostics import RunTrace, certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import (
     NU_FLOOR,
@@ -48,7 +49,8 @@ from .estimators import (
     zo_gradient,
     zo_hessian,
 )
-from .problems import ProblemMetadata, StochasticProblem, as_point, clamp_to_box
+from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
+from .psgd import run_steps
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -308,7 +310,7 @@ class ScrnConfig:
     epsilon: float
     mode: str = HIGHER_ORDER
     zo: Optional[ZoConfig] = None
-    solver_tol: float = 1e-10
+    algorithm = "scrn"  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
         if self.M <= 0:
@@ -332,7 +334,7 @@ class ScrnConfig:
 
     def echo(self) -> str:
         parts = [
-            "algorithm = scrn",
+            f"algorithm = {self.algorithm}",
             f"mode = {self.mode}",
             f"M = {self.M!r}",
             f"n1 = {self.n1}",
@@ -353,7 +355,7 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream:
     else:
         grad = fo_gradient(p, x, cfg.n1, stream)
         hess = so_hessian(p, x, cfg.n2, stream)
-    sol = solve_cubic(CubicModel(g=grad.g, H=hess.H, M=cfg.M), tol=cfg.solver_tol)
+    sol = solve_cubic(CubicModel(g=grad.g, H=hess.H, M=cfg.M))
     x_new = clamp_to_box(x + sol.h_star, cfg.box_radius)
     if not np.isfinite(x_new).all():
         raise NumericalError("cubic step produced non-finite entries")
@@ -373,52 +375,14 @@ def run_scrn(
     and model decrease), the trace reports the uniformly drawn iterate
     ``R ~ U{1..T}`` with its certificate and the budget consumed through it:
     that random iterate is the object of the method's in-expectation
-    guarantee.
+    guarantee.  See ``psgd.run_steps`` for the checkpoints and failures.
     """
-    if certify_every < 1:
-        raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
-    x = as_point(x1, p.meta.dim)
-    stream = SeedStream(seed, "scrn")
-    trace = RunTrace(seed=seed, algorithm="scrn", config_echo=cfg.echo())
+    stream = SeedStream(seed, cfg.algorithm)
     r_index = int(stream.child("random_iterate").rng().integers(1, cfg.T + 1))
-
-    def record(t: int, calls: int, sol: Optional[CubicSolution]) -> None:
-        cert = certify(p, x, cfg.epsilon)
-        trace.append(
-            TraceRow(
-                t=t,
-                f=p.exact_value(x),
-                grad_norm=cert.grad_norm,
-                lambda_min=cert.lambda_min,
-                oracle_calls=calls,
-                certified=cert.certified,
-                h_norm=None if sol is None else sol.radius,
-                model_decrease=None if sol is None else sol.model_decrease,
-            )
-        )
-
-    calls = 0
-    record(0, calls, None)
-    x_at_r = None
-    calls_at_r = None
-    for t in range(1, cfg.T + 1):
-        try:
-            x, step_calls, sol = _estimate_step(p, x, cfg, stream.child("step", t))
-        except NumericalError as err:
-            err.iterate = t
-            err.trace = trace
-            raise
-        calls += step_calls
-        if t == r_index:
-            x_at_r = x.copy()
-            calls_at_r = calls
-        if t % certify_every == 0 or t == cfg.T:
-            record(t, calls, sol)
-    trace.total_oracle_calls = calls
-    trace.r_index = r_index
-    trace.r_oracle_calls = calls_at_r
-    trace.r_certificate = certify(p, x_at_r, cfg.epsilon)
-    return trace
+    return run_steps(
+        p, x1, cfg, lambda x, step_stream: _estimate_step(p, x, cfg, step_stream),
+        certify_every=certify_every, seed=seed, r_index=r_index,
+    )
 
 
 def schedule_scrn(

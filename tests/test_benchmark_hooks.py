@@ -24,3 +24,27 @@ def test_tracer_installs_and_restores(monkeypatch):
     with tracing.Tracer().installed():
         assert scrn.brentq is not brentq and scrn.solve_cubic is not solve_cubic
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_tracer_sees_the_run_loop(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import WORKLOADS
+
+    # the PSGD cell stops at its first certified row, long before max_steps
+    psgd_spec = harness.ExperimentSpec(**dict(
+        WORKLOADS["psgd_sgc"], epsilon_grid=(0.2,), seeds=(0,), max_steps=2000))
+    scrn_spec = harness.ExperimentSpec(**dict(
+        WORKLOADS["scrn_ho"], epsilon_grid=(0.2,), seeds=(0,), max_steps=20))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        psgd_trace = harness.run_cell(psgd_spec, 0.2, 0)
+        psgd_certify = tracer.calls["diagnostics.certify"]
+        scrn_trace = harness.run_cell(scrn_spec, 0.2, 0)
+    assert psgd_trace.rows[-1].certified and psgd_trace.rows[-1].t < 2000
+    assert tracer.calls["harness._run_psgd_stopping"] == tracer.calls["scrn.run_scrn"] == 1
+    assert tracer.calls["psgd.psgd_step"] == psgd_trace.rows[-1].t
+    assert tracer.calls["scrn._estimate_step"] == scrn_trace.rows[-1].t == 20
+    assert psgd_certify == len(psgd_trace.rows)
+    # SCRN also certifies its random iterate
+    assert tracer.calls["diagnostics.certify"] - psgd_certify == len(scrn_trace.rows) + 1

@@ -197,3 +197,18 @@ def test_validation_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "nope.cfg")]) == 1
     assert main(["summarize", "--dir", str(tmp_path / "empty")]) == 1
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "spec_is_a_directory"])
+def test_os_errors_exit_one_with_one_line(tmp_path, capsys, case):
+    spec = tmp_path / "exp.cfg"
+    spec.write_text(SPEC_TEXT)
+    out = tmp_path / "runs"
+    if case == "out_is_a_file":
+        out.write_text("not a directory\n")
+    else:
+        spec = tmp_path / "specs"
+        spec.mkdir()
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -57,6 +57,9 @@ def test_spec_validation():
         _spec(algorithm="scrn", mode="first_order")
     with pytest.raises(ConfigurationError, match="stop_after_certified"):
         _spec(algorithm="scrn", mode="higher_order", stop_after_certified=True)
+    for offset in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="x0_offset"):
+            _spec(x0_offset=offset)
 
 
 def test_single_cell_produces_one_trace_and_one_row(tmp_path):
@@ -278,11 +281,8 @@ def test_master_seed_changes_trajectories(tmp_path):
     assert t0.rows[-1].f != t1.rows[-1].f
 
 
-def test_worker_pool_matches_serial_execution(tmp_path):
-    spec = _spec(seeds=[0, 1, 2, 3])
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    rows1 = run_experiment(spec, out_dir=serial, workers=1)
-    rows2 = run_experiment(spec, out_dir=pooled, workers=3)
-    assert rows1 == rows2
-    for path in sorted(serial.iterdir()):
-        assert (pooled / path.name).read_bytes() == path.read_bytes()
+def test_workers_other_than_one_rejected(tmp_path):
+    out = tmp_path / "runs"
+    with pytest.raises(ConfigurationError, match="workers"):
+        run_experiment(_spec(), out_dir=out, workers=3)
+    assert not out.exists()

@@ -23,6 +23,7 @@ from saddlescape.psgd import (
     schedule_first_order,
     schedule_zeroth_order,
 )
+from saddlescape.scrn import ScrnConfig, run_scrn
 from saddlescape.seeds import SeedStream
 
 
@@ -161,14 +162,30 @@ def test_statistical_descent_in_large_gradient_regime(sgc_saddle_10d):
 
 
 def test_numerical_failure_carries_partial_trace(quad_saddle_2d):
-    # a huge step size on the unbounded quadratic diverges once iterates
-    # reach the box and oscillate; force non-finite via an absurd eta
-    bad = PsgdConfig(eta=1e300, r=1e300, n1=1, T=5, box_radius=np.inf, epsilon=0.1)
-    with pytest.raises(NumericalError) as excinfo, np.errstate(over="ignore"):
-        run_psgd(quad_saddle_2d, np.array([1.0, 1.0]), bad, certify_every=1, seed=0)
-    err = excinfo.value
-    assert err.iterate is not None
-    assert err.trace is not None and err.trace.rows[0].t == 0
+    # on the unbounded quadratic, an absurd step size (PSGD) or a vanishing
+    # cubic penalty (SCRN) drives the iterates to non-finite values
+    runs = (
+        (run_psgd, PsgdConfig(eta=1e300, r=1e300, n1=1, T=5, box_radius=np.inf, epsilon=0.1)),
+        (run_scrn, ScrnConfig(M=1e-300, n1=1, n2=1, T=5, box_radius=np.inf, epsilon=0.1)),
+    )
+    for run, bad in runs:
+        with pytest.raises(NumericalError) as excinfo, np.errstate(over="ignore", invalid="ignore"):
+            run(quad_saddle_2d, np.array([1.0, 1.0]), bad, certify_every=1, seed=0)
+        err = excinfo.value
+        assert err.iterate is not None
+        assert err.trace is not None and err.trace.rows[0].t == 0
+        assert [row.t for row in err.trace.rows] == list(range(err.iterate))
+
+
+def test_stop_after_certified_ends_at_first_certified_row(sgc_saddle_10d):
+    cfg = _fo_config(eta=0.5, r=0.05, n1=4, T=60, eps=0.2)
+    full = run_psgd(sgc_saddle_10d, np.zeros(10), cfg, certify_every=10, seed=1)
+    stopped = run_psgd(sgc_saddle_10d, np.zeros(10), cfg, certify_every=10, seed=1,
+                       stop_after_certified=True)
+    first = next(i for i, row in enumerate(full.rows) if row.certified)
+    assert 0 < first < len(full.rows) - 1
+    assert stopped.rows == full.rows[:first + 1]
+    assert stopped.total_oracle_calls == stopped.rows[-1].oracle_calls < full.total_oracle_calls
 
 
 # ---------------------------------------------------------------------------
