@@ -7,9 +7,13 @@ Subcommands::
     saddlescape plot --summary runs/summary.csv --out curve.svg
     saddlescape certify --problem prob.cfg --point point.csv --epsilon 0.05
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical failure.
-The ``SADDLESCAPE_OUT`` environment variable overrides the output directory
-(and nothing else).
+Exit codes: 0 success, 1 usage, validation or configuration error, 2
+numerical failure.  Every failure prints one line to stderr.  The
+``SADDLESCAPE_OUT`` environment variable overrides the output directory (and
+nothing else).
+
+Only numpy and saddlescape are loaded at start-up: scipy is imported by the
+cubic solver's Brent safeguard and by ``eigsh`` above d = 512, when they run.
 """
 
 from __future__ import annotations
@@ -79,8 +83,15 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors through ``main``'s one-line, exit-1 path."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="saddlescape")
+    parser = _Parser(prog="saddlescape")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute an experiment spec")
@@ -107,9 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, EvaluationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,6 +6,7 @@ lines ignored.  Values stay strings here; callers coerce per key.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ConfigurationError
@@ -45,9 +46,12 @@ def as_bool(raw: str, key: str) -> bool:
 
 def as_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: expected number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def as_int(raw: str, key: str) -> int:

@@ -129,8 +129,8 @@ def min_eigenvalue(H: np.ndarray, sym_tol: float = 1e-10):
 
 def certify(p: StochasticProblem, x, epsilon: float) -> SospCertificate:
     """Certify x against the epsilon-local-minimizer definition (exact oracles)."""
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError(f"epsilon must be finite and positive, got {epsilon}")
     if p.meta.L_H <= 0:
         raise ConfigurationError("certification needs metadata L_H > 0")
     x = np.asarray(x, dtype=np.float64)

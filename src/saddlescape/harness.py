@@ -633,7 +633,8 @@ def experiment_from_config(source) -> ExperimentSpec:
 
     Problem keys (family, dim, neg_count, rho, quartic_coeff, m,
     planted_seed, r_box, sigma) are forwarded to the problem constructor;
-    the remaining keys configure the experiment (see README).
+    the remaining keys configure the experiment (see README).  Any other
+    key raises ``ConfigurationError``.
     """
     if isinstance(source, dict):
         raw = {k: str(v) for k, v in source.items()}
@@ -643,6 +644,17 @@ def experiment_from_config(source) -> ExperimentSpec:
         "family", "dim", "neg_count", "rho", "quartic_coeff",
         "m", "planted_seed", "r_box", "sigma",
     )
+    optional = (
+        ("out_dir", lambda value, _: value), ("x0_offset", _cfg.as_float),
+        ("max_steps", _cfg.as_int), ("certify_every", _cfg.as_int),
+        ("burn_in", _cfg.as_float), ("stop_after_certified", _cfg.as_bool),
+        ("delta", _cfg.as_float), ("a0", _cfg.as_float), ("a1", _cfg.as_float),
+        ("c", _cfg.as_float), ("kappa", _cfg.as_float_list), ("mu", _cfg.as_float_list),
+    )
+    known = {*problem_keys, "algorithm", "mode", "sgc_arm", "epsilon_grid", "seeds", *dict(optional)}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ConfigurationError(f"unknown experiment keys: {', '.join(unknown)}")
     problem = {k: raw[k] for k in problem_keys if k in raw}
     if "algorithm" not in raw or "epsilon_grid" not in raw or "seeds" not in raw:
         raise ConfigurationError("experiment config needs algorithm, epsilon_grid, seeds")
@@ -654,13 +666,7 @@ def experiment_from_config(source) -> ExperimentSpec:
         epsilon_grid=_cfg.as_float_list(raw["epsilon_grid"], "epsilon_grid"),
         seeds=_cfg.as_int_list(raw["seeds"], "seeds"),
     )
-    for key, conv in (
-        ("out_dir", lambda value, _: value), ("x0_offset", _cfg.as_float),
-        ("max_steps", _cfg.as_int), ("certify_every", _cfg.as_int),
-        ("burn_in", _cfg.as_float), ("stop_after_certified", _cfg.as_bool),
-        ("delta", _cfg.as_float), ("a0", _cfg.as_float), ("a1", _cfg.as_float),
-        ("c", _cfg.as_float), ("kappa", _cfg.as_float_list), ("mu", _cfg.as_float_list),
-    ):
+    for key, conv in optional:
         if key in raw:
             kwargs[key] = conv(raw[key], key)
     return ExperimentSpec(**kwargs)

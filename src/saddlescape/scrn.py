@@ -21,7 +21,8 @@ completed with an explicit minimum-eigenvector component of the norm that
 lands ``||h*||`` exactly on ``s_min``.
 
 The root is found by Newton on the secular equation, safeguarded by Brent
-(``_secular_root``).
+(``_secular_root``).  The safeguard is the only user of ``scipy.optimize``,
+so the module imports it only when the safeguard runs (``brentq``).
 
 Solving exactly (rather than with an iterative subsolver) is the right
 trade at desk scale: the eigendecomposition is cheap for the dimensions we
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 # certify is unused here, but the benchmark's tracer patches it in this module
 from .diagnostics import RunTrace, certify  # noqa: F401
@@ -126,6 +126,18 @@ def _psi(a: np.ndarray, b: np.ndarray, t: float) -> float:
 def _product_root(p: float, q: float, c: float) -> float:
     """Root ``t >= 0`` of ``(t + p)(t + q) = c`` for ``p, q >= 0``; 0 if ``pq >= c``."""
     return max(0.0, 2.0 * (c - p * q) / (p + q + math.sqrt((p - q) ** 2 + 4.0 * c)))
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported when the safeguard first runs.
+
+    Importing ``scipy.optimize`` costs about half a second and 48 MB, and
+    the Newton solve almost never needs it, so only the safeguard loads it.
+    ``_secular_root`` looks this name up as a module global on each call.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: float) -> float:

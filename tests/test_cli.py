@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +188,77 @@ def test_certify_rejects_bad_points(tmp_path, capsys, recwarn, text, message):
     assert captured.out == ""
     assert message in captured.err and len(captured.err.splitlines()) == 1
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_certify_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    prob = tmp_path / "prob.cfg"
+    prob.write_text(PROBLEM_TEXT)
+    points = tmp_path / "points.csv"
+    points.write_text("0.0,0.0,0.0,0.0\n")  # a saddle: certified for no finite epsilon
+    assert main(["certify", "--problem", str(prob), "--point", str(points),
+                 "--epsilon", epsilon]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--spec", "s.cfg", "--out", "o", "--workers", "2"], "unrecognized arguments"),
+    ([], "required: command"),
+    (["certify", "--problem", "p.cfg", "--point", "x.csv", "--epsilon", "abc"],
+     "invalid float value"),
+], ids=["unknown_flag", "no_command", "bad_epsilon"])
+def test_usage_errors_exit_one_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "--epsilon" in capsys.readouterr().out
+
+
+COLD_START = textwrap.dedent("""
+    import sys
+
+    import saddlescape
+    from saddlescape import cli
+    from saddlescape.harness import ExperimentSpec, run_cell
+
+    problem = dict(family="multiplicative_saddle", dim=10, neg_count=1,
+                   rho=2.0, quartic_coeff=0.008)
+    for algorithm, mode, extra in (
+        ("psgd", "first_order", dict(c=0.01)),
+        ("scrn", "higher_order", {}),
+        ("scrn", "zeroth_order", dict(mu=(1.0, 0.01, 1e-6, 1.0, 1.0))),
+    ):
+        spec = ExperimentSpec(problem=problem, algorithm=algorithm, mode=mode, sgc_arm=True,
+                              epsilon_grid=[0.2], seeds=[0], max_steps=3, **extra)
+        assert len(run_cell(spec, 0.2, 0).rows) == 4
+    assert cli.main(["certify", "--problem", sys.argv[1], "--point", sys.argv[2],
+                     "--epsilon", "0.05"]) == 0
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, loaded
+""")
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """Runs at d <= 512 never reach the Brent safeguard or eigsh, so scipy stays unloaded."""
+    prob = tmp_path / "prob.cfg"
+    prob.write_text(PROBLEM_TEXT)
+    points = tmp_path / "points.csv"
+    points.write_text("0.0,0.0,0.0,0.0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(prob), str(points)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "point 0: certified=0" in done.stdout
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

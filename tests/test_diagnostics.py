@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,9 @@ def test_score_invariant_under_value_offset():
 def test_certify_preconditions(quad_saddle_2d):
     with pytest.raises(ConfigurationError):
         certify(quad_saddle_2d, np.zeros(2), 0.0)
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="finite"):
+            certify(quad_saddle_2d, np.zeros(2), epsilon)
 
 
 def _trace_with_flags(flags):

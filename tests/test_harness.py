@@ -257,6 +257,20 @@ def test_experiment_from_config(tmp_path):
 
     with pytest.raises(ConfigurationError):
         experiment_from_config({"algorithm": "psgd"})
+    # misspelt keys are not run with the defaults
+    cfg.write_text(cfg.read_text() + "max_step = 3\nquartic_coef = 0.5\n")
+    with pytest.raises(ConfigurationError, match="max_step, quartic_coef"):
+        experiment_from_config(cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c", "nan"), ("burn_in", "inf"), ("epsilon_grid", "0.2, nan"), ("mu", "1, 1, -inf, 1, 1"),
+])
+def test_experiment_from_config_rejects_non_finite_numbers(key, value):
+    raw = dict(PROBLEM, algorithm="scrn", epsilon_grid="0.2", seeds="0")
+    raw[key] = value
+    with pytest.raises(ConfigurationError, match=f"key '{key}'"):
+        experiment_from_config(raw)
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):

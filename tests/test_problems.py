@@ -269,6 +269,14 @@ def test_problem_from_config_roundtrip(tmp_path):
         problem_from_config({"family": "phase_retrieval", "dim": 4})
 
 
+@pytest.mark.parametrize("key", ["rho", "quartic_coeff", "r_box", "sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_problem_from_config_rejects_non_finite_numbers(key, value):
+    raw = {"family": "multiplicative_saddle", "dim": 4, key: value}
+    with pytest.raises(ConfigurationError, match=f"key '{key}'"):
+        problem_from_config(raw)
+
+
 def test_clamp_to_box():
     x = np.array([3.0, 4.0])
     assert np.allclose(clamp_to_box(x, 10.0), x)

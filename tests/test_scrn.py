@@ -183,10 +183,11 @@ def test_radius_matches_brentq_reference(name):
 def test_brentq_safeguard_returns_the_same_radius(monkeypatch):
     radii = {name: solve_cubic(model).radius for name, model in SECULAR_MODELS.items()}
     calls = []
+    safeguard = scrn.brentq  # imports scipy.optimize on its first call
 
     def counting_brentq(*args, **kwargs):
         calls.append(args)
-        return brentq(*args, **kwargs)
+        return safeguard(*args, **kwargs)
 
     monkeypatch.setattr(scrn, "_NEWTON_MAX_ITER", 0)
     monkeypatch.setattr(scrn, "brentq", counting_brentq)
