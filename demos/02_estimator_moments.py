@@ -7,7 +7,7 @@ estimators as a function of batch size.
 
 import numpy as np
 
-from saddlescape import SeedStream, ZoConfig, make_multiplicative_saddle, zo_gradient, zo_hessian
+from saddlescape import SeedStream, make_multiplicative_saddle, zo_gradient, zo_hessian
 from saddlescape.estimators import grad_minibatch_trials, hess_minibatch_trials
 
 p = make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.0)
@@ -23,7 +23,7 @@ for n1 in (1, 4, 16, 64):
 
 print("\n=== zeroth-order gradient: smoothing leaves quadratics unbiased ===")
 for n1 in (100, 1_000, 10_000, 100_000):
-    est = zo_gradient(p, x, ZoConfig(nu=1e-3, n1=n1), SeedStream(1))
+    est = zo_gradient(p, x, 1e-3, n1, SeedStream(1))
     print(f"  n1={n1:6d}: ||estimate - grad f|| = {np.linalg.norm(est.g - gf):.4f}   "
           f"({est.oracle_calls} value queries)")
 
@@ -33,7 +33,7 @@ x3 = np.array([0.5, -0.2, 0.9])
 H3 = p3.exact_hess(x3)
 for n2 in (100, 1_000, 10_000):
     errs = [
-        np.linalg.norm(zo_hessian(p3, x3, ZoConfig(nu=1e-3, n2=n2), SeedStream(2).child(n2, k)).H - H3)
+        np.linalg.norm(zo_hessian(p3, x3, 1e-3, n2, SeedStream(2).child(n2, k)).H - H3)
         for k in range(30)
     ]
     print(f"  n2={n2:6d}: rms Frobenius error {np.sqrt(np.mean(np.square(errs))):.4f}")

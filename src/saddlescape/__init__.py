@@ -19,7 +19,6 @@ from .estimators import (
     GradEstimate,
     HessEstimate,
     RhoEstimate,
-    ZoConfig,
     estimate_sgc_rho,
     fo_gradient,
     so_hessian,
@@ -79,7 +78,6 @@ __all__ = [
     "StochasticProblem",
     "SummaryRow",
     "TraceRow",
-    "ZoConfig",
     "certify",
     "emit_plot",
     "estimate_sgc_rho",

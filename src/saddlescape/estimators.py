@@ -15,8 +15,9 @@ Oracle-call accounting is literal query counting: one value query is one
 call, so a zeroth-order gradient costs 2 per direction and a zeroth-order
 Hessian 3 per direction.
 
-Both zeroth-order estimators stream their directions in blocks of a fixed
-number of bytes, so memory does not grow with ``n1`` or ``n2``.
+Both zeroth-order estimators take the smoothing radius ``nu`` as an argument
+and stream their directions in blocks of a fixed number of bytes, so memory
+does not grow with ``n1`` or ``n2``.
 
 Noise seeds and direction vectors come from independently split seed
 streams, so first-order and zeroth-order runs with the same master seed see
@@ -35,26 +36,6 @@ from .seeds import SeedStream, fold_int_states, fold_label_states, seed_blocks
 
 NU_FLOOR = 1e-12  # below this, forward differences are cancellation noise
 _BLOCK_BYTES = 1 << 18  # zeroth-order directions are streamed in blocks of this many bytes
-
-
-@dataclass(frozen=True)
-class ZoConfig:
-    """Smoothing radius and batch sizes for zeroth-order estimation."""
-
-    nu: float
-    n1: int = 1
-    n2: int = 1
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise ConfigurationError(f"smoothing radius nu must be positive, got {self.nu}")
-        if self.nu < NU_FLOOR:
-            raise ConfigurationError(
-                f"nu={self.nu} is below the cancellation floor {NU_FLOOR}; "
-                "differences this small lose all precision"
-            )
-        if self.n1 < 1 or self.n2 < 1:
-            raise ConfigurationError("batch sizes n1, n2 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,14 +62,14 @@ def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream
     return GradEstimate(g=grads.sum(axis=0) / n1, oracle_calls=n1)
 
 
-def zo_gradient(p: StochasticProblem, x: np.ndarray, cfg: ZoConfig, stream: SeedStream) -> GradEstimate:
+def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream: SeedStream) -> GradEstimate:
     """Gaussian-smoothing forward-difference gradient; 2 calls per direction."""
     g = np.zeros(p.meta.dim)
-    blocks = _direction_blocks(p, x, cfg.nu, cfg.n1, stream.child("xi"), stream.child("u").rng(),
+    blocks = _direction_blocks(p, x, nu, n1, stream.child("xi"), stream.child("u").rng(),
                                central=False)
     for u, diff in blocks:
-        g += (diff / cfg.nu) @ u
-    return GradEstimate(g=g / cfg.n1, oracle_calls=2 * cfg.n1)
+        g += (diff / nu) @ u
+    return GradEstimate(g=g / n1, oracle_calls=2 * n1)
 
 
 def so_hessian(p: StochasticProblem, x: np.ndarray, n2: int, stream: SeedStream) -> HessEstimate:
@@ -102,7 +83,7 @@ def so_hessian(p: StochasticProblem, x: np.ndarray, n2: int, stream: SeedStream)
     return HessEstimate(H=0.5 * (h + h.T), oracle_calls=n2)
 
 
-def zo_hessian(p: StochasticProblem, x: np.ndarray, cfg: ZoConfig, stream: SeedStream) -> HessEstimate:
+def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: SeedStream) -> HessEstimate:
     """Central-second-difference Hessian estimate; 3 calls per direction.
 
     The averaged ``h_i (u_i u_i' - I)`` is symmetric in exact arithmetic; we
@@ -111,14 +92,14 @@ def zo_hessian(p: StochasticProblem, x: np.ndarray, cfg: ZoConfig, stream: SeedS
     d = p.meta.dim
     outer = np.zeros((d, d))
     curv_sum = 0.0
-    blocks = _direction_blocks(p, x, cfg.nu, cfg.n2, stream.child("xih"), stream.child("uh").rng(),
+    blocks = _direction_blocks(p, x, nu, n2, stream.child("xih"), stream.child("uh").rng(),
                                central=True)
     for u, diff in blocks:
-        curv = diff / (2.0 * cfg.nu * cfg.nu)
+        curv = diff / (2.0 * nu * nu)
         outer += (u * curv[:, None]).T @ u
         curv_sum += curv.sum()
-    h = outer / cfg.n2 - (curv_sum / cfg.n2) * np.eye(d)
-    return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * cfg.n2)
+    h = outer / n2 - (curv_sum / n2) * np.eye(d)
+    return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * n2)
 
 
 def _block_rows(d: int) -> int:
@@ -135,8 +116,16 @@ def _direction_blocks(p, x, nu, n, xi_stream, rng, central):
     direction i at noise seed ``xi_i``.  Block seeds are taken from
     ``xi_stream`` by index and directions are drawn from ``rng`` in order, so
     the blocks concatenate to the one-shot ``xi_stream.seeds(n)`` and
-    ``rng.standard_normal((n, d))``; no array grows with n.
+    ``rng.standard_normal((n, d))``; no array grows with n.  A bad ``nu`` or
+    ``n`` raises ``ConfigurationError`` before any oracle call.
     """
+    if not nu > 0:
+        raise ConfigurationError(f"smoothing radius nu must be positive, got {nu}")
+    if nu < NU_FLOOR:
+        raise ConfigurationError(f"nu={nu} is below the cancellation floor {NU_FLOOR}; "
+                                 "differences this small lose all precision")
+    if n < 1:
+        raise ConfigurationError("batch sizes n1, n2 must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     d = p.meta.dim
     rows = _block_rows(d)
@@ -227,15 +216,8 @@ def hess_minibatch_trials(
     trials: int,
     stream: SeedStream,
 ) -> np.ndarray:
-    """(trials, d, d) minibatch Hessian means; vectorized counterpart of
-    repeated ``so_hessian`` calls (same seed layout)."""
-    if not p.has_hess_oracle:
-        raise CapabilityError(f"problem {p.name!r} exposes no Hessian oracle")
-    x = np.asarray(x, dtype=np.float64)
-    d = p.meta.dim
-    out = np.empty((trials, d, d))
-    for k in range(trials):
-        seeds = stream.child("trial", k, "xih").seeds(n2)
-        h = p.sample_hess_batch(x, seeds).mean(axis=0)
-        out[k] = 0.5 * (h + h.T)
-    return out
+    """(trials, d, d) minibatch Hessian means for Monte-Carlo moment checks.
+
+    Trial ``k`` is ``so_hessian(p, x, n2, stream.child("trial", k)).H``.
+    """
+    return np.stack([so_hessian(p, x, n2, stream.child("trial", k)).H for k in range(trials)])

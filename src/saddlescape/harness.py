@@ -22,8 +22,10 @@ fitted slope.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -49,10 +51,14 @@ _SCRN_MODES = (HIGHER_ORDER, ZEROTH_ORDER)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment arm over an accuracy grid and a set of seeds.
+    """One experiment arm over an accuracy grid and a set of distinct seeds.
 
     Statistical summary fields (medians, success rates) are only meaningful
     with at least three seeds; single-seed specs are allowed for smoke runs.
+    The whole spec is checked when it is built: its problem keys by building
+    the problem once, and its schedule constants by the checks of
+    ``ScheduleConstants`` and ``schedule_scrn``.  Schedules are still built
+    per cell, so a schedule error is a cell failure.
     """
 
     problem: dict
@@ -93,6 +99,10 @@ class ExperimentSpec:
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise ConfigurationError("need at least one seed")
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
         object.__setattr__(self, "seeds", seeds)
         if not (math.isfinite(self.x0_offset) and self.x0_offset >= 0):
             raise ConfigurationError(f"x0_offset must be finite and >= 0, got {self.x0_offset}")
@@ -105,6 +115,10 @@ class ExperimentSpec:
                                      "its full budget to certify the random iterate")
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
+        problem_from_config(dict(self.problem))
+        ScheduleConstants(epsilon=eps[0], delta=self.delta, a0=self.a0, a1=self.a1, c=self.c,
+                          kappa=self.kappa)
+        _scrn.check_mu(self.mu)
 
     @property
     def arm_label(self) -> str:
@@ -131,7 +145,7 @@ def _schedule(spec: ExperimentSpec, p: StochasticProblem, epsilon: float):
         return _scrn.schedule_scrn(epsilon, p.meta, gap, mode=spec.mode, mu=spec.mu)
     consts = ScheduleConstants(
         epsilon=epsilon, delta=spec.delta, a0=spec.a0, a1=spec.a1, c=spec.c,
-        kappa=tuple(spec.kappa),
+        kappa=spec.kappa,
     )
     if spec.mode == FIRST_ORDER:
         return _psgd.schedule_first_order(consts, p.meta, gap, sgc=spec.sgc_arm)
@@ -277,17 +291,20 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 # trace / summary serialization
 
-_TRACE_COLUMNS = ("t", "f", "grad_norm", "lambda_min", "oracle_calls", "certified")
-_SCRN_EXTRA = ("h_norm", "model_decrease")
-
-
-def _columns(algorithm: str) -> tuple:
-    return _TRACE_COLUMNS + (_SCRN_EXTRA if algorithm == "scrn" else ())
+def _columns(cls, algorithm: str = "") -> tuple:
+    """CSV columns of a record class: its field names in declaration order.
+    PSGD trace rows stop before the cubic step's h_norm and model_decrease."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    if cls is TraceRow and algorithm != "scrn":
+        return names[:names.index("h_norm")]
+    return names
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -299,6 +316,31 @@ def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {text!r}")
     return text == "1"
+
+
+# the parser of each field type of a CSV record; an Optional field reads "" as None
+_PARSE = {int: int, float: float, bool: _flag, str: str,
+          Optional[int]: lambda text: int(text) if text else None,
+          Optional[float]: lambda text: float(text) if text else None}
+
+
+@functools.cache
+def _parsers(cls) -> tuple:
+    """Parsers of a record class's fields in declaration order, by field type."""
+    hints = typing.get_type_hints(cls)
+    return tuple(_PARSE[hints[f.name]] for f in dataclasses.fields(cls))
+
+
+def _format_row(record, columns: tuple) -> str:
+    return ",".join([_fmt(getattr(record, name)) for name in columns])
+
+
+def _parse_row(cls, columns: tuple, line: str):
+    """The record of one CSV line, its first len(columns) fields parsed."""
+    parts = line.split(",")
+    if len(parts) != len(columns):
+        raise ValueError(f"expected {len(columns)} fields, got {len(parts)}")
+    return cls(*[parse(text) for parse, text in zip(_parsers(cls), parts)])
 
 
 # Header lines that write_trace adds after the config echo, in this order,
@@ -323,12 +365,9 @@ def write_trace(trace: RunTrace, path) -> None:
         fields.update({f"r_{k}": getattr(trace.r_certificate, k) for k in _CERT_FIELDS})
     lines = [f"# {line}" for line in trace.config_echo.splitlines()]
     lines += [f"# {key} = {_fmt(fields[key])}" for key in _TRACE_FIELDS if key in fields]
-    lines.append(",".join(_columns(trace.algorithm)))
-    for row in trace.rows:
-        vals = [row.t, row.f, row.grad_norm, row.lambda_min, row.oracle_calls, row.certified]
-        if trace.algorithm == "scrn":
-            vals += [row.h_norm, row.model_decrease]
-        lines.append(",".join(_fmt(v) for v in vals))
+    columns = _columns(TraceRow, trace.algorithm)
+    lines.append(",".join(columns))
+    lines += [_format_row(row, columns) for row in trace.rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -360,15 +399,11 @@ def read_trace(path) -> RunTrace:
         trace.algorithm = trace.echo("algorithm")
         if trace.r_index is not None:
             trace.r_certificate = SospCertificate(**{k: fields[f"r_{k}"] for k in _CERT_FIELDS})
-        columns = _columns(trace.algorithm)
+        columns = _columns(TraceRow, trace.algorithm)
         if lines[n_head:n_head + 1] != [",".join(columns)]:
             raise ValueError(f"expected the column line {','.join(columns)!r}")
         for lineno, line in enumerate(lines[n_head + 1:], start=n_head + 2):
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(parts)}")
-            trace.append(TraceRow(int(parts[0]), *map(float, parts[1:4]), int(parts[4]),
-                                  _flag(parts[5]), *(float(v) if v else None for v in parts[6:])))
+            trace.append(_parse_row(TraceRow, columns, line))
         if not trace.rows:
             raise ValueError("trace has no data rows")
     except KeyError as err:
@@ -378,22 +413,9 @@ def read_trace(path) -> RunTrace:
     return trace
 
 
-_SUMMARY_COLUMNS = (
-    "epsilon", "algorithm", "mode", "sgc_arm",
-    "median_calls_to_first_certified", "sosp_fraction", "success_rate",
-    "median_calls_at_random_iterate",
-)
-
-
 def write_summary(rows: Sequence[SummaryRow], path) -> None:
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([
-            repr(r.epsilon), r.algorithm, r.mode, "1" if r.sgc_arm else "0",
-            _fmt(r.median_calls_to_first_certified),
-            repr(r.sosp_fraction), repr(r.success_rate),
-            _fmt(r.median_calls_at_random_iterate),
-        ]))
+    columns = _columns(SummaryRow)
+    lines = [",".join(columns)] + [_format_row(r, columns) for r in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -414,24 +436,13 @@ def read_summary(path) -> List[SummaryRow]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if lines[:1] != [",".join(_SUMMARY_COLUMNS)]:
+    columns = _columns(SummaryRow)
+    if lines[:1] != [",".join(columns)]:
         raise ConfigurationError(f"{path}, line 1: unexpected summary header")
     rows: list[SummaryRow] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
         try:
-            if len(parts) != len(_SUMMARY_COLUMNS):
-                raise ValueError(f"expected {len(_SUMMARY_COLUMNS)} fields, got {len(parts)}")
-            rows.append(SummaryRow(
-                epsilon=float(parts[0]),
-                algorithm=parts[1],
-                mode=parts[2],
-                sgc_arm=_flag(parts[3]),
-                median_calls_to_first_certified=int(parts[4]) if parts[4] else None,
-                sosp_fraction=float(parts[5]),
-                success_rate=float(parts[6]),
-                median_calls_at_random_iterate=int(parts[7]) if parts[7] else None,
-            ))
+            rows.append(_parse_row(SummaryRow, columns, line))
         except ValueError as err:
             raise ConfigurationError(f"{path}, line {lineno}: {err}") from None
     return rows

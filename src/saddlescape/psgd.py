@@ -1,9 +1,10 @@
 """Perturbed stochastic gradient descent with isotropic Gaussian perturbation.
 
 Each step estimates a gradient ``g`` (minibatch of sampled gradients, or the
-Gaussian-smoothing zeroth-order estimator), draws ``theta ~ N(0, r^2 I)``,
-and updates ``x <- x - eta (g + theta)``, clamped to the problem's declared
-ball so the box-restricted Lipschitz constants stay valid.
+Gaussian-smoothing zeroth-order estimator at the config's radius ``nu``),
+draws ``theta ~ N(0, r^2 I)``, and updates ``x <- x - eta (g + theta)``,
+clamped to the problem's declared ball so the box-restricted Lipschitz
+constants stay valid.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -15,14 +16,14 @@ freezes them (see ``harness``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .diagnostics import RunTrace, TraceRow, certify
 from .errors import ConfigurationError, NumericalError, ScheduleError
-from .estimators import NU_FLOOR, ZoConfig, fo_gradient, zo_gradient
+from .estimators import NU_FLOOR, fo_gradient, zo_gradient
 from .problems import ProblemMetadata, StochasticProblem, as_point, clamp_to_box
 from .seeds import SeedStream
 
@@ -64,7 +65,7 @@ class PsgdConfig:
 
     ``epsilon`` is the certification target recorded with the trace; it is
     filled in by the schedule constructors.  ``T = 0`` is allowed and runs
-    only the initial certification.
+    only the initial certification.  ``nu`` is the zeroth-order smoothing radius.
     """
 
     eta: float
@@ -74,7 +75,7 @@ class PsgdConfig:
     box_radius: float
     epsilon: float
     mode: str = FIRST_ORDER
-    zo: Optional[ZoConfig] = None
+    nu: Optional[float] = None
     algorithm = "psgd"  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
@@ -88,29 +89,8 @@ class PsgdConfig:
             raise ConfigurationError("box_radius and epsilon must be positive")
         if self.mode not in (FIRST_ORDER, ZEROTH_ORDER):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if (self.zo is not None) != (self.mode == ZEROTH_ORDER):
-            raise ConfigurationError("zo config must be present iff mode is zeroth_order")
-        if self.zo is not None and self.zo.n1 != self.n1:
-            raise ConfigurationError("zo.n1 must match the configured n1")
-
-    @property
-    def calls_per_step(self) -> int:
-        return 2 * self.n1 if self.mode == ZEROTH_ORDER else self.n1
-
-    def echo(self) -> str:
-        parts = [
-            f"algorithm = {self.algorithm}",
-            f"mode = {self.mode}",
-            f"eta = {self.eta!r}",
-            f"r = {self.r!r}",
-            f"n1 = {self.n1}",
-            f"T = {self.T}",
-            f"box_radius = {self.box_radius!r}",
-            f"epsilon = {self.epsilon!r}",
-        ]
-        if self.zo is not None:
-            parts.append(f"nu = {self.zo.nu!r}")
-        return "\n".join(parts)
+        if (self.nu is not None) != (self.mode == ZEROTH_ORDER):
+            raise ConfigurationError("nu must be set iff mode is zeroth_order")
 
 
 def draw_perturbation(stream: SeedStream, dim: int, r: float) -> np.ndarray:
@@ -131,7 +111,7 @@ def psgd_step(
     if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
     if cfg.mode == ZEROTH_ORDER:
-        est = zo_gradient(p, x, cfg.zo, stream)
+        est = zo_gradient(p, x, cfg.nu, cfg.n1, stream)
     else:
         est = fo_gradient(p, x, cfg.n1, stream)
     theta = draw_perturbation(stream, p.meta.dim, cfg.r)
@@ -154,6 +134,15 @@ def run_psgd(
         p, x0, cfg, lambda x, stream: (*psgd_step(p, x, cfg, stream), None),
         certify_every=certify_every, seed=seed, stop_after_certified=stop_after_certified,
     )
+
+
+def _config_echo(cfg) -> str:
+    """``key = value`` lines of a run config: algorithm, mode, then the other
+    fields in declaration order, floats by repr, and nu only when set."""
+    values = {"algorithm": cfg.algorithm, "mode": cfg.mode}
+    values.update((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    return "\n".join(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+                     for key, value in values.items() if value is not None)
 
 
 # lives here rather than in diagnostics: the benchmark's tracer patches
@@ -183,7 +172,7 @@ def run_steps(
         raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
     x = as_point(x0, p.meta.dim)
     stream = SeedStream(seed, cfg.algorithm)
-    trace = RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=cfg.echo())
+    trace = RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=_config_echo(cfg))
 
     def record(t: int, calls: int, sol) -> bool:
         cert = certify(p, x, cfg.epsilon)
@@ -325,5 +314,5 @@ def schedule_zeroth_order(
         box_radius=meta.box_radius,
         epsilon=eps,
         mode=ZEROTH_ORDER,
-        zo=ZoConfig(nu=nu, n1=n1, n2=1),
+        nu=nu,
     )

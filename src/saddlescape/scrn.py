@@ -1,6 +1,7 @@
 """Stochastic cubic-regularized Newton with an exact subproblem solver.
 
-Each iteration builds gradient/Hessian estimates, minimizes the cubic model
+Each iteration builds gradient/Hessian estimates (sampled, or zeroth-order
+at the config's radius ``nu``), minimizes the cubic model
 
     m(h) = g'h + 0.5 h'Hh + (M/6) ||h||^3
 
@@ -41,14 +42,7 @@ import numpy as np
 # certify is unused here, but the benchmark's tracer patches it in this module
 from .diagnostics import RunTrace, certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
-from .estimators import (
-    NU_FLOOR,
-    ZoConfig,
-    fo_gradient,
-    so_hessian,
-    zo_gradient,
-    zo_hessian,
-)
+from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
 from .psgd import run_steps
 from .seeds import SeedStream
@@ -312,7 +306,8 @@ def _validate_solution(
 
 @dataclass(frozen=True)
 class ScrnConfig:
-    """Cubic penalty, batch sizes, and budget for a cubic-Newton run."""
+    """Cubic penalty, batch sizes, budget and, in zeroth-order mode, the
+    smoothing radius ``nu`` of both estimators for a cubic-Newton run."""
 
     M: float
     n1: int
@@ -321,7 +316,7 @@ class ScrnConfig:
     box_radius: float
     epsilon: float
     mode: str = HIGHER_ORDER
-    zo: Optional[ZoConfig] = None
+    nu: Optional[float] = None
     algorithm = "scrn"  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
@@ -333,37 +328,14 @@ class ScrnConfig:
             raise ConfigurationError("box_radius and epsilon must be positive")
         if self.mode not in (HIGHER_ORDER, ZEROTH_ORDER):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if (self.zo is not None) != (self.mode == ZEROTH_ORDER):
-            raise ConfigurationError("zo config must be present iff mode is zeroth_order")
-        if self.zo is not None and (self.zo.n1, self.zo.n2) != (self.n1, self.n2):
-            raise ConfigurationError("zo batch sizes must match the configured n1, n2")
-
-    @property
-    def calls_per_step(self) -> int:
-        if self.mode == ZEROTH_ORDER:
-            return 2 * self.n1 + 3 * self.n2
-        return self.n1 + self.n2
-
-    def echo(self) -> str:
-        parts = [
-            f"algorithm = {self.algorithm}",
-            f"mode = {self.mode}",
-            f"M = {self.M!r}",
-            f"n1 = {self.n1}",
-            f"n2 = {self.n2}",
-            f"T = {self.T}",
-            f"box_radius = {self.box_radius!r}",
-            f"epsilon = {self.epsilon!r}",
-        ]
-        if self.zo is not None:
-            parts.append(f"nu = {self.zo.nu!r}")
-        return "\n".join(parts)
+        if (self.nu is not None) != (self.mode == ZEROTH_ORDER):
+            raise ConfigurationError("nu must be set iff mode is zeroth_order")
 
 
 def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream):
     if cfg.mode == ZEROTH_ORDER:
-        grad = zo_gradient(p, x, cfg.zo, stream)
-        hess = zo_hessian(p, x, cfg.zo, stream)
+        grad = zo_gradient(p, x, cfg.nu, cfg.n1, stream)
+        hess = zo_hessian(p, x, cfg.nu, cfg.n2, stream)
     else:
         grad = fo_gradient(p, x, cfg.n1, stream)
         hess = so_hessian(p, x, cfg.n2, stream)
@@ -397,6 +369,12 @@ def run_scrn(
     )
 
 
+def check_mu(mu) -> None:
+    """The schedule constants ``mu``: five positive numbers."""
+    if len(mu) != 5 or any(m <= 0 for m in mu):
+        raise ScheduleError("mu must hold 5 positive constants")
+
+
 def schedule_scrn(
     epsilon: float,
     meta: ProblemMetadata,
@@ -422,8 +400,7 @@ def schedule_scrn(
         raise ScheduleError(f"schedule undefined for epsilon={epsilon}; need (0, 1)")
     if f0_gap <= 0:
         raise ScheduleError(f"initial gap must be positive, got {f0_gap}")
-    if len(mu) != 5 or any(m <= 0 for m in mu):
-        raise ScheduleError("mu must hold 5 positive constants")
+    check_mu(mu)
     d = meta.dim
     if mode == HIGHER_ORDER:
         if meta.rho_true is None:
@@ -452,7 +429,6 @@ def schedule_scrn(
         nu = max(mu[3] * epsilon / (d + 16) ** 2.5, NU_FLOOR)
         return ScrnConfig(
             M=M, n1=n1, n2=n2, T=T,
-            box_radius=meta.box_radius, epsilon=epsilon, mode=ZEROTH_ORDER,
-            zo=ZoConfig(nu=nu, n1=n1, n2=n2),
+            box_radius=meta.box_radius, epsilon=epsilon, mode=ZEROTH_ORDER, nu=nu,
         )
     raise ConfigurationError(f"unknown mode {mode!r}")

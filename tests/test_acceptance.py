@@ -20,7 +20,6 @@ import pytest
 from cubic_reference import reference_min
 from saddlescape.diagnostics import sosp_fraction
 from saddlescape.estimators import (
-    ZoConfig,
     grad_minibatch_trials,
     zo_gradient,
     zo_hessian,
@@ -268,7 +267,7 @@ def test_criterion_7_zeroth_order_estimators():
     quad = make_multiplicative_saddle(d=5, neg_count=2, rho=1.0, quartic_coeff=0.0)
     x = np.linspace(-1.0, 1.0, 5)
     batches = np.stack([
-        zo_gradient(quad, x, ZoConfig(nu=1e-3, n1=4000), SeedStream(70).child(k)).g
+        zo_gradient(quad, x, 1e-3, 4000, SeedStream(70).child(k)).g
         for k in range(50)
     ])
     se = np.linalg.norm(batches.std(axis=0, ddof=1)) / np.sqrt(len(batches))
@@ -279,7 +278,7 @@ def test_criterion_7_zeroth_order_estimators():
     quart = make_multiplicative_saddle(d=d, neg_count=1, rho=1.0, quartic_coeff=0.01)
     xq = 0.4 * np.ones(d)
     batches = np.stack([
-        zo_gradient(quart, xq, ZoConfig(nu=nu, n1=4000), SeedStream(71).child(k)).g
+        zo_gradient(quart, xq, nu, 4000, SeedStream(71).child(k)).g
         for k in range(40)
     ])
     se = np.linalg.norm(batches.std(axis=0, ddof=1)) / np.sqrt(len(batches))
@@ -290,7 +289,7 @@ def test_criterion_7_zeroth_order_estimators():
     x0 = np.zeros(5)
     A = quad.exact_hess(x0)
     hb = np.stack([
-        zo_hessian(quad, x0, ZoConfig(nu=1e-2, n2=4000), SeedStream(72).child(k)).H
+        zo_hessian(quad, x0, 1e-2, 4000, SeedStream(72).child(k)).H
         for k in range(50)
     ])
     se = hb.std(axis=0, ddof=1) / np.sqrt(len(hb))
@@ -305,7 +304,7 @@ def test_criterion_7_zeroth_order_estimators():
     for n2 in sizes:
         errs = [
             np.linalg.norm(
-                zo_hessian(p3, x3, ZoConfig(nu=1e-3, n2=n2), SeedStream(73).child(n2, k)).H - H3
+                zo_hessian(p3, x3, 1e-3, n2, SeedStream(73).child(n2, k)).H - H3
             ) ** 2
             for k in range(100)
         ]

@@ -48,3 +48,17 @@ def test_tracer_sees_the_run_loop(monkeypatch):
     assert psgd_certify == len(psgd_trace.rows)
     # SCRN also certifies its random iterate
     assert tracer.calls["diagnostics.certify"] - psgd_certify == len(scrn_trace.rows) + 1
+
+
+def test_tracer_wraps_the_zeroth_order_estimators(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import WORKLOADS
+
+    spec = harness.ExperimentSpec(**dict(WORKLOADS["scrn_zo"], max_steps=1))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        trace = harness.run_cell(spec, 0.2, 0)
+    assert trace.rows[-1].t == 1
+    assert tracer.calls["estimators.zo_gradient"] == tracer.calls["estimators.zo_hessian"] == 1
+    assert tracer.zo_hess_peak_bytes > 0

@@ -156,6 +156,27 @@ def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("change, key", [
+    (("", "delta = 2\n"), "delta"),
+    (("", "mu = 1, 2\n"), "mu"),
+    (("dim = 6", "dim = abc"), "'dim'"),
+    (("seeds = 0, 1", "seeds = 0, 0, 1"), "repeated: 0"),
+], ids=["delta", "mu", "dim", "repeated_seeds"])
+def test_bad_spec_leaves_earlier_outputs(tmp_path, capsys, change, key):
+    spec = tmp_path / "exp.cfg"
+    out = tmp_path / "runs"
+    spec.write_text(SPEC_TEXT)
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    old, new = change
+    spec.write_text(SPEC_TEXT.replace(old, new) if old else SPEC_TEXT + new)
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and len(err.splitlines()) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_certify_command(tmp_path, capsys):
     prob = tmp_path / "prob.cfg"
     prob.write_text(PROBLEM_TEXT)

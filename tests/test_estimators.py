@@ -6,7 +6,6 @@ import pytest
 from conftest import constant_problem, counting_problem
 from saddlescape.errors import CapabilityError, ConfigurationError
 from saddlescape.estimators import (
-    ZoConfig,
     _block_rows,
     estimate_sgc_rho,
     fo_gradient,
@@ -24,14 +23,15 @@ from saddlescape.seeds import SeedStream
 
 
 def test_zo_config_validation():
-    with pytest.raises(ConfigurationError):
-        ZoConfig(nu=0.0)
-    with pytest.raises(ConfigurationError):
-        ZoConfig(nu=-1e-3)
-    with pytest.raises(ConfigurationError):
-        ZoConfig(nu=1e-13)  # below the cancellation floor
-    with pytest.raises(ConfigurationError):
-        ZoConfig(nu=0.1, n1=0)
+    # both zeroth-order estimators reject a bad radius or batch before any oracle call
+    p, counter = counting_problem(
+        make_multiplicative_saddle(d=3, neg_count=1, rho=2.0, quartic_coeff=0.0))
+    for estimator in (zo_gradient, zo_hessian):
+        for nu, n, message in ((0.0, 4, "must be positive"), (-1e-3, 4, "must be positive"),
+                               (1e-13, 4, "cancellation floor"), (0.1, 0, ">= 1")):
+            with pytest.raises(ConfigurationError, match=message):
+                estimator(p, np.zeros(3), nu, n, SeedStream(0))
+    assert counter.total == 0
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_trials_helper_matches_estimator():
 
 def test_zo_gradient_constant_function_is_zero():
     p = constant_problem(4)
-    est = zo_gradient(p, np.ones(4), ZoConfig(nu=0.05, n1=64), SeedStream(3))
+    est = zo_gradient(p, np.ones(4), 0.05, 64, SeedStream(3))
     assert np.all(est.g == 0.0)
     assert est.oracle_calls == 128
 
@@ -111,7 +111,7 @@ def test_zo_gradient_unbiased_for_quadratics():
     p = make_multiplicative_saddle(d=5, neg_count=2, rho=1.0, quartic_coeff=0.0)
     x = np.linspace(-1, 1, 5)
     batches = np.stack([
-        zo_gradient(p, x, ZoConfig(nu=1e-3, n1=2_000), SeedStream(10).child(k)).g
+        zo_gradient(p, x, 1e-3, 2_000, SeedStream(10).child(k)).g
         for k in range(50)
     ])
     mean = batches.mean(axis=0)
@@ -125,7 +125,7 @@ def test_zo_gradient_smoothing_bias_bound():
     p = make_multiplicative_saddle(d=d, neg_count=1, rho=1.0, quartic_coeff=0.01)
     x = 0.4 * np.ones(d)
     batches = np.stack([
-        zo_gradient(p, x, ZoConfig(nu=nu, n1=4_000), SeedStream(21).child(k)).g
+        zo_gradient(p, x, nu, 4_000, SeedStream(21).child(k)).g
         for k in range(40)
     ])
     mean = batches.mean(axis=0)
@@ -142,7 +142,7 @@ def test_zo_gradient_second_moment_bound():
     gf = p.exact_grad(x)
     sq = []
     for k in range(400):
-        est = zo_gradient(p, x, ZoConfig(nu=nu, n1=n1), SeedStream(31).child(k))
+        est = zo_gradient(p, x, nu, n1, SeedStream(31).child(k))
         sq.append(np.linalg.norm(est.g - gf) ** 2)
     sq = np.array(sq)
     rho_prime = 1.0 + 4.0 * (d + 5) * rho
@@ -193,7 +193,7 @@ def test_so_hessian_error_scales_inverse_sqrt_n2():
 
 def test_zo_hessian_constant_function_is_zero():
     p = constant_problem(3)
-    est = zo_hessian(p, np.zeros(3), ZoConfig(nu=0.1, n2=32), SeedStream(1))
+    est = zo_hessian(p, np.zeros(3), 0.1, 32, SeedStream(1))
     assert np.all(est.H == 0.0)
     assert est.oracle_calls == 96
 
@@ -204,7 +204,7 @@ def test_zo_hessian_stein_identity_on_quadratic():
     x = np.zeros(4)  # curvature term is exact at the origin for quadratics
     A = p.exact_hess(x)
     batches = np.stack([
-        zo_hessian(p, x, ZoConfig(nu=1e-2, n2=4_000), SeedStream(3).child(k)).H
+        zo_hessian(p, x, 1e-2, 4_000, SeedStream(3).child(k)).H
         for k in range(40)
     ])
     mean = batches.mean(axis=0)
@@ -221,7 +221,7 @@ def test_zo_hessian_operator_error_bound():
     hf = p.exact_hess(x)
     sq = []
     for k in range(300):
-        est = zo_hessian(p, x, ZoConfig(nu=nu, n2=n2), SeedStream(8).child(k))
+        est = zo_hessian(p, x, nu, n2, SeedStream(8).child(k))
         sq.append(np.linalg.norm(est.H - hf, 2) ** 2)
     sq = np.array(sq)
     lip = p.meta.L_G
@@ -276,7 +276,7 @@ def test_oracle_call_accounting():
     assert est.oracle_calls == 7 == counter.grad
 
     p, counter = counting_problem(base)
-    est = zo_gradient(p, x, ZoConfig(nu=0.1, n1=5), SeedStream(0))
+    est = zo_gradient(p, x, 0.1, 5, SeedStream(0))
     assert est.oracle_calls == 10 == counter.value
 
     p, counter = counting_problem(base)
@@ -284,17 +284,17 @@ def test_oracle_call_accounting():
     assert est.oracle_calls == 6 == counter.hess
 
     p, counter = counting_problem(base)
-    est = zo_hessian(p, x, ZoConfig(nu=0.1, n2=4), SeedStream(0))
+    est = zo_hessian(p, x, 0.1, 4, SeedStream(0))
     assert est.oracle_calls == 12 == counter.value
 
     # batches that span several streamed blocks
     n = 2 * _block_rows(4) + 5
     p, counter = counting_problem(base)
-    est = zo_gradient(p, x, ZoConfig(nu=0.1, n1=n), SeedStream(0))
+    est = zo_gradient(p, x, 0.1, n, SeedStream(0))
     assert est.oracle_calls == 2 * n == counter.value
 
     p, counter = counting_problem(base)
-    est = zo_hessian(p, x, ZoConfig(nu=0.1, n2=n + 1), SeedStream(0))
+    est = zo_hessian(p, x, 0.1, n + 1, SeedStream(0))
     assert est.oracle_calls == 3 * (n + 1) == counter.value
 
 
@@ -312,8 +312,8 @@ def test_paired_noise_seeds_across_modes():
     stream = SeedStream(123).child("step", 4)
     assert np.array_equal(stream.child("xi").seeds(6), stream.child("xi").seeds(6))
     p = make_multiplicative_saddle(d=3, neg_count=1, rho=2.0, quartic_coeff=0.0)
-    a = zo_gradient(p, np.ones(3), ZoConfig(nu=0.01, n1=6), stream)
-    b = zo_gradient(p, np.ones(3), ZoConfig(nu=0.01, n1=6), stream)
+    a = zo_gradient(p, np.ones(3), 0.01, 6, stream)
+    b = zo_gradient(p, np.ones(3), 0.01, 6, stream)
     assert np.array_equal(a.g, b.g)
 
 
@@ -342,19 +342,18 @@ def test_streamed_estimators_match_one_block(offset):
     n = offset[0] * _block_rows(d) + offset[1]
     x = np.array([0.3, -0.8, 0.5, 0.1])
     stream = SeedStream(61).child(n)
-    cfg = ZoConfig(nu=0.05, n1=n, n2=n)
-    for est, label in ((zo_gradient(p, x, cfg, stream).g, ""),
-                       (zo_hessian(p, x, cfg, stream).H, "h")):
-        ref = _one_block_reference(p, x, cfg.nu, n, stream, label)
+    nu = 0.05
+    for est, label in ((zo_gradient(p, x, nu, n, stream).g, ""),
+                       (zo_hessian(p, x, nu, n, stream).H, "h")):
+        ref = _one_block_reference(p, x, nu, n, stream, label)
         np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
     # the (n2, d) direction array alone would take 84 MB
-    cfg = ZoConfig(nu=1e-3, n2=2**20)
     tracemalloc.start()
     try:
-        zo_hessian(sgc_saddle_10d, 0.1 * np.ones(10), cfg, SeedStream(4))
+        zo_hessian(sgc_saddle_10d, 0.1 * np.ones(10), 1e-3, 2**20, SeedStream(4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

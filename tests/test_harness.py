@@ -60,6 +60,16 @@ def test_spec_validation():
     for offset in (-1.0, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="x0_offset"):
             _spec(x0_offset=offset)
+    # two cells of one seed would write one trace file
+    with pytest.raises(ConfigurationError, match="repeated: 0, 2"):
+        _spec(seeds=[0, 2, 0, 1, 2])
+    # problem keys and schedule constants are checked when the spec is built
+    with pytest.raises(ConfigurationError, match="'dim'"):
+        _spec(problem=dict(PROBLEM, dim="abc"))
+    for key, value in (("delta", 2.0), ("a0", 0.0), ("c", -1.0), ("kappa", (1.0,) * 9),
+                       ("mu", (1.0, 2.0))):
+        with pytest.raises(ConfigurationError, match=key):
+            _spec(**{key: value})
 
 
 def test_single_cell_produces_one_trace_and_one_row(tmp_path):
@@ -112,6 +122,105 @@ def test_read_trace_rejects_malformed_files(tmp_path):
         path.write_text("\n".join(content) + "\n")
         with pytest.raises(ConfigurationError, match=rf"{name}, line {lineno}:"):
             read_trace(path)
+
+
+_PSGD_TAIL = """\
+# theorem_T = {theorem_T}
+# sgc_arm = True
+# user_seed = 0
+# master_seed = 0
+# burn_in = 0.2
+# seed = 8323032773134656822
+# total_oracle_calls = {calls}
+t,f,grad_norm,lambda_min,oracle_calls,certified
+0,0.0,0.0,-1.0,0,0
+"""
+
+_SCRN_TAIL = """\
+# theorem_T = {theorem_T}
+# sgc_arm = True
+# user_seed = 0
+# master_seed = 0
+# burn_in = 0.2
+# seed = 8323032773134656822
+# total_oracle_calls = {calls}
+# r_index = 1
+# r_oracle_calls = {calls}
+# r_certified = 0
+{r_lines}
+t,f,grad_norm,lambda_min,oracle_calls,certified,h_norm,model_decrease
+0,0.0,0.0,-1.0,0,0,,
+"""
+
+# the head of a 1-step d=10 trace of each arm (header lines, column line and
+# the t = 0 row) and its summary.csv, byte for byte
+FORMATS = {
+    "psgd-first_order": ({}, """\
+# algorithm = psgd
+# mode = first_order
+# eta = 0.06469058337896373
+# r = 0.021454693322408656
+# n1 = 9
+# T = 1
+# box_radius = 10.0
+# epsilon = 0.2
+""" + _PSGD_TAIL.format(theorem_T=11388, calls=9), "0.2,psgd,first_order,1,,0.0,0.0,"),
+    "psgd-zeroth_order": (dict(kappa=(1.0,) * 5 + (1e-3,) + (1.0,) * 4), """\
+# algorithm = psgd
+# mode = zeroth_order
+# eta = 0.09433962264150944
+# r = 0.2
+# n1 = 20
+# T = 1
+# box_radius = 10.0
+# epsilon = 0.2
+# nu = 0.012426698691192237
+""" + _PSGD_TAIL.format(theorem_T=2683, calls=40), "0.2,psgd,zeroth_order,1,,0.0,0.0,"),
+    "scrn-higher_order": ({}, """\
+# algorithm = scrn
+# mode = higher_order
+# M = 126.49110640673518
+# n1 = 5
+# n2 = 5
+# T = 1
+# box_radius = 10.0
+# epsilon = 0.2
+""" + _SCRN_TAIL.format(theorem_T=100, calls=10, r_lines="""\
+# r_grad_norm = 0.025297703173775193
+# r_lambda_min = -0.99993856
+# r_epsilon = 0.2
+# r_score = 0.5208013333333333"""), "0.2,scrn,higher_order,1,,0.0,0.0,10"),
+    "scrn-zeroth_order": (dict(mu=(1.0, 0.01, 1e-6, 1.0, 1.0)), """\
+# algorithm = scrn
+# mode = zeroth_order
+# M = 1.0
+# n1 = 1
+# n2 = 16
+# T = 1
+# box_radius = 10.0
+# epsilon = 0.2
+# nu = 5.802252518881185e-05
+""" + _SCRN_TAIL.format(theorem_T=88, calls=50, r_lines="""\
+# r_grad_norm = 21.573528009506866
+# r_lambda_min = 1.051591322840036
+# r_epsilon = 0.2
+# r_score = 4.644731209608029"""), "0.2,scrn,zeroth_order,1,,0.0,0.0,50"),
+}
+
+
+@pytest.mark.parametrize("arm", FORMATS)
+def test_output_format_is_pinned(tmp_path, arm):
+    extra, head, summary_row = FORMATS[arm]
+    algorithm, mode = arm.split("-")
+    spec = _spec(algorithm=algorithm, mode=mode, max_steps=1, stop_after_certified=False, **extra)
+    run_experiment(spec, out_dir=tmp_path)
+    trace = (tmp_path / f"{algorithm}_{mode}_sgc_eps0.2_seed0.csv").read_text()
+    assert trace.startswith(head)
+    assert trace[len(head):].startswith("1,")
+    assert (tmp_path / "summary.csv").read_text() == (
+        "epsilon,algorithm,mode,sgc_arm,median_calls_to_first_certified,"
+        "sosp_fraction,success_rate,median_calls_at_random_iterate\n" + summary_row + "\n"
+    )
 
 
 def test_summary_is_computed_from_traces_alone():

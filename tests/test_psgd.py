@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
-from saddlescape.estimators import ZoConfig
 from saddlescape.problems import (
     ProblemMetadata,
     make_additive_noise_variant,
@@ -36,15 +35,12 @@ def test_config_validation():
         _fo_config(eta=0.0)
     with pytest.raises(ConfigurationError):
         _fo_config(r=-1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="nu must be set iff"):
         PsgdConfig(eta=0.1, r=0.0, n1=1, T=1, box_radius=10, epsilon=0.1,
-                   mode=ZEROTH_ORDER)  # zo missing
-    with pytest.raises(ConfigurationError):
+                   mode=ZEROTH_ORDER)  # nu missing
+    with pytest.raises(ConfigurationError, match="nu must be set iff"):
         PsgdConfig(eta=0.1, r=0.0, n1=2, T=1, box_radius=10, epsilon=0.1,
-                   mode=FIRST_ORDER, zo=ZoConfig(nu=0.1, n1=2))
-    with pytest.raises(ConfigurationError):
-        PsgdConfig(eta=0.1, r=0.0, n1=2, T=1, box_radius=10, epsilon=0.1,
-                   mode=ZEROTH_ORDER, zo=ZoConfig(nu=0.1, n1=3))
+                   mode=FIRST_ORDER, nu=0.1)
 
 
 def test_step_is_exact_gradient_descent_when_unperturbed(quad_saddle_2d):
@@ -117,7 +113,7 @@ def test_budget_audit_first_and_zeroth_order(sgc_saddle_10d):
     assert trace.rows[-1].t == 17
     assert trace.total_oracle_calls == 17 * 3 == trace.rows[-1].oracle_calls
     czo = PsgdConfig(eta=0.01, r=0.1, n1=4, T=9, box_radius=10, epsilon=0.05,
-                     mode=ZEROTH_ORDER, zo=ZoConfig(nu=0.01, n1=4))
+                     mode=ZEROTH_ORDER, nu=0.01)
     trace = run_psgd(sgc_saddle_10d, np.zeros(10), czo, certify_every=2, seed=2)
     assert trace.total_oracle_calls == 9 * 8
     calls = [row.oracle_calls for row in trace.rows]
@@ -266,9 +262,8 @@ def test_zeroth_order_schedule_smoothing_radius():
     # eps=0.1, d=2, all kappa = 1, rho = 2: nu = 0.1 / (2 log 10)
     meta = ProblemMetadata(dim=2, L=1.0, L_G=0.2, L_H=1.0, f_star=0.0, rho_true=2.0)
     cfg = schedule_zeroth_order(ScheduleConstants(epsilon=0.1), meta, 1.0)
-    assert cfg.zo.nu == pytest.approx(0.1 / (2 * math.log(10.0)))
+    assert cfg.nu == pytest.approx(0.1 / (2 * math.log(10.0)))
     assert cfg.mode == ZEROTH_ORDER
-    assert cfg.calls_per_step == 2 * cfg.n1
 
 
 def test_zeroth_order_batch_ratio_between_arms():

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 from cubic_reference import grid_min, reference_min
 from saddlescape import scrn
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
-from saddlescape.estimators import ZoConfig
 from saddlescape.problems import (
     ProblemMetadata,
     make_multiplicative_saddle,
@@ -206,11 +205,11 @@ def _ho_config(M=10.0, n1=1, n2=1, T=5, eps=0.05, box=10.0):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         _ho_config(M=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="nu must be set iff"):
         ScrnConfig(M=1.0, n1=1, n2=1, T=1, box_radius=10, epsilon=0.1, mode=ZEROTH_ORDER)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="nu must be set iff"):
         ScrnConfig(M=1.0, n1=2, n2=3, T=1, box_radius=10, epsilon=0.1,
-                   mode=ZEROTH_ORDER, zo=ZoConfig(nu=0.1, n1=2, n2=4))
+                   mode=HIGHER_ORDER, nu=0.1)
 
 
 def test_step_fixed_at_second_order_stationary_point():
@@ -270,7 +269,7 @@ def test_budget_audit_across_modes(sgc_saddle_10d):
     trace = run_scrn(sgc_saddle_10d, np.zeros(10), cfg, certify_every=3, seed=1)
     assert trace.total_oracle_calls == 7 * (3 + 5)
     zo = ScrnConfig(M=50.0, n1=4, n2=2, T=3, box_radius=10.0, epsilon=0.05,
-                    mode=ZEROTH_ORDER, zo=ZoConfig(nu=0.01, n1=4, n2=2))
+                    mode=ZEROTH_ORDER, nu=0.01)
     trace = run_scrn(sgc_saddle_10d, np.zeros(10), zo, certify_every=1, seed=1)
     assert trace.total_oracle_calls == 3 * (2 * 4 + 3 * 2)
 
@@ -320,7 +319,7 @@ def test_schedule_zeroth_order_fields():
     assert cfg.M == 1.0
     assert cfg.n1 == math.ceil((d + 5) / 0.1)
     assert cfg.n2 == math.ceil((1 + 2 * math.log(2 * d)) * (d + 16) ** 4 / 0.1)
-    assert cfg.zo.nu == pytest.approx(0.1 / (d + 16) ** 2.5)
+    assert cfg.nu == pytest.approx(0.1 / (d + 16) ** 2.5)
 
 
 def test_schedule_rejects_bad_epsilon():
