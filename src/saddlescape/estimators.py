@@ -94,9 +94,11 @@ def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: 
     curv_sum = 0.0
     blocks = _direction_blocks(p, x, nu, n2, stream.child("xih"), stream.child("uh").rng(),
                                central=True)
+    weighted = np.empty((min(n2, _block_rows(d)), d))  # h_i u_i of one block
     for u, diff in blocks:
         curv = diff / (2.0 * nu * nu)
-        outer += (u * curv[:, None]).T @ u
+        w = np.multiply(u, curv[:, None], out=weighted[:len(u)])
+        outer += w.T @ u
         curv_sum += curv.sum()
     h = outer / n2 - (curv_sum / n2) * np.eye(d)
     return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * n2)
@@ -116,8 +118,10 @@ def _direction_blocks(p, x, nu, n, xi_stream, rng, central):
     direction i at noise seed ``xi_i``.  Block seeds are taken from
     ``xi_stream`` by index and directions are drawn from ``rng`` in order, so
     the blocks concatenate to the one-shot ``xi_stream.seeds(n)`` and
-    ``rng.standard_normal((n, d))``; no array grows with n.  A bad ``nu`` or
-    ``n`` raises ``ConfigurationError`` before any oracle call.
+    ``rng.standard_normal((n, d))``; no array grows with n.  Every block is
+    drawn into the same buffers, so a yielded ``u`` is valid until the next
+    block is drawn.  A bad ``nu`` or ``n`` raises ``ConfigurationError``
+    before any oracle call.
     """
     if not nu > 0:
         raise ConfigurationError(f"smoothing radius nu must be positive, got {nu}")
@@ -129,14 +133,16 @@ def _direction_blocks(p, x, nu, n, xi_stream, rng, central):
     x = np.asarray(x, dtype=np.float64)
     d = p.meta.dim
     rows = _block_rows(d)
+    u_buf, step_buf, pts_buf = np.empty((3, min(rows, n), d))
     for start in range(0, n, rows):
         seeds = xi_stream.seeds(min(rows, n - start), start)
-        u = rng.standard_normal((len(seeds), d))
-        step = nu * u
-        f_plus = p.sample_value_batch(x + step, seeds)
+        m = len(seeds)
+        u = rng.standard_normal(out=u_buf[:m])
+        step = np.multiply(u, nu, out=step_buf[:m])
+        f_plus = p.sample_value_batch(np.add(x, step, out=pts_buf[:m]), seeds)
         f_base = p.sample_value_batch(x, seeds)
         if central:
-            f_minus = p.sample_value_batch(x - step, seeds)
+            f_minus = p.sample_value_batch(np.subtract(x, step, out=pts_buf[:m]), seeds)
             yield u, f_plus + f_minus - 2.0 * f_base
         else:
             yield u, f_plus - f_base

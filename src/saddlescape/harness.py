@@ -56,9 +56,11 @@ class ExperimentSpec:
     Statistical summary fields (medians, success rates) are only meaningful
     with at least three seeds; single-seed specs are allowed for smoke runs.
     The whole spec is checked when it is built: its problem keys by building
-    the problem once, and its schedule constants by the checks of
-    ``ScheduleConstants`` and ``schedule_scrn``.  Schedules are still built
-    per cell, so a schedule error is a cell failure.
+    the problem once, its schedule constants by the checks of
+    ``ScheduleConstants`` and ``schedule_scrn``, and that the problem knows
+    the growth constant ``rho_true`` when the arm's schedule needs it (PSGD's
+    strong-growth arm, SCRN's higher-order mode).  Schedules are still built
+    per cell, so any other schedule error is a cell failure.
     """
 
     problem: dict
@@ -115,7 +117,12 @@ class ExperimentSpec:
                                      "its full budget to certify the random iterate")
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
-        problem_from_config(dict(self.problem))
+        p = problem_from_config(dict(self.problem))
+        needs_rho = self.sgc_arm if self.algorithm == "psgd" else self.mode == HIGHER_ORDER
+        if needs_rho and p.meta.rho_true is None:
+            raise ConfigurationError(
+                f"the {self.arm_label} schedule needs the growth constant rho_true, "
+                f"which {p.name} does not have")
         ScheduleConstants(epsilon=eps[0], delta=self.delta, a0=self.a0, a1=self.a1, c=self.c,
                           kappa=self.kappa)
         _scrn.check_mu(self.mu)

@@ -192,10 +192,12 @@ def make_multiplicative_saddle(
     R = float(box_radius)
 
     def f_rows(pts: np.ndarray) -> np.ndarray:
-        sq = pts * pts
-        val = 0.5 * sq @ a_diag
+        sq = pts * pts  # the one (n, d) temporary
+        quartic = q * np.square(sq.sum(axis=1)) if q else None
+        sq *= 0.5
+        val = sq @ a_diag
         if q:
-            val = val + q * np.square(sq.sum(axis=1))
+            val += quartic
         return val
 
     def grad_rows(pts: np.ndarray) -> np.ndarray:

@@ -6,6 +6,10 @@ draws ``theta ~ N(0, r^2 I)``, and updates ``x <- x - eta (g + theta)``,
 clamped to the problem's declared ball so the box-restricted Lipschitz
 constants stay valid.
 
+The theta of step t is ``r * standard_normals(s_t, d)``, with ``s_t`` the
+state of the step stream's ``child("theta")``; ``run_psgd`` draws the rows
+of ``_THETA_CHUNK`` steps per call, with the same bits as one call a step.
+
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
 constants uninstantiated, so they are exposed here as tunables (all default
@@ -25,7 +29,7 @@ from .diagnostics import RunTrace, TraceRow, certify
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, zo_gradient
 from .problems import ProblemMetadata, StochasticProblem, as_point, clamp_to_box
-from .seeds import SeedStream
+from .seeds import SeedStream, fold_int_states, fold_label_states, standard_normals
 
 FIRST_ORDER = "first_order"
 ZEROTH_ORDER = "zeroth_order"
@@ -93,11 +97,32 @@ class PsgdConfig:
             raise ConfigurationError("nu must be set iff mode is zeroth_order")
 
 
-def draw_perturbation(stream: SeedStream, dim: int, r: float) -> np.ndarray:
-    """Isotropic N(0, r^2 I) perturbation from the step's seed stream."""
+_THETA_CHUNK = 64  # steps whose theta rows run_psgd draws in one call; no value depends on it
+
+
+def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
+    """(len(step_states), dim) isotropic N(0, r^2 I) perturbations.
+
+    Row i belongs to the step whose stream state is ``step_states[i]``: it is
+    ``r`` times the standard normals of that stream's ``child("theta")``, so
+    it does not depend on the other rows drawn with it.
+    """
+    states = np.asarray(step_states, dtype=np.uint64)
     if r == 0.0:
-        return np.zeros(dim)
-    return r * stream.child("theta").rng().standard_normal(dim)
+        return np.zeros((len(states), dim))
+    theta = standard_normals(fold_label_states(states, "theta"), dim)
+    theta *= r
+    return theta
+
+
+def _perturbations(stream: SeedStream, dim: int, r: float, T: int):
+    """The theta rows of steps 1..T of the run stream ``stream``, in order,
+    drawn ``_THETA_CHUNK`` steps at a time."""
+    step_state = stream.child("step").state
+    for start in range(1, T + 1, _THETA_CHUNK):
+        ks = np.arange(start, min(start + _THETA_CHUNK, T + 1))
+        # a module-level name the benchmark's tracer patches to time the draws
+        yield from draw_perturbation(fold_int_states(step_state, ks), dim, r)
 
 
 def psgd_step(
@@ -105,8 +130,13 @@ def psgd_step(
     x: np.ndarray,
     cfg: PsgdConfig,
     stream: SeedStream,
+    theta: Optional[np.ndarray] = None,
 ):
-    """One perturbed gradient step; returns (new point, oracle calls)."""
+    """One perturbed gradient step; returns (new point, oracle calls).
+
+    ``theta`` is the step's perturbation when the caller has drawn it; by
+    default the step draws it from ``stream``, the same row.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
@@ -114,7 +144,8 @@ def psgd_step(
         est = zo_gradient(p, x, cfg.nu, cfg.n1, stream)
     else:
         est = fo_gradient(p, x, cfg.n1, stream)
-    theta = draw_perturbation(stream, p.meta.dim, cfg.r)
+    if theta is None:
+        theta = draw_perturbation([stream.state], p.meta.dim, cfg.r)[0]
     x_new = clamp_to_box(x - cfg.eta * (est.g + theta), cfg.box_radius)
     if not np.isfinite(x_new).all():
         raise NumericalError("update produced non-finite entries")
@@ -130,8 +161,9 @@ def run_psgd(
     stop_after_certified: bool = False,
 ) -> RunTrace:
     """Run T perturbed steps with certification rows (see ``run_steps``)."""
+    thetas = _perturbations(SeedStream(seed, cfg.algorithm), p.meta.dim, cfg.r, cfg.T)
     return run_steps(
-        p, x0, cfg, lambda x, stream: (*psgd_step(p, x, cfg, stream), None),
+        p, x0, cfg, lambda x, stream: (*psgd_step(p, x, cfg, stream, next(thetas)), None),
         certify_every=certify_every, seed=seed, stop_after_certified=stop_after_certified,
     )
 
@@ -159,10 +191,12 @@ def run_steps(
 ) -> RunTrace:
     """The run loop of PSGD and cubic Newton: T steps with certification rows.
 
-    ``step(x, stream)`` returns ``(x_new, oracle_calls, sol)``, with ``sol``
-    the cubic step's ``CubicSolution``, whose radius and model decrease the
-    rows record, or None.  Rows are certified on exact oracles, never charged
-    to the budget, at t = 0, every ``certify_every`` steps and at step T.
+    ``step(x, stream)`` is called once per step, for t = 1, 2, ... in order,
+    with the step stream ``child("step", t)`` of the run stream.  It returns
+    ``(x_new, oracle_calls, sol)``, with ``sol`` the cubic step's
+    ``CubicSolution``, whose radius and model decrease the rows record, or
+    None.  Rows are certified on exact oracles, never charged to the budget,
+    at t = 0, every ``certify_every`` steps and at step T.
     ``stop_after_certified`` ends the run at its first certified row (a pure
     function of the trajectory, so traces stay byte-reproducible); ``r_index``
     keeps that step's iterate and budget and certifies the iterate at the end.

@@ -100,10 +100,31 @@ def _index_hashes(start: int, n: int) -> np.ndarray:
     return _mix_inplace(z)
 
 
+_CACHED_INDEX_MAX = 1 << 12  # longest cached hash block: 32 KiB, so the cache stays under 2 MiB
+
+
+@functools.lru_cache(maxsize=64)
+def _leading_index_hashes(n: int) -> np.ndarray:
+    """Read-only ``_index_hashes(0, n)``; ``_first_hashes`` caches only n <= _CACHED_INDEX_MAX."""
+    h = _index_hashes(0, n)
+    h.flags.writeable = False
+    return h
+
+
+def _first_hashes(start: int, n: int) -> np.ndarray:
+    """``_index_hashes(start, n)``, from the cache for short blocks from index 0.
+
+    The result may be the cached array itself: read it, never write to it.
+    """
+    if start == 0 and n <= _CACHED_INDEX_MAX:
+        return _leading_index_hashes(n)
+    return _index_hashes(start, n)
+
+
 def seed_blocks(states: np.ndarray, n: int) -> np.ndarray:
     """(len(states), n) oracle-seed grid; row i equals the ``seeds(n)`` of a
     stream whose state is ``states[i]``."""
-    return _mix_inplace(_index_hashes(0, n)[None, :] ^ np.asarray(states, dtype=np.uint64)[:, None])
+    return _mix_inplace(_first_hashes(0, n)[None, :] ^ np.asarray(states, dtype=np.uint64)[:, None])
 
 
 class SeedStream:
@@ -132,7 +153,7 @@ class SeedStream:
         ``seeds(k)`` followed by ``seeds(n - k, k)``: a batch can be derived
         block by block.
         """
-        return _mix_inplace(_index_hashes(start, n) ^ np.uint64(self.state))
+        return _mix_inplace(_first_hashes(start, n) ^ np.uint64(self.state))
 
     def rng(self) -> np.random.Generator:
         """PCG64 generator seeded with the state: the stream of ``default_rng(state)``."""

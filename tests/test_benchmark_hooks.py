@@ -40,8 +40,12 @@ def test_tracer_sees_the_run_loop(monkeypatch):
     with tracer.installed():
         psgd_trace = harness.run_cell(psgd_spec, 0.2, 0)
         psgd_certify = tracer.calls["diagnostics.certify"]
+        psgd_samples = tracer.counts["problems.samples"]
         scrn_trace = harness.run_cell(scrn_spec, 0.2, 0)
     assert psgd_trace.rows[-1].certified and psgd_trace.rows[-1].t < 2000
+    # the theta rows are drawn in chunks, through the traced draw_perturbation
+    assert tracer.calls["psgd.draw_perturbation"] >= 1
+    assert psgd_samples == psgd_trace.total_oracle_calls
     assert tracer.calls["harness._run_psgd_stopping"] == tracer.calls["scrn.run_scrn"] == 1
     assert tracer.calls["psgd.psgd_step"] == psgd_trace.rows[-1].t
     assert tracer.calls["scrn._estimate_step"] == scrn_trace.rows[-1].t == 20

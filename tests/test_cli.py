@@ -125,16 +125,18 @@ def test_summarize_rejects_malformed_trace(tmp_path, capsys):
     assert "psgd_eps0.2_seed0.csv, line 1" in err and len(err.splitlines()) == 1
 
 
+# a valid spec whose every cell fails: the PSGD schedules need epsilon < 1/e
+NO_CELL_SUCCEEDS = SPEC_TEXT.replace("epsilon_grid = 0.2", "epsilon_grid = 0.5")
+
+
 def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
     spec = tmp_path / "exp.cfg"
-    # the strong-growth schedule needs a known rho, which phase retrieval lacks
-    spec.write_text("family = phase_retrieval\ndim = 4\nm = 20\n"
-                    "algorithm = psgd\nepsilon_grid = 0.2\nseeds = 0, 1\n")
+    spec.write_text(NO_CELL_SUCCEEDS)
     out = tmp_path / "runs"
     assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "cells.txt" in err and len(err.splitlines()) == 1
-    assert "rho_true" in (out / "cells.txt").read_text()
+    assert "schedule undefined for epsilon=0.5" in (out / "cells.txt").read_text()
     assert not (out / "summary.csv").exists()
 
 
@@ -144,8 +146,7 @@ def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     spec.write_text(SPEC_TEXT.replace("seeds = 0, 1", "seeds = 0"))
     assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
     assert (out / "summary.csv").exists() and (out / "complexity.svg").exists()
-    spec.write_text("family = phase_retrieval\ndim = 4\nm = 20\n"
-                    "algorithm = psgd\nepsilon_grid = 0.2\nseeds = 0\n")
+    spec.write_text(NO_CELL_SUCCEEDS.replace("seeds = 0, 1", "seeds = 0"))
     assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
     assert not list(out.glob("*_seed*.csv"))
     assert not (out / "summary.csv").exists() and not (out / "complexity.svg").exists()
@@ -161,7 +162,9 @@ def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     (("", "mu = 1, 2\n"), "mu"),
     (("dim = 6", "dim = abc"), "'dim'"),
     (("seeds = 0, 1", "seeds = 0, 0, 1"), "repeated: 0"),
-], ids=["delta", "mu", "dim", "repeated_seeds"])
+    # phase retrieval has no growth constant for the strong-growth schedule
+    (("family = multiplicative_saddle", "family = phase_retrieval\nm = 20"), "rho_true"),
+], ids=["delta", "mu", "dim", "repeated_seeds", "no_growth_constant"])
 def test_bad_spec_leaves_earlier_outputs(tmp_path, capsys, change, key):
     spec = tmp_path / "exp.cfg"
     out = tmp_path / "runs"

@@ -72,6 +72,19 @@ def test_spec_validation():
             _spec(**{key: value})
 
 
+def test_spec_needs_growth_constant_for_its_schedule():
+    # phase retrieval, and any additive-noise variant, has rho_true = None
+    for problem in (dict(family="phase_retrieval", dim=4, m=20), dict(PROBLEM, sigma=0.5)):
+        for arm in (dict(), dict(mode="zeroth_order"),
+                    dict(algorithm="scrn", mode="higher_order", sgc_arm=False,
+                         stop_after_certified=False)):
+            with pytest.raises(ConfigurationError, match="needs the growth constant rho_true"):
+                _spec(problem=problem, **arm)
+        # the bounded-variance PSGD arm and zeroth-order SCRN need no rho
+        _spec(problem=problem, sgc_arm=False)
+        _spec(problem=problem, algorithm="scrn", mode="zeroth_order", stop_after_certified=False)
+
+
 def test_single_cell_produces_one_trace_and_one_row(tmp_path):
     spec = _spec(out_dir=str(tmp_path))
     rows = run_experiment(spec)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from saddlescape.diagnostics import TraceRow, certify
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
 from saddlescape.problems import (
     ProblemMetadata,
@@ -12,6 +13,7 @@ from saddlescape.problems import (
     make_phase_retrieval,
 )
 from saddlescape.psgd import (
+    _THETA_CHUNK,
     FIRST_ORDER,
     ZEROTH_ORDER,
     PsgdConfig,
@@ -23,7 +25,7 @@ from saddlescape.psgd import (
     schedule_zeroth_order,
 )
 from saddlescape.scrn import ScrnConfig, run_scrn
-from saddlescape.seeds import SeedStream
+from saddlescape.seeds import SeedStream, fold_int_states, standard_normals
 
 
 def _fo_config(eta=0.01, r=0.0, n1=1, T=10, box=10.0, eps=0.05):
@@ -129,9 +131,7 @@ def test_run_is_reproducible(sgc_saddle_10d):
 
 def test_perturbation_isotropy():
     r = 0.7
-    draws = np.stack([
-        draw_perturbation(SeedStream(0, "iso", k), 4, r) for k in range(100_000)
-    ])
+    draws = draw_perturbation(fold_int_states(SeedStream(0, "iso").state, np.arange(100_000)), 4, r)
     cov = np.cov(draws.T)
     assert np.abs(cov - r**2 * np.eye(4)).max() < 0.05 * r**2
 
@@ -182,6 +182,59 @@ def test_stop_after_certified_ends_at_first_certified_row(sgc_saddle_10d):
     assert 0 < first < len(full.rows) - 1
     assert stopped.rows == full.rows[:first + 1]
     assert stopped.total_oracle_calls == stopped.rows[-1].oracle_calls < full.total_oracle_calls
+
+
+def _stepwise_rows(p, x0, cfg, seed, certify_every=1, stop_after_certified=False):
+    """The rows of ``run_psgd``, from one ``psgd_step`` call per step that
+    draws its own theta: the run loop without chunked draws."""
+    run = SeedStream(seed, cfg.algorithm)
+    x, calls, rows = np.asarray(x0, dtype=np.float64), 0, []
+
+    def record(t):
+        cert = certify(p, x, cfg.epsilon)
+        rows.append(TraceRow(t, p.exact_value(x), cert.grad_norm, cert.lambda_min, calls,
+                             cert.certified))
+        return stop_after_certified and cert.certified
+
+    done = record(0)
+    for t in range(1, cfg.T + 1):
+        if done:
+            break
+        x, step_calls = psgd_step(p, x, cfg, run.child("step", t))
+        calls += step_calls
+        if t % certify_every == 0 or t == cfg.T:
+            done = record(t)
+    return rows
+
+
+def test_theta_of_a_step_is_its_own_counter_draw():
+    stream = SeedStream(4, "psgd").child("step", 9)
+    row = draw_perturbation([stream.state], 10, 0.3)
+    expected = 0.3 * standard_normals([stream.child("theta").state], 10)
+    assert row.shape == (1, 10) and np.array_equal(row, expected)
+    assert np.array_equal(draw_perturbation([stream.state], 10, 0.0), np.zeros((1, 10)))
+
+
+def test_chunked_run_matches_stepwise_steps(sgc_saddle_10d):
+    # T spans three theta chunks, the last one partial
+    cfg = _fo_config(eta=0.02, r=0.3, n1=4, T=2 * _THETA_CHUNK + 21)
+    x0 = np.full(10, 0.1)
+    trace = run_psgd(sgc_saddle_10d, x0, cfg, certify_every=1, seed=5)
+    assert trace.rows == _stepwise_rows(sgc_saddle_10d, x0, cfg, seed=5)
+    czo = PsgdConfig(eta=0.02, r=0.3, n1=3, T=_THETA_CHUNK + 7, box_radius=10, epsilon=0.05,
+                     mode=ZEROTH_ORDER, nu=0.01)
+    trace = run_psgd(sgc_saddle_10d, x0, czo, certify_every=5, seed=6)
+    assert trace.rows == _stepwise_rows(sgc_saddle_10d, x0, czo, seed=6, certify_every=5)
+
+
+def test_stop_mid_chunk_matches_stepwise_steps(sgc_saddle_10d):
+    cfg = _fo_config(eta=0.1, r=0.05, n1=4, T=300, eps=0.2)
+    stopped = run_psgd(sgc_saddle_10d, np.zeros(10), cfg, certify_every=1, seed=0,
+                       stop_after_certified=True)
+    stop = stopped.rows[-1].t
+    assert stopped.rows[-1].certified and stop > _THETA_CHUNK and stop % _THETA_CHUNK
+    assert stopped.rows == _stepwise_rows(sgc_saddle_10d, np.zeros(10), cfg, seed=0,
+                                          stop_after_certified=True)
 
 
 # ---------------------------------------------------------------------------

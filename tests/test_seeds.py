@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from saddlescape import seeds as seeds_module
 from saddlescape.seeds import (
     TAG_NORMAL,
     TAG_SEQ,
@@ -125,6 +126,22 @@ def test_streams_match_out_of_place_reference(n):
         stream.child(k, "xi").state for k in range(min(n, 3))]
     grid = seed_blocks(states[:3], 4)
     assert np.array_equal(grid, [_ref_seeds(s, 4) for s in states[:3].tolist()])
+
+
+def test_cached_index_hashes_give_the_uncached_seeds():
+    stream = SeedStream(23).child("xi")
+    for n in (1, 12, 4096, 4097):
+        for start in (0, 3):
+            for _ in range(2):  # the second call of a short block from 0 reads the cache
+                got = stream.seeds(n, start)
+                assert np.array_equal(got, _ref_seeds(stream.state, n, start))
+                got[:] = 0  # the caller owns its seeds; the cache stays intact
+        assert np.array_equal(seed_blocks([stream.state, 5], n),
+                              [_ref_seeds(stream.state, n), _ref_seeds(5, n)])
+    cached = seeds_module._first_hashes(0, 12)
+    assert cached is seeds_module._first_hashes(0, 12)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 1
 
 
 def test_seeds_literal_values():
