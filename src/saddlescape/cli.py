@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # the non-finite checks report an overflow in one line, without numpy's warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigurationError, EvaluationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

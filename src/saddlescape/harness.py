@@ -13,6 +13,9 @@ is the desk-scale observable.  Cubic-Newton runs additionally report the
 budget consumed through the uniformly drawn iterate of their in-expectation
 guarantee.
 
+Each theorem schedule is stated once, in ``psgd`` or ``scrn``: specs, cells
+and ``formula_total_calls`` (with the epsilon logs held at 1) all build it.
+
 Constants-tuning protocol: the schedules' absolute constants are tuned once
 on the coarsest accuracy of the grid (``tune_constants``), frozen, and then
 the full grid is evaluated -- never tuned per epsilon, which would fake the
@@ -38,7 +41,7 @@ from . import scrn as _scrn
 # certify is unused here, but the benchmark's tracer patches it in this module
 from .diagnostics import RunTrace, SospCertificate, TraceRow, certify, sosp_fraction  # noqa: F401
 from .errors import ConfigurationError, EvaluationError, NumericalError
-from .problems import StochasticProblem, problem_from_config
+from .problems import _PROBLEM_KEYS, StochasticProblem, problem_from_config
 from .psgd import FIRST_ORDER, PsgdConfig, ScheduleConstants
 from .scrn import HIGHER_ORDER, ZEROTH_ORDER
 from .seeds import SeedStream
@@ -57,10 +60,10 @@ class ExperimentSpec:
     with at least three seeds; single-seed specs are allowed for smoke runs.
     The whole spec is checked when it is built: its problem keys by building
     the problem once, its schedule constants by the checks of
-    ``ScheduleConstants`` and ``schedule_scrn``, and that the problem knows
-    the growth constant ``rho_true`` when the arm's schedule needs it (PSGD's
-    strong-growth arm, SCRN's higher-order mode).  Schedules are still built
-    per cell, so any other schedule error is a cell failure.
+    ``ScheduleConstants`` and ``check_mu``, and the schedule of every
+    epsilon by building it, so a spec no cell could schedule (PSGD at
+    epsilon >= 1/e, gap/(delta epsilon) <= 1, an arm that needs the growth
+    constant ``rho_true`` on a problem without one) is rejected up front.
     """
 
     problem: dict
@@ -93,8 +96,6 @@ class ExperimentSpec:
         eps = tuple(float(e) for e in self.epsilon_grid)
         if not eps:
             raise ConfigurationError("epsilon_grid must be nonempty")
-        if any(not 0.0 < e < 1.0 for e in eps):
-            raise ConfigurationError("epsilon values must lie in (0, 1)")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigurationError("epsilon_grid must be strictly decreasing")
         object.__setattr__(self, "epsilon_grid", eps)
@@ -118,14 +119,15 @@ class ExperimentSpec:
         object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
         p = problem_from_config(dict(self.problem))
-        needs_rho = self.sgc_arm if self.algorithm == "psgd" else self.mode == HIGHER_ORDER
-        if needs_rho and p.meta.rho_true is None:
-            raise ConfigurationError(
-                f"the {self.arm_label} schedule needs the growth constant rho_true, "
-                f"which {p.name} does not have")
         ScheduleConstants(epsilon=eps[0], delta=self.delta, a0=self.a0, a1=self.a1, c=self.c,
                           kappa=self.kappa)
         _scrn.check_mu(self.mu)
+        for epsilon in eps:
+            try:
+                _schedule(self, p, epsilon)
+            except ConfigurationError as err:
+                raise ConfigurationError(
+                    f"{self.arm_label} at epsilon={epsilon:g} on {p.name}: {err}") from None
 
     @property
     def arm_label(self) -> str:
@@ -150,13 +152,10 @@ def _schedule(spec: ExperimentSpec, p: StochasticProblem, epsilon: float):
     gap = p.exact_value(np.zeros(p.meta.dim)) - p.meta.f_star
     if spec.algorithm == "scrn":
         return _scrn.schedule_scrn(epsilon, p.meta, gap, mode=spec.mode, mu=spec.mu)
-    consts = ScheduleConstants(
-        epsilon=epsilon, delta=spec.delta, a0=spec.a0, a1=spec.a1, c=spec.c,
-        kappa=spec.kappa,
-    )
-    if spec.mode == FIRST_ORDER:
-        return _psgd.schedule_first_order(consts, p.meta, gap, sgc=spec.sgc_arm)
-    return _psgd.schedule_zeroth_order(consts, p.meta, gap, sgc=spec.sgc_arm)
+    consts = ScheduleConstants(epsilon=epsilon, delta=spec.delta, a0=spec.a0, a1=spec.a1,
+                               c=spec.c, kappa=spec.kappa)
+    schedule = _psgd.schedule_first_order if spec.mode == FIRST_ORDER else _psgd.schedule_zeroth_order
+    return schedule(consts, p.meta, gap, sgc=spec.sgc_arm)
 
 
 def _x0(spec: ExperimentSpec, dim: int, stream: SeedStream) -> np.ndarray:
@@ -501,42 +500,23 @@ def formula_total_calls(
     kappa: Sequence[float] = (1.0,) * 10,
     mu: Sequence[float] = (1.0,) * 5,
 ) -> float:
-    """Theorem total-oracle-call expression with log factors stripped.
+    """Theorem budget ``T x calls_per_step`` with its epsilon logs held at 1.
 
-    Evaluates the scheduled budget ``T x (calls per step)`` with every
-    epsilon-dependent logarithmic factor frozen to one (and the cubic
-    penalty at its epsilon-free maximum), i.e. the power law the theory
-    states up to logs.  Dimension-dependent logs are kept.  Useful for
-    checking the advertised exponents without running anything.
+    Builds the schedule that runs, with its checks, but with PSGD's
+    ``log(1/eps)`` and ``log(gap/(delta eps))`` set to one: the power law
+    the theory states up to logs.  SCRN's schedules have no epsilon log and
+    dimension logs are kept.  Checks the exponents without running anything.
     """
-    d = meta.dim
-    rho = meta.rho_true if meta.rho_true is not None else 1.0
-    sigma = meta.noise_sigma
-    if algorithm == "psgd" and mode == FIRST_ORDER:
-        T = a1 * f0_gap * max(0.5, a0, meta.L_G) / epsilon**2
-        n1 = max(1.0, 512.0 * c * (rho - 1.0)) if sgc else max(1.0, 512.0 * c * sigma**2 / epsilon**2)
-        return T * n1
-    if algorithm == "psgd" and mode == ZEROTH_ORDER:
-        k = kappa
-        inv_eta = max(1.0 / k[0], meta.L_G)
-        T = k[9] * f0_gap * max(k[3] * math.log(d) ** 2 / k[8], inv_eta) / epsilon**2
-        if sgc:
-            n1 = k[5] * d**1.5 * math.sqrt(max(rho - 1.0, 0.0)) / epsilon**2.5
-        else:
-            n1 = k[5] * d**1.5 * sigma / epsilon**3.5
-        return T * 2.0 * max(1.0, n1)
-    if algorithm == "scrn" and mode == HIGHER_ORDER:
-        M = max(meta.L_H, 0.25, 40.0 * meta.sigma2)
-        T = 144.0 * f0_gap / (M * epsilon**1.5)
-        per_step = max(1.0, mu[0] * (rho - 1.0) / epsilon) + 1.0 / epsilon
-        return T * per_step
-    if algorithm == "scrn" and mode == ZEROTH_ORDER:
-        T = mu[0] * f0_gap / (mu[4] * epsilon**1.5)
-        per_step = 2.0 * mu[1] * (d + 5) / epsilon + 3.0 * mu[2] * (
-            1.0 + 2.0 * math.log(2 * d)
-        ) * (d + 16) ** 4 / epsilon
-        return T * per_step
-    raise ConfigurationError(f"no schedule formula for {algorithm}/{mode}")
+    if algorithm == "scrn":
+        cfg = _scrn.schedule_scrn(epsilon, meta, f0_gap, mode=mode, mu=mu)
+    elif algorithm == "psgd" and mode in _PSGD_MODES:
+        consts = ScheduleConstants(epsilon=epsilon, a0=a0, a1=a1, c=c, kappa=tuple(kappa))
+        _psgd._epsilon_logs(consts, f0_gap)  # the schedule's checks; its logs are held at 1
+        body = _psgd._first_order if mode == FIRST_ORDER else _psgd._zeroth_order
+        cfg = body(consts, meta, f0_gap, sgc, 1.0, 1.0)
+    else:
+        raise ConfigurationError(f"no schedule formula for {algorithm}/{mode}")
+    return cfg.T * cfg.calls_per_step
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +606,12 @@ def tune_constants(
     eps = spec.epsilon_grid[0]
     best = None
     for cand in candidates:
-        trial = dataclasses.replace(spec, **cand)
         hits = []
         for seed in tune_seeds:
             try:
-                trace = run_cell(trial, eps, seed, master_seed=master_seed)
+                # a candidate whose schedule is undefined fails when its spec is built
+                trace = run_cell(dataclasses.replace(spec, **cand), eps, seed,
+                                 master_seed=master_seed)
             except (NumericalError, ConfigurationError):
                 hits.append(None)
                 continue
@@ -649,8 +630,8 @@ def tune_constants(
 def experiment_from_config(source) -> ExperimentSpec:
     """Build an ExperimentSpec from a key/value file or dict.
 
-    Problem keys (family, dim, neg_count, rho, quartic_coeff, m,
-    planted_seed, r_box, sigma) are forwarded to the problem constructor;
+    Problem keys (``problems._PROBLEM_KEYS``) are forwarded to the problem
+    constructor;
     the remaining keys configure the experiment (see README).  Any other
     key raises ``ConfigurationError``.
     """
@@ -658,10 +639,6 @@ def experiment_from_config(source) -> ExperimentSpec:
         raw = {k: str(v) for k, v in source.items()}
     else:
         raw = _cfg.parse_kv_file(source)
-    problem_keys = (
-        "family", "dim", "neg_count", "rho", "quartic_coeff",
-        "m", "planted_seed", "r_box", "sigma",
-    )
     optional = (
         ("out_dir", lambda value, _: value), ("x0_offset", _cfg.as_float),
         ("max_steps", _cfg.as_int), ("certify_every", _cfg.as_int),
@@ -669,11 +646,11 @@ def experiment_from_config(source) -> ExperimentSpec:
         ("delta", _cfg.as_float), ("a0", _cfg.as_float), ("a1", _cfg.as_float),
         ("c", _cfg.as_float), ("kappa", _cfg.as_float_list), ("mu", _cfg.as_float_list),
     )
-    known = {*problem_keys, "algorithm", "mode", "sgc_arm", "epsilon_grid", "seeds", *dict(optional)}
+    known = {*_PROBLEM_KEYS, "algorithm", "mode", "sgc_arm", "epsilon_grid", "seeds", *dict(optional)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigurationError(f"unknown experiment keys: {', '.join(unknown)}")
-    problem = {k: raw[k] for k in problem_keys if k in raw}
+    problem = {k: raw[k] for k in _PROBLEM_KEYS if k in raw}
     if "algorithm" not in raw or "epsilon_grid" not in raw or "seeds" not in raw:
         raise ConfigurationError("experiment config needs algorithm, epsilon_grid, seeds")
     kwargs = dict(

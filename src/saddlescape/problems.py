@@ -408,18 +408,26 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
     )
 
 
+_PROBLEM_KEYS = ("family", "dim", "neg_count", "rho", "quartic_coeff", "m", "planted_seed",
+                 "r_box", "sigma")  # experiment configs forward these to the problem
+
+
 def problem_from_config(source) -> StochasticProblem:
     """Build a problem from a key/value config (path, text mapping, or dict).
 
     Keys: ``family`` (``multiplicative_saddle`` or ``phase_retrieval``),
     ``dim``, ``neg_count``, ``rho``, ``quartic_coeff``, ``m``,
     ``planted_seed``, ``r_box``, and optional ``sigma`` (> 0 wraps the family
-    in the additive-noise variant).
+    in the additive-noise variant).  Any other key raises
+    ``ConfigurationError``.
     """
     if isinstance(source, dict):
         raw = {k: str(v) for k, v in source.items()}
     else:
         raw = _cfg.parse_kv_file(source)
+    unknown = sorted(set(raw) - set(_PROBLEM_KEYS))
+    if unknown:
+        raise ConfigurationError(f"unknown problem keys: {', '.join(unknown)}")
 
     family = raw.get("family")
     if family is None:

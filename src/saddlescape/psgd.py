@@ -96,6 +96,11 @@ class PsgdConfig:
         if (self.nu is not None) != (self.mode == ZEROTH_ORDER):
             raise ConfigurationError("nu must be set iff mode is zeroth_order")
 
+    @property
+    def calls_per_step(self) -> int:
+        """Oracle calls of one step: n1 sampled gradients, or 2 n1 values."""
+        return 2 * self.n1 if self.mode == ZEROTH_ORDER else self.n1
+
 
 _THETA_CHUNK = 64  # steps whose theta rows run_psgd draws in one call; no value depends on it
 
@@ -240,30 +245,28 @@ def run_steps(
     return trace
 
 
-def _check_epsilon_small(epsilon: float) -> float:
-    if not 0.0 < epsilon < 1.0 / math.e:
+def _epsilon_logs(consts: ScheduleConstants, f0_gap: float) -> tuple:
+    """The schedules' epsilon logs, log(1/eps) and log(gap/(delta eps)), if positive."""
+    eps = consts.epsilon
+    if not 0.0 < eps < 1.0 / math.e:
         raise ScheduleError(
-            f"schedule undefined for epsilon={epsilon}; need epsilon in (0, 1/e) "
+            f"schedule undefined for epsilon={eps}; need epsilon in (0, 1/e) "
             "so its log factors are positive"
         )
-    return math.log(1.0 / epsilon)
-
-
-def _gap_log(f0_gap: float, delta: float, epsilon: float) -> float:
     if f0_gap <= 0:
         raise ScheduleError(f"initial gap must be positive, got {f0_gap}")
-    ratio = f0_gap / (delta * epsilon)
+    ratio = f0_gap / (consts.delta * eps)
     if ratio <= 1.0:
         raise ScheduleError(
             f"gap/(delta*epsilon) = {ratio} <= 1; the step-size log is nonpositive"
         )
-    return math.log(ratio)
+    return math.log(1.0 / eps), math.log(ratio)
 
 
 def _require_rho(meta: ProblemMetadata) -> float:
     if meta.rho_true is None:
         raise ScheduleError(
-            "strong-growth schedule needs meta.rho_true; estimate it first "
+            "the schedule needs the growth constant rho_true; estimate it first "
             "(estimate_sgc_rho) or construct the problem with a known rho"
         )
     return meta.rho_true
@@ -287,9 +290,11 @@ def schedule_first_order(
     The step size is additionally capped at ``1/L_G`` (the descent argument
     assumes it implicitly).
     """
+    return _first_order(consts, meta, f0_gap, sgc, *_epsilon_logs(consts, f0_gap))
+
+
+def _first_order(consts, meta, f0_gap, sgc, loge, gap_log) -> PsgdConfig:
     eps = consts.epsilon
-    loge = _check_epsilon_small(eps)
-    gap_log = _gap_log(f0_gap, consts.delta, eps)
     eta = min(loge**-2 / (consts.a0 * gap_log), 1.0 / meta.L_G)
     r = eps**1.5 * loge**-3
     if sgc:
@@ -324,9 +329,11 @@ def schedule_zeroth_order(
     strong-growth arm needs ``~ d^1.5 sqrt(rho-1) / eps^2.5`` directions per
     step versus ``~ d^1.5 sigma / eps^3.5`` without it.
     """
+    return _zeroth_order(consts, meta, f0_gap, sgc, *_epsilon_logs(consts, f0_gap))
+
+
+def _zeroth_order(consts, meta, f0_gap, sgc, loge, gap_log) -> PsgdConfig:
     eps = consts.epsilon
-    loge = _check_epsilon_small(eps)
-    gap_log = _gap_log(f0_gap, consts.delta, eps)
     k = consts.kappa
     d = meta.dim
     eta = min(k[0] / gap_log, 1.0 / meta.L_G)

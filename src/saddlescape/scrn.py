@@ -44,7 +44,7 @@ from .diagnostics import RunTrace, certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
-from .psgd import run_steps
+from .psgd import _require_rho, run_steps
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -331,6 +331,11 @@ class ScrnConfig:
         if (self.nu is not None) != (self.mode == ZEROTH_ORDER):
             raise ConfigurationError("nu must be set iff mode is zeroth_order")
 
+    @property
+    def calls_per_step(self) -> int:
+        """Oracle calls of one step: n1 + n2 samples, or 2 n1 + 3 n2 values."""
+        return 2 * self.n1 + 3 * self.n2 if self.mode == ZEROTH_ORDER else self.n1 + self.n2
+
 
 def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream):
     if cfg.mode == ZEROTH_ORDER:
@@ -403,11 +408,7 @@ def schedule_scrn(
     check_mu(mu)
     d = meta.dim
     if mode == HIGHER_ORDER:
-        if meta.rho_true is None:
-            raise ScheduleError(
-                "higher-order schedule needs meta.rho_true; estimate it first or "
-                "construct the problem with a known rho"
-            )
+        rho = _require_rho(meta)
         M = max(
             meta.L_H,
             0.25,
@@ -415,7 +416,7 @@ def schedule_scrn(
             40.0 * meta.sigma2,
         )
         T = max(1, math.ceil(144.0 * f0_gap / (M * epsilon**1.5)))
-        n1 = max(1, math.ceil(mu[0] * (meta.rho_true - 1.0) / epsilon))
+        n1 = max(1, math.ceil(mu[0] * (rho - 1.0) / epsilon))
         n2 = max(1, math.ceil(1.0 / epsilon))
         return ScrnConfig(
             M=M, n1=n1, n2=n2, T=T,

@@ -125,8 +125,8 @@ def test_summarize_rejects_malformed_trace(tmp_path, capsys):
     assert "psgd_eps0.2_seed0.csv, line 1" in err and len(err.splitlines()) == 1
 
 
-# a valid spec whose every cell fails: the PSGD schedules need epsilon < 1/e
-NO_CELL_SUCCEEDS = SPEC_TEXT.replace("epsilon_grid = 0.2", "epsilon_grid = 0.5")
+# a valid spec whose every cell fails: at t = 0 the start's Hessian overflows
+NO_CELL_SUCCEEDS = SPEC_TEXT + "x0_offset = 1e300\n"
 
 
 def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
@@ -136,7 +136,7 @@ def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
     assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "cells.txt" in err and len(err.splitlines()) == 1
-    assert "schedule undefined for epsilon=0.5" in (out / "cells.txt").read_text()
+    assert "matrix has non-finite entries" in (out / "cells.txt").read_text()
     assert not (out / "summary.csv").exists()
 
 
@@ -164,7 +164,9 @@ def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     (("seeds = 0, 1", "seeds = 0, 0, 1"), "repeated: 0"),
     # phase retrieval has no growth constant for the strong-growth schedule
     (("family = multiplicative_saddle", "family = phase_retrieval\nm = 20"), "rho_true"),
-], ids=["delta", "mu", "dim", "repeated_seeds", "no_growth_constant"])
+    # the PSGD schedules need epsilon < 1/e
+    (("epsilon_grid = 0.2", "epsilon_grid = 0.5, 0.2"), "schedule undefined for epsilon=0.5"),
+], ids=["delta", "mu", "dim", "repeated_seeds", "no_growth_constant", "epsilon_not_below_1_over_e"])
 def test_bad_spec_leaves_earlier_outputs(tmp_path, capsys, change, key):
     spec = tmp_path / "exp.cfg"
     out = tmp_path / "runs"
@@ -193,6 +195,39 @@ def test_certify_command(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("point 0: certified=0")
     assert lines[1].startswith("point 1: certified=1")
+
+
+def test_certify_rejects_unknown_problem_key(tmp_path, capsys):
+    prob = tmp_path / "prob.cfg"
+    prob.write_text(PROBLEM_TEXT.replace("quartic_coeff", "quartic_coef"))
+    points = tmp_path / "points.csv"
+    points.write_text("0.0,0.0,0.0,0.0\n")
+    assert main(["certify", "--problem", str(prob), "--point", str(points),
+                 "--epsilon", "0.05"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown problem keys: quartic_coef\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, code, message", [
+    ("certify", 2, "numerical failure: matrix has non-finite entries"),
+    ("run", 1, "error: no cell succeeded"),
+], ids=["certify", "run"])
+def test_overflow_is_one_failure_line(tmp_path, capsys, recwarn, command, code, message):
+    # the oracles overflow at a point of norm 1e300: the non-finite checks
+    # report it, and numpy's overflow warnings stay silent
+    prob, points, spec = tmp_path / "prob.cfg", tmp_path / "points.csv", tmp_path / "exp.cfg"
+    prob.write_text(PROBLEM_TEXT)
+    points.write_text("1e300,0.0,0.0,0.0\n")
+    spec.write_text(NO_CELL_SUCCEEDS)
+    argv = {
+        "certify": ["certify", "--problem", str(prob), "--point", str(points), "--epsilon", "0.05"],
+        "run": ["run", "--spec", str(spec), "--out", str(tmp_path / "runs")],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -11,6 +11,7 @@ from saddlescape.errors import ConfigurationError, EvaluationError
 from saddlescape.harness import (
     ExperimentSpec,
     SummaryRow,
+    _schedule,
     emit_plot,
     experiment_from_config,
     fit_complexity_slope,
@@ -24,7 +25,7 @@ from saddlescape.harness import (
     write_summary,
     write_trace,
 )
-from saddlescape.problems import make_multiplicative_saddle
+from saddlescape.problems import make_multiplicative_saddle, problem_from_config
 
 PROBLEM = dict(family="multiplicative_saddle", dim=10, neg_count=1,
                rho=2.0, quartic_coeff=0.008)
@@ -70,6 +71,17 @@ def test_spec_validation():
                        ("mu", (1.0, 2.0))):
         with pytest.raises(ConfigurationError, match=key):
             _spec(**{key: value})
+    # so is the schedule of every epsilon: PSGD's needs epsilon < 1/e, SCRN's only < 1
+    with pytest.raises(ConfigurationError, match=r"psgd-first_order-sgc at epsilon=0\.5 on "
+                       r".*schedule undefined for epsilon=0\.5"):
+        _spec(epsilon_grid=[0.5, 0.2])
+    _spec(algorithm="scrn", mode="higher_order", epsilon_grid=[0.5, 0.2],
+          stop_after_certified=False)
+    # gap = 1/(16 * 0.5) = 0.125 on this saddle, and 0.125 / (0.9 * 0.2) <= 1
+    small_gap = dict(PROBLEM, quartic_coeff=0.5)
+    _spec(problem=small_gap)
+    with pytest.raises(ConfigurationError, match=r"gap/\(delta\*epsilon\) = .* <= 1"):
+        _spec(problem=small_gap, delta=0.9)
 
 
 def test_spec_needs_growth_constant_for_its_schedule():
@@ -313,6 +325,21 @@ def test_formula_slopes_match_theory():
         assert abs(slope - expected) <= 0.1
 
 
+@pytest.mark.parametrize("arm", [
+    dict(),
+    dict(mode="zeroth_order"),
+    dict(algorithm="scrn", mode="higher_order"),
+    dict(algorithm="scrn", mode="zeroth_order", mu=(1.0, 1.0, 0.03, 1.0, 1.0)),
+], ids=["psgd-first_order", "psgd-zeroth_order", "scrn-higher_order", "scrn-zeroth_order"])
+def test_calls_per_step_matches_the_run_loop(arm):
+    # ties formula_total_calls's per-step count to the estimators' accounting
+    spec = _spec(max_steps=1, stop_after_certified=False, **arm)
+    cfg = dataclasses.replace(_schedule(spec, problem_from_config(PROBLEM), 0.2), T=1)
+    trace = run_cell(spec, 0.2, 0)
+    assert trace.echo("T") == "1"
+    assert trace.total_oracle_calls == cfg.calls_per_step * cfg.T
+
+
 # ---------------------------------------------------------------------------
 # plots
 
@@ -408,6 +435,13 @@ def test_tune_constants_prefers_working_candidate():
     # c = 10 makes batches huge and budgets tiny; c = 0.01 is the sane one
     best = tune_constants(spec, [{"c": 10.0}, {"c": 0.01}], tune_seeds=(0,))
     assert best == {"c": 0.01}
+
+
+def test_tune_constants_scores_an_undefined_schedule_as_a_loss():
+    spec = _spec(problem=dict(PROBLEM, quartic_coeff=0.5), max_steps=1200)
+    # delta = 0.9 leaves gap/(delta*epsilon) <= 1, so its spec cannot be built
+    best = tune_constants(spec, [{"delta": 0.9}, {"delta": 0.1}], tune_seeds=(0,))
+    assert best == {"delta": 0.1}
 
 
 def test_master_seed_changes_trajectories(tmp_path):

@@ -267,6 +267,10 @@ def test_problem_from_config_roundtrip(tmp_path):
         problem_from_config({"family": "nope", "dim": 3})
     with pytest.raises(ConfigurationError):
         problem_from_config({"family": "phase_retrieval", "dim": 4})
+    # a misspelt key would otherwise build the problem with that key's default
+    with pytest.raises(ConfigurationError, match="unknown problem keys: quartic_coef, rh0$"):
+        problem_from_config({"family": "multiplicative_saddle", "dim": 4,
+                             "quartic_coef": 5.0, "rh0": 3})
 
 
 @pytest.mark.parametrize("key", ["rho", "quartic_coeff", "r_box", "sigma"])
