@@ -19,8 +19,8 @@ Two families are provided:
   per-sample gradient vanishes at the planted signal (interpolation).
 
 ``make_additive_noise_variant`` wraps any problem with constant-variance
-Gaussian noise on sampled values/gradients, deliberately breaking strong
-growth; it serves as the control arm in benchmark comparisons.
+random-sign (+-sigma) noise on sampled values/gradients, deliberately breaking
+strong growth; it serves as the control arm in benchmark comparisons.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import config as _cfg
 from .errors import CapabilityError, ConfigurationError
-from .seeds import SeedStream, mix64_array, standard_normals, uniform01
+from .seeds import SeedStream, mix64_array, random_signs, uniform01
 
 _TAG_XI = 0x7C1EDB4A93E2F015
 _TAG_INDEX = 0x3D90A1B7C44EE619
@@ -358,11 +358,13 @@ def make_phase_retrieval(
 
 
 def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> StochasticProblem:
-    """Add i.i.d. N(0, sigma^2) noise to sampled values and gradient entries.
+    """Add i.i.d. +-sigma noise with random signs to sampled values and gradient entries.
 
     The sampled-gradient second moment then has a ``sigma^2 d`` floor that
     does not vanish with the true gradient, so strong growth fails; this is
-    the bounded-variance control arm.  ``sigma = 0`` reproduces ``p``
+    the bounded-variance control arm.  Its assumption bounds only the noise's
+    second moment, which Rademacher entries meet exactly: each gradient noise
+    vector has squared norm ``sigma^2 d``.  ``sigma = 0`` reproduces ``p``
     seed-for-seed.
     """
     if sigma < 0:
@@ -374,7 +376,7 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
         vals = p.sample_value_batch(points, seeds)
         if sigma == 0:
             return vals
-        noise = standard_normals(seeds, 1, tag=_TAG_VALUE_NOISE)[:, 0]
+        noise = random_signs(seeds, 1, _TAG_VALUE_NOISE)[:, 0]
         noise *= sigma
         noise += vals
         return noise
@@ -386,7 +388,7 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
             grads = p.sample_grad_batch(points, seeds)
             if sigma == 0:
                 return grads
-            noise = standard_normals(seeds, d, tag=_TAG_GRAD_NOISE)
+            noise = random_signs(seeds, d, _TAG_GRAD_NOISE)
             noise *= sigma
             noise += grads
             return noise
@@ -408,7 +410,11 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
     )
 
 
-_PROBLEM_KEYS = ("family", "dim", "neg_count", "rho", "quartic_coeff", "m", "planted_seed",
+_FAMILY_KEYS = {  # the problem keys that only one family reads
+    "multiplicative_saddle": ("neg_count", "rho", "quartic_coeff"),
+    "phase_retrieval": ("m", "planted_seed"),
+}
+_PROBLEM_KEYS = ("family", "dim", *(k for keys in _FAMILY_KEYS.values() for k in keys),
                  "r_box", "sigma")  # experiment configs forward these to the problem
 
 
@@ -416,10 +422,11 @@ def problem_from_config(source) -> StochasticProblem:
     """Build a problem from a key/value config (path, text mapping, or dict).
 
     Keys: ``family`` (``multiplicative_saddle`` or ``phase_retrieval``),
-    ``dim``, ``neg_count``, ``rho``, ``quartic_coeff``, ``m``,
-    ``planted_seed``, ``r_box``, and optional ``sigma`` (> 0 wraps the family
-    in the additive-noise variant).  Any other key raises
-    ``ConfigurationError``.
+    ``dim``, ``r_box``, optional ``sigma`` (> 0 wraps the family in the
+    additive-noise variant), and the family's own keys: ``neg_count``,
+    ``rho`` and ``quartic_coeff`` for the saddle, ``m`` and ``planted_seed``
+    for phase retrieval.  Any other key, or a key of the other family,
+    raises ``ConfigurationError``.
     """
     if isinstance(source, dict):
         raw = {k: str(v) for k, v in source.items()}
@@ -432,6 +439,13 @@ def problem_from_config(source) -> StochasticProblem:
     family = raw.get("family")
     if family is None:
         raise ConfigurationError("problem config needs a 'family' key")
+    if family not in _FAMILY_KEYS:
+        raise ConfigurationError(f"unknown problem family {family!r}")
+    foreign = sorted(k for f, keys in _FAMILY_KEYS.items() if f != family
+                     for k in keys if k in raw)
+    if foreign:
+        raise ConfigurationError(
+            f"family {family} does not read problem keys: {', '.join(foreign)}")
     r_box = _cfg.as_float(raw["r_box"], "r_box") if "r_box" in raw else 10.0
 
     if family == "multiplicative_saddle":
@@ -445,7 +459,7 @@ def problem_from_config(source) -> StochasticProblem:
             quartic_coeff=_cfg.as_float(raw.get("quartic_coeff", "0.0"), "quartic_coeff"),
             box_radius=r_box,
         )
-    elif family == "phase_retrieval":
+    else:
         for key in ("dim", "m"):
             if key not in raw:
                 raise ConfigurationError(f"phase_retrieval config needs {key!r}")
@@ -455,8 +469,6 @@ def problem_from_config(source) -> StochasticProblem:
             planted_seed=_cfg.as_int(raw.get("planted_seed", "0"), "planted_seed"),
             box_radius=r_box,
         )
-    else:
-        raise ConfigurationError(f"unknown problem family {family!r}")
 
     sigma = _cfg.as_float(raw.get("sigma", "0.0"), "sigma")
     if sigma > 0:

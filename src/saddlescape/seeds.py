@@ -1,7 +1,7 @@
 """Deterministic seed streams and counter-based sampling primitives.
 
 Every stochastic oracle in this package is a pure function of ``(x, seed)``:
-a 64-bit seed is hashed (splitmix64 finalizer) into uniforms or normals, so
+a 64-bit seed is hashed (splitmix64 finalizer) into uniforms, normals or signs, so
 the same seed always yields the same sample, independent of call order or
 process.  ``SeedStream`` organizes seeds hierarchically: a stream is an
 immutable 64-bit state, ``child(*steps)`` derives an independent stream, and
@@ -202,3 +202,22 @@ def standard_normals(seeds: np.ndarray, dim: int, tag: int = TAG_NORMAL) -> np.n
     np.cos(u2, out=u2)
     u1 *= u2
     return u1
+
+
+def random_signs(seeds: np.ndarray, dim: int, tag: int) -> np.ndarray:
+    """(n, dim) entries of exactly +1.0 or -1.0, row i a pure function of seeds[i].
+
+    One hash gives 64 signs: seed s hashes counter words w = 0 .. ceil(dim/64) - 1
+    into mix64((s ^ tag) + c_w), with c_w the cached index hash of w, and entry j
+    is -1.0 where bit j mod 64 of word j // 64 is set.  The words are read as
+    little-endian bytes, so the bit order does not depend on the host.
+    """
+    s = np.array(seeds, dtype=np.uint64).reshape(-1, 1)
+    s ^= np.uint64(tag)
+    h = _mix_inplace(s + _first_hashes(0, -(-dim // 64)))
+    bits = np.unpackbits(h.astype("<u8", copy=False).view(np.uint8), axis=1, count=dim,
+                         bitorder="little")
+    signs = bits.astype(np.float64)
+    signs *= -2.0
+    signs += 1.0
+    return signs

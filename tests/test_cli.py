@@ -163,7 +163,8 @@ def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     (("dim = 6", "dim = abc"), "'dim'"),
     (("seeds = 0, 1", "seeds = 0, 0, 1"), "repeated: 0"),
     # phase retrieval has no growth constant for the strong-growth schedule
-    (("family = multiplicative_saddle", "family = phase_retrieval\nm = 20"), "rho_true"),
+    (("family = multiplicative_saddle\ndim = 6\nneg_count = 1\nrho = 2.0\nquartic_coeff = 0.008",
+      "family = phase_retrieval\ndim = 6\nm = 20"), "rho_true"),
     # the PSGD schedules need epsilon < 1/e
     (("epsilon_grid = 0.2", "epsilon_grid = 0.5, 0.2"), "schedule undefined for epsilon=0.5"),
 ], ids=["delta", "mu", "dim", "repeated_seeds", "no_growth_constant", "epsilon_not_below_1_over_e"])
@@ -199,14 +200,19 @@ def test_certify_command(tmp_path, capsys):
 
 def test_certify_rejects_unknown_problem_key(tmp_path, capsys):
     prob = tmp_path / "prob.cfg"
-    prob.write_text(PROBLEM_TEXT.replace("quartic_coeff", "quartic_coef"))
     points = tmp_path / "points.csv"
     points.write_text("0.0,0.0,0.0,0.0\n")
-    assert main(["certify", "--problem", str(prob), "--point", str(points),
-                 "--epsilon", "0.05"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: unknown problem keys: quartic_coef\n"
-    assert captured.out == ""
+    for text, message in [
+        (PROBLEM_TEXT.replace("quartic_coeff", "quartic_coef"), "unknown problem keys: quartic_coef"),
+        # a phase-retrieval key the saddle would otherwise ignore
+        (PROBLEM_TEXT + "m = 20\n", "family multiplicative_saddle does not read problem keys: m"),
+    ]:
+        prob.write_text(text)
+        assert main(["certify", "--problem", str(prob), "--point", str(points),
+                     "--epsilon", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command, code, message", [

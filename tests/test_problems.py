@@ -227,9 +227,10 @@ def test_noise_floor_breaks_strong_growth():
     x = np.zeros(6)  # exact gradient vanishes here
     seeds = SeedStream(5).seeds(100_000)
     g = p.sample_grad_batch(x, seeds)
+    # +-sigma entries: every sample, and so the mean, sits on the sigma^2 d floor
     second_moment = (g * g).sum(axis=1)
-    se = second_moment.std(ddof=1) / np.sqrt(len(seeds))
-    assert abs(second_moment.mean() - 6 * sigma**2) <= 3 * se
+    assert np.allclose(second_moment, 6 * sigma**2, rtol=1e-12, atol=0)
+    assert np.isclose(second_moment.mean(), 6 * sigma**2, rtol=1e-12, atol=0)
 
 
 def test_additive_noise_is_unbiased():
@@ -271,6 +272,11 @@ def test_problem_from_config_roundtrip(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown problem keys: quartic_coef, rh0$"):
         problem_from_config({"family": "multiplicative_saddle", "dim": 4,
                              "quartic_coef": 5.0, "rh0": 3})
+    # a key of the other family would otherwise be ignored
+    with pytest.raises(ConfigurationError,
+                       match="^family phase_retrieval does not read problem keys: quartic_coeff, rho$"):
+        problem_from_config({"family": "phase_retrieval", "dim": 4, "m": 20, "rho": 3.0,
+                             "quartic_coeff": 5})
 
 
 @pytest.mark.parametrize("key", ["rho", "quartic_coeff", "r_box", "sigma"])

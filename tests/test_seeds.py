@@ -11,6 +11,7 @@ from saddlescape.seeds import (
     fold_label_states,
     mix64,
     mix64_array,
+    random_signs,
     seed_blocks,
     standard_normals,
     uniform01,
@@ -19,6 +20,7 @@ from saddlescape.seeds import (
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+NOISE_TAGS = (0x61C88646F8A2D30B, 0xD6E8FEB86659FD93)  # the additive-noise value and gradient tags
 
 
 # Out-of-place reference of the counter-based streams, written from their
@@ -50,6 +52,15 @@ def _ref_standard_normals(seeds, dim, tag=TAG_NORMAL):
     u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _ref_random_signs(seeds, dim, tag):
+    s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) ^ np.uint64(tag)
+    words = _ref_mix(np.arange((dim + 63) // 64, dtype=np.uint64) ^ np.uint64(TAG_SEQ))
+    h = _ref_mix(s + words)
+    cols = np.arange(dim)
+    bits = (h[:, cols // 64] >> (cols % 64).astype(np.uint64)) & np.uint64(1)
+    return np.where(bits == 1, -1.0, 1.0)
 
 
 def test_splitmix64_reference_vectors():
@@ -99,6 +110,23 @@ def test_standard_normals_moments():
     assert np.array_equal(z[:10], z2)
 
 
+def test_random_signs_moments():
+    seeds = SeedStream(5).seeds(200_000)
+    n = len(seeds)
+    col_sums = np.zeros(65)
+    cross = 0.0
+    for block in np.split(seeds, 4):  # rows depend on their own seed alone
+        z = random_signs(block, 65, NOISE_TAGS[1])
+        col_sums += z.sum(axis=0)
+        cross += z[:, 63] @ z[:, 64]  # the last bit of word 0 against the first of word 1
+    assert np.abs(col_sums / n).max() < 3.5 / np.sqrt(n)
+    assert abs(cross / n) < 4 / np.sqrt(n)
+    # row i depends only on seeds[i]
+    z = random_signs(seeds[:10], 65, NOISE_TAGS[1])
+    assert np.array_equal(random_signs(seeds[:3], 65, NOISE_TAGS[1]), z[:3])
+    assert np.array_equal(random_signs(seeds[9::-1], 65, NOISE_TAGS[1]), z[::-1])
+
+
 def test_rng_reproducible():
     a = SeedStream(11, "theta").rng().standard_normal(5)
     b = SeedStream(11, "theta").rng().standard_normal(5)
@@ -120,6 +148,12 @@ def test_streams_match_out_of_place_reference(n):
         assert np.array_equal(z, _ref_standard_normals(seeds, dim))
         assert np.array_equal(standard_normals(seeds, dim, tag=0xD6E8FEB86659FD93),
                               _ref_standard_normals(seeds, dim, tag=0xD6E8FEB86659FD93))
+    for dim in (1, 10, 63, 64, 65, 130):  # d > 64 takes more than one hash per seed
+        for tag in NOISE_TAGS:
+            z = random_signs(seeds, dim, tag)
+            assert z.shape == (n, dim) and z.dtype == np.float64 and z.flags.c_contiguous
+            assert np.all(np.abs(z) == 1.0)
+            assert np.array_equal(z, _ref_random_signs(seeds, dim, tag))
     states = fold_int_states(stream.state, np.arange(n))
     assert np.array_equal(states, _ref_mix(np.uint64(stream.state) ^ _ref_mix(np.arange(n))))
     assert fold_label_states(states[:3], "xi").tolist() == [
@@ -166,6 +200,7 @@ def test_kernels_leave_their_input_unchanged():
     mix64_array(seeds)
     uniform01(seeds)
     standard_normals(seeds, 10)
+    random_signs(seeds, 70, NOISE_TAGS[0])
     fold_int_states(5, seeds)
     fold_label_states(seeds, "u")
     seed_blocks(seeds, 3)
