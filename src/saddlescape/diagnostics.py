@@ -90,7 +90,7 @@ class RunTrace:
         return None
 
 
-def min_eigenvalue(H: np.ndarray, sym_tol: float = 1e-10):
+def min_eigenvalue(H: np.ndarray):
     """Minimum eigenvalue and unit eigenvector of a symmetric matrix.
 
     Dense decomposition up to ``DENSE_EIG_LIMIT``; Lanczos with a
@@ -104,7 +104,7 @@ def min_eigenvalue(H: np.ndarray, sym_tol: float = 1e-10):
         raise NumericalError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
     # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
-    if float((H - H.T).max()) > sym_tol * scale:
+    if float((H - H.T).max()) > 1e-10 * scale:
         raise ConfigurationError("matrix is not symmetric within tolerance")
     d = H.shape[0]
     if d <= DENSE_EIG_LIMIT:

@@ -13,8 +13,9 @@ is the desk-scale observable.  Cubic-Newton runs additionally report the
 budget consumed through the uniformly drawn iterate of their in-expectation
 guarantee.
 
-Each theorem schedule is stated once, in ``psgd`` or ``scrn``: specs, cells
-and ``formula_total_calls`` (with the epsilon logs held at 1) all build it.
+Each theorem schedule is stated once, in ``psgd`` or ``scrn``, and one
+dispatch on the spec's arm (``_schedule``) builds it for the spec check, the
+cells and ``formula_total_calls`` (with the epsilon logs held at 1).
 
 Constants-tuning protocol: the schedules' absolute constants are tuned once
 on the coarsest accuracy of the grid (``tune_constants``), frozen, and then
@@ -31,7 +32,7 @@ import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -98,6 +99,12 @@ class ExperimentSpec:
             raise ConfigurationError("epsilon_grid must be nonempty")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigurationError("epsilon_grid must be strictly decreasing")
+        # trace files and cells.txt name an epsilon by its :g label
+        labels = [f"{e:g}" for e in eps]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigurationError(f"epsilon_grid values must differ in their :g labels; "
+                                     f"repeated: {', '.join(repeated)}")
         object.__setattr__(self, "epsilon_grid", eps)
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
@@ -148,14 +155,21 @@ class SummaryRow:
     median_calls_at_random_iterate: Optional[int] = None
 
 
-def _schedule(spec: ExperimentSpec, p: StochasticProblem, epsilon: float):
+def _schedule(spec: ExperimentSpec, p: StochasticProblem, epsilon: float,
+              unit_logs: bool = False):
+    """The theorem schedule of the spec's arm at ``epsilon``, from x0 = 0.
+
+    ``unit_logs`` holds PSGD's two epsilon logs at 1 after their checks
+    (``formula_total_calls``); SCRN's schedules have no epsilon log.
+    """
     gap = p.exact_value(np.zeros(p.meta.dim)) - p.meta.f_star
     if spec.algorithm == "scrn":
         return _scrn.schedule_scrn(epsilon, p.meta, gap, mode=spec.mode, mu=spec.mu)
     consts = ScheduleConstants(epsilon=epsilon, delta=spec.delta, a0=spec.a0, a1=spec.a1,
                                c=spec.c, kappa=spec.kappa)
-    schedule = _psgd.schedule_first_order if spec.mode == FIRST_ORDER else _psgd.schedule_zeroth_order
-    return schedule(consts, p.meta, gap, sgc=spec.sgc_arm)
+    logs = _psgd._epsilon_logs(consts, gap)
+    body = _psgd._first_order if spec.mode == FIRST_ORDER else _psgd._zeroth_order
+    return body(consts, p.meta, gap, spec.sgc_arm, *((1.0, 1.0) if unit_logs else logs))
 
 
 def _x0(spec: ExperimentSpec, dim: int, stream: SeedStream) -> np.ndarray:
@@ -459,7 +473,6 @@ def read_summary(path) -> List[SummaryRow]:
 
 def fit_complexity_slope(
     summary: Sequence[SummaryRow],
-    selector: Optional[Callable[[SummaryRow], bool]] = None,
     calls_field: str = "median_calls_to_first_certified",
 ):
     """Least-squares slope of log(median calls) against log(1/epsilon).
@@ -467,10 +480,9 @@ def fit_complexity_slope(
     Returns ``(slope, stderr)``; needs at least three epsilon points with a
     successful median.
     """
-    rows = [r for r in summary if selector is None or selector(r)]
     points = sorted(
         (math.log(1.0 / r.epsilon), math.log(getattr(r, calls_field)))
-        for r in rows
+        for r in summary
         if getattr(r, calls_field)
     )
     if len(points) < 3:
@@ -487,35 +499,16 @@ def fit_complexity_slope(
     return slope, stderr
 
 
-def formula_total_calls(
-    algorithm: str,
-    mode: str,
-    sgc: bool,
-    meta,
-    f0_gap: float,
-    epsilon: float,
-    a0: float = 1.0,
-    a1: float = 1.0,
-    c: float = 1.0,
-    kappa: Sequence[float] = (1.0,) * 10,
-    mu: Sequence[float] = (1.0,) * 5,
-) -> float:
-    """Theorem budget ``T x calls_per_step`` with its epsilon logs held at 1.
+def formula_total_calls(spec: ExperimentSpec, epsilon: float) -> int:
+    """Theorem budget ``T x calls_per_step`` of the spec's arm at ``epsilon``,
+    with its epsilon logs held at 1.
 
     Builds the schedule that runs, with its checks, but with PSGD's
     ``log(1/eps)`` and ``log(gap/(delta eps))`` set to one: the power law
     the theory states up to logs.  SCRN's schedules have no epsilon log and
     dimension logs are kept.  Checks the exponents without running anything.
     """
-    if algorithm == "scrn":
-        cfg = _scrn.schedule_scrn(epsilon, meta, f0_gap, mode=mode, mu=mu)
-    elif algorithm == "psgd" and mode in _PSGD_MODES:
-        consts = ScheduleConstants(epsilon=epsilon, a0=a0, a1=a1, c=c, kappa=tuple(kappa))
-        _psgd._epsilon_logs(consts, f0_gap)  # the schedule's checks; its logs are held at 1
-        body = _psgd._first_order if mode == FIRST_ORDER else _psgd._zeroth_order
-        cfg = body(consts, meta, f0_gap, sgc, 1.0, 1.0)
-    else:
-        raise ConfigurationError(f"no schedule formula for {algorithm}/{mode}")
+    cfg = _schedule(spec, problem_from_config(dict(spec.problem)), epsilon, unit_logs=True)
     return cfg.T * cfg.calls_per_step
 
 
@@ -525,15 +518,12 @@ def formula_total_calls(
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def emit_plot(
-    summary: Sequence[SummaryRow],
-    path,
-    calls_field: str = "median_calls_to_first_certified",
-) -> None:
-    """Self-contained log-log SVG: one polyline per arm, byte-deterministic."""
+def emit_plot(summary: Sequence[SummaryRow], path) -> None:
+    """Self-contained log-log SVG of the median calls to the first certified
+    iterate: one polyline per arm, byte-deterministic."""
     arms: dict[tuple, list[tuple[float, float]]] = {}
     for r in summary:
-        calls = getattr(r, calls_field)
+        calls = r.median_calls_to_first_certified
         if not calls:
             continue
         key = (r.algorithm, r.mode, r.sgc_arm)
@@ -592,7 +582,6 @@ def tune_constants(
     spec: ExperimentSpec,
     candidates: Sequence[dict],
     tune_seeds: Sequence[int] = (0, 1, 2),
-    master_seed: int = 0,
 ) -> dict:
     """Tune-once protocol: evaluate candidate constant overrides on the
     coarsest epsilon of the grid and return the best override dict.
@@ -610,8 +599,7 @@ def tune_constants(
         for seed in tune_seeds:
             try:
                 # a candidate whose schedule is undefined fails when its spec is built
-                trace = run_cell(dataclasses.replace(spec, **cand), eps, seed,
-                                 master_seed=master_seed)
+                trace = run_cell(dataclasses.replace(spec, **cand), eps, seed)
             except (NumericalError, ConfigurationError):
                 hits.append(None)
                 continue

@@ -47,16 +47,16 @@ MAX_FINITE_SUM = 10_000  # finite-sum families expose exact_* by full enumeratio
 class ProblemMetadata:
     """Dimension, Lipschitz constants, and noise scales of a problem.
 
-    ``L``, ``L_G``, ``L_H`` are box-restricted constants of the *expected*
-    function ``f`` (valid upper bounds over ``||x|| <= box_radius``); the
-    local-minimizer certificate divides by ``L_H``, so ``L_H > 0`` is
-    required.  ``rho_true`` is the exact strong-growth constant when
-    analytically known, ``sigma2`` the Hessian-noise scale, ``noise_sigma``
-    the additive gradient-noise scale (zero unless wrapped).
+    ``L_G`` (gradient-Lipschitz) and ``L_H`` (Hessian-Lipschitz) are
+    box-restricted constants of the *expected* function ``f`` (valid upper
+    bounds over ``||x|| <= box_radius``); the local-minimizer certificate
+    divides by ``L_H``, so ``L_H > 0`` is required.  ``rho_true`` is the
+    exact strong-growth constant when analytically known, ``sigma2`` the
+    Hessian-noise scale, ``noise_sigma`` the additive gradient-noise scale
+    (zero unless wrapped).
     """
 
     dim: int
-    L: float
     L_G: float
     L_H: float
     f_star: float
@@ -68,8 +68,8 @@ class ProblemMetadata:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
-        if self.L < 0 or self.L_G <= 0 or self.L_H <= 0:
-            raise ConfigurationError("need L >= 0, L_G > 0, L_H > 0")
+        if self.L_G <= 0 or self.L_H <= 0:
+            raise ConfigurationError("need L_G > 0, L_H > 0")
         if self.rho_true is not None and self.rho_true < 1:
             raise ConfigurationError(f"rho_true must be >= 1, got {self.rho_true}")
         if self.sigma2 < 0 or self.noise_sigma < 0:
@@ -122,12 +122,12 @@ def _one_seed(seed) -> np.ndarray:
     return np.asarray([int(seed)], dtype=np.uint64)
 
 
-def as_point(x, dim: Optional[int] = None) -> np.ndarray:
-    """Validate and convert an input point: finite float vector."""
+def as_point(x, dim: int) -> np.ndarray:
+    """Validate and convert an input point: finite float vector of length ``dim``."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ConfigurationError(f"point must be a 1-d vector, got shape {arr.shape}")
-    if dim is not None and arr.size != dim:
+    if arr.size != dim:
         raise ConfigurationError(f"point has dimension {arr.size}, problem expects {dim}")
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError("point has non-finite entries")
@@ -176,7 +176,7 @@ def make_multiplicative_saddle(
     growth constant equals ``rho`` exactly and ``meta.rho_true`` is exact.
 
     The quartic term bounds ``f`` below; since a quartic has no global
-    Hessian-Lipschitz constant, ``L_H`` (and ``L``, ``L_G``) are computed
+    Hessian-Lipschitz constant, ``L_H`` (and ``L_G``) are computed
     over the declared ``||x|| <= box_radius`` and optimizers clamp iterates
     to that ball.
     """
@@ -244,7 +244,6 @@ def make_multiplicative_saddle(
 
     meta = ProblemMetadata(
         dim=d,
-        L=R + 4.0 * q * R**3,
         L_G=1.0 + 12.0 * q * R * R,
         L_H=lip_hess,
         f_star=f_star,
@@ -337,7 +336,6 @@ def make_phase_retrieval(
     hess_bound = (3.0 * norms2 * R * R + b) * norms2  # sup-norm of each sample Hessian
     meta = ProblemMetadata(
         dim=d,
-        L=float(np.mean((norms2 * R * R + b) * np.sqrt(norms2) * R)),
         L_G=float(np.mean(hess_bound)),
         L_H=float(6.0 * R * np.mean(norms2 * norms2)),
         f_star=0.0,
@@ -422,8 +420,8 @@ def problem_from_config(source) -> StochasticProblem:
     """Build a problem from a key/value config (path, text mapping, or dict).
 
     Keys: ``family`` (``multiplicative_saddle`` or ``phase_retrieval``),
-    ``dim``, ``r_box``, optional ``sigma`` (> 0 wraps the family in the
-    additive-noise variant), and the family's own keys: ``neg_count``,
+    ``dim``, ``r_box``, optional ``sigma`` (>= 0; > 0 wraps the family in
+    the additive-noise variant), and the family's own keys: ``neg_count``,
     ``rho`` and ``quartic_coeff`` for the saddle, ``m`` and ``planted_seed``
     for phase retrieval.  Any other key, or a key of the other family,
     raises ``ConfigurationError``.
@@ -471,6 +469,6 @@ def problem_from_config(source) -> StochasticProblem:
         )
 
     sigma = _cfg.as_float(raw.get("sigma", "0.0"), "sigma")
-    if sigma > 0:
+    if sigma != 0:  # the variant rejects sigma < 0
         p = make_additive_noise_variant(p, sigma)
     return p

@@ -22,8 +22,9 @@ completed with an explicit minimum-eigenvector component of the norm that
 lands ``||h*||`` exactly on ``s_min``.
 
 The root is found by Newton on the secular equation, safeguarded by Brent
-(``_secular_root``).  The safeguard is the only user of ``scipy.optimize``,
-so the module imports it only when the safeguard runs (``brentq``).
+to a relative tolerance of 4 machine epsilons (``_secular_root``).  The
+safeguard is the only user of ``scipy.optimize``, so the module imports it
+only when the safeguard runs (``brentq``).
 
 Solving exactly (rather than with an iterative subsolver) is the right
 trade at desk scale: the eigendecomposition is cheap for the dimensions we
@@ -134,7 +135,7 @@ def brentq(f, a, b, **kwargs):
     return scipy_brentq(f, a, b, **kwargs)
 
 
-def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: float) -> float:
+def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> float:
     """Root ``t >= 0`` of the secular equation ``psi(t) = 2 (lam0 + t) / M``.
 
     The multiplier is ``lam0 + t`` and ``a = w + lam0 >= 0`` ascending, with
@@ -148,9 +149,9 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: floa
     ||b|| / (a_min + t)``, the root of ``(a_max + t)(lam0 + t) = M ||b|| / 2``
     is a valid start, and twice the root with ``a_min`` lies above the root.
     A loop that reaches ``_NEWTON_MAX_ITER`` finishes with Brent's method on
-    that bracket, to a relative error of ``tol * 1e-6`` in ``t`` (at least
-    machine precision): near a pole the root is ``t`` itself, so only a
-    relative tolerance keeps the step's stationarity.
+    that bracket, to a relative error of 4 machine epsilons in ``t``: near a
+    pole the root is ``t`` itself, so only a relative tolerance keeps the
+    step's stationarity.
     """
     c = 0.5 * M * math.sqrt(b @ b)
     if c == 0.0:
@@ -184,19 +185,19 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float, tol: floa
             t,
             2.0 * _product_root(float(a[0]), lam0, c),
             xtol=np.finfo(float).tiny,
-            rtol=max(tol * 1e-6, 4 * np.finfo(float).eps),
+            rtol=4 * np.finfo(float).eps,
             maxiter=200,
         )
     )
 
 
-def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
+def solve_cubic(model: CubicModel) -> CubicSolution:
     """Global minimizer of the cubic model.
 
     Eigendecomposition plus Newton on the secular equation ``psi(s) = s``,
     safeguarded by Brent: the Newton iterates climb monotonically to the
     root, and a loop that reaches its iteration cap finishes with a Brent
-    root find on the bracket, to a relative tolerance of ``tol * 1e-6``.
+    root find on the bracket, to a relative tolerance of 4 machine epsilons.
     The hard case is detected from the gradient's component on the minimum
     eigenspace and resolved by adding a null-direction component of the
     prescribed norm, with a deterministic sign convention.
@@ -204,8 +205,6 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
     Raises ``NumericalError`` for non-finite model entries or if the
     optimality conditions fail to hold at the computed step.
     """
-    if not 0.0 < tol <= 1e-4:
-        raise ConfigurationError(f"tol must be in (0, 1e-4], got {tol}")
     g, H, M = model.g, model.H, model.M
     if not (np.isfinite(g).all() and np.isfinite(H).all()):
         raise NumericalError("cubic model has non-finite entries")
@@ -254,7 +253,7 @@ def solve_cubic(model: CubicModel, tol: float = 1e-10) -> CubicSolution:
         alpha = math.sqrt(max(s_min * s_min - interior * interior, 0.0))
         h = -Q @ coeff + alpha * _canonical_sign(Q[:, 0])
     else:
-        den = a + _secular_root(a, b_keep, M, lam0, tol)
+        den = a + _secular_root(a, b_keep, M, lam0)
         coeff = np.zeros_like(b)
         coeff[keep] = b_keep / np.where(den > 0.0, den, np.inf)
         h = -Q @ coeff

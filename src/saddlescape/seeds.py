@@ -179,7 +179,7 @@ def _column_hashes(dim: int) -> np.ndarray:
     return h[:, None, :]
 
 
-def standard_normals(seeds: np.ndarray, dim: int, tag: int = TAG_NORMAL) -> np.ndarray:
+def standard_normals(seeds: np.ndarray, dim: int) -> np.ndarray:
     """(n, dim) standard normals, row i a pure function of seeds[i].
 
     Box-Muller on hashed uniforms; two hashes per normal.  Both uniforms of
@@ -188,7 +188,7 @@ def standard_normals(seeds: np.ndarray, dim: int, tag: int = TAG_NORMAL) -> np.n
     with h the top 53 bits of the hash.
     """
     s = np.array(seeds, dtype=np.uint64).reshape(1, -1, 1)
-    s ^= np.uint64(tag)
+    s ^= np.uint64(TAG_NORMAL)
     h = _mix_inplace(s + _column_hashes(dim))
     h >>= _SHIFT11
     u = h.astype(np.float64)

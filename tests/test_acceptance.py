@@ -26,6 +26,7 @@ from saddlescape.estimators import (
 )
 from saddlescape.harness import (
     ExperimentSpec,
+    SummaryRow,
     fit_complexity_slope,
     formula_total_calls,
     read_trace,
@@ -216,7 +217,7 @@ def test_criterion_5_sgc_beats_bounded_variance(sweep):
     assert ok, line
 
 
-def test_criterion_6_complexity_slopes(sweep, bench_problem):
+def test_criterion_6_complexity_slopes(sweep):
     """Measured and schedule-formula complexity exponents in their bands."""
     psgd_slope, _ = fit_complexity_slope(sweep["rows"]["sgc"])
     # the cubic method's in-expectation guarantee is about the uniformly
@@ -224,21 +225,16 @@ def test_criterion_6_complexity_slopes(sweep, bench_problem):
     scrn_slope, _ = fit_complexity_slope(
         sweep["rows"]["scrn"], calls_field="median_calls_at_random_iterate"
     )
-    meta = bench_problem.meta
-    nosgc_meta = dataclasses.replace(meta, rho_true=None, noise_sigma=0.5)
-    gap = 7.8125
+    specs = sweep["specs"]
     formula_slopes = {}
-    for name, (algo, mode, sgc, m) in {
-        "psgd_fo": ("psgd", "first_order", True, meta),
-        "psgd_zo": ("psgd", "zeroth_order", True, meta),
-        "scrn_ho": ("scrn", "higher_order", True, meta),
+    for name, spec in {
+        "psgd_fo": specs["sgc"],
+        "psgd_zo": dataclasses.replace(specs["sgc"], mode="zeroth_order"),
+        "scrn_ho": specs["scrn"],
     }.items():
-        from saddlescape.harness import SummaryRow
-
         rows = [
-            SummaryRow(eps, algo, mode, sgc,
-                       formula_total_calls(algo, mode, sgc, m, gap, eps, c=TUNED_C),
-                       1.0, 1.0)
+            SummaryRow(eps, spec.algorithm, spec.mode, spec.sgc_arm,
+                       formula_total_calls(spec, eps), 1.0, 1.0)
             for eps in EPS_GRID
         ]
         formula_slopes[name], _ = fit_complexity_slope(rows)

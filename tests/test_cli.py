@@ -162,12 +162,16 @@ def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     (("", "mu = 1, 2\n"), "mu"),
     (("dim = 6", "dim = abc"), "'dim'"),
     (("seeds = 0, 1", "seeds = 0, 0, 1"), "repeated: 0"),
+    # epsilons of one :g label would share trace files
+    (("epsilon_grid = 0.2", "epsilon_grid = 0.2000001, 0.2"), "repeated: 0.2"),
+    (("", "sigma = -0.5\n"), "sigma must be >= 0"),
     # phase retrieval has no growth constant for the strong-growth schedule
     (("family = multiplicative_saddle\ndim = 6\nneg_count = 1\nrho = 2.0\nquartic_coeff = 0.008",
       "family = phase_retrieval\ndim = 6\nm = 20"), "rho_true"),
     # the PSGD schedules need epsilon < 1/e
     (("epsilon_grid = 0.2", "epsilon_grid = 0.5, 0.2"), "schedule undefined for epsilon=0.5"),
-], ids=["delta", "mu", "dim", "repeated_seeds", "no_growth_constant", "epsilon_not_below_1_over_e"])
+], ids=["delta", "mu", "dim", "repeated_seeds", "repeated_epsilon_labels", "negative_sigma",
+        "no_growth_constant", "epsilon_not_below_1_over_e"])
 def test_bad_spec_leaves_earlier_outputs(tmp_path, capsys, change, key):
     spec = tmp_path / "exp.cfg"
     out = tmp_path / "runs"
@@ -206,6 +210,7 @@ def test_certify_rejects_unknown_problem_key(tmp_path, capsys):
         (PROBLEM_TEXT.replace("quartic_coeff", "quartic_coef"), "unknown problem keys: quartic_coef"),
         # a phase-retrieval key the saddle would otherwise ignore
         (PROBLEM_TEXT + "m = 20\n", "family multiplicative_saddle does not read problem keys: m"),
+        (PROBLEM_TEXT + "sigma = -0.5\n", "sigma must be >= 0, got -0.5"),
     ]:
         prob.write_text(text)
         assert main(["certify", "--problem", str(prob), "--point", str(points),

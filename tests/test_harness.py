@@ -25,7 +25,7 @@ from saddlescape.harness import (
     write_summary,
     write_trace,
 )
-from saddlescape.problems import make_multiplicative_saddle, problem_from_config
+from saddlescape.problems import problem_from_config
 
 PROBLEM = dict(family="multiplicative_saddle", dim=10, neg_count=1,
                rho=2.0, quartic_coeff=0.008)
@@ -64,6 +64,9 @@ def test_spec_validation():
     # two cells of one seed would write one trace file
     with pytest.raises(ConfigurationError, match="repeated: 0, 2"):
         _spec(seeds=[0, 2, 0, 1, 2])
+    # and so would two epsilons of one :g label
+    with pytest.raises(ConfigurationError, match="epsilon_grid .*repeated: 0.2$"):
+        _spec(epsilon_grid=[0.2000001, 0.2, 0.1])
     # problem keys and schedule constants are checked when the spec is built
     with pytest.raises(ConfigurationError, match="'dim'"):
         _spec(problem=dict(PROBLEM, dim="abc"))
@@ -304,23 +307,24 @@ def test_fit_complexity_slope_requires_three_points():
 
 
 def test_formula_slopes_match_theory():
-    p = make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
-    meta = p.meta
-    nosgc_meta = dataclasses.replace(meta, rho_true=None, noise_sigma=0.5)
-    gap = 7.8125
+    # each arm's exact budgets at epsilon = 0.2, 0.1, 0.05, which show any
+    # change to a schedule that the 0.1 slope band would hide, and the
+    # exponent the theory states
+    scrn = dict(algorithm="scrn", stop_after_certified=False)
     cases = [
-        ("psgd", "first_order", True, meta, 2.0),
-        ("psgd", "zeroth_order", True, meta, 4.5),
-        ("psgd", "zeroth_order", False, nosgc_meta, 5.5),
-        ("scrn", "higher_order", True, meta, 2.5),
-        ("scrn", "zeroth_order", True, meta, 2.5),
+        (dict(), 2.0, [12426, 49692, 198750]),
+        (dict(mode="zeroth_order"), 4.5, [7323056, 165640000, 3747696250]),
+        (dict(problem=dict(PROBLEM, sigma=0.5), mode="zeroth_order", sgc_arm=False), 5.5,
+         [18307640, 828200000, 37476697500]),
+        (dict(scrn, mode="higher_order"), 2.5, [1000, 5640, 31840]),
+        (dict(scrn, mode="zeroth_order"), 2.5, [4217322912, 23770365504, 133995848607]),
     ]
-    for algo, mode, sgc, m, expected in cases:
-        rows = [
-            SummaryRow(eps, algo, mode, sgc,
-                       formula_total_calls(algo, mode, sgc, m, gap, eps, c=0.01), 1.0, 1.0)
-            for eps in (0.2, 0.1, 0.05)
-        ]
+    for arm, expected, pinned in cases:
+        spec = _spec(**arm)
+        calls = [formula_total_calls(spec, eps) for eps in (0.2, 0.1, 0.05)]
+        assert calls == pinned
+        rows = [SummaryRow(eps, spec.algorithm, spec.mode, spec.sgc_arm, n, 1.0, 1.0)
+                for eps, n in zip((0.2, 0.1, 0.05), calls)]
         slope, _ = fit_complexity_slope(rows)
         assert abs(slope - expected) <= 0.1
 

@@ -263,6 +263,10 @@ def test_problem_from_config_roundtrip(tmp_path):
     assert p.meta.dim == 10 and p.meta.rho_true == 2.0
     p2 = problem_from_config({"family": "phase_retrieval", "dim": 4, "m": 16, "sigma": 0.3})
     assert p2.meta.noise_sigma == 0.3
+    # a negative sigma would otherwise build the noiseless problem
+    with pytest.raises(ConfigurationError, match="^sigma must be >= 0, got -0.5$"):
+        problem_from_config({"family": "multiplicative_saddle", "dim": 4, "rho": 2.0,
+                             "sigma": -0.5})
 
     with pytest.raises(ConfigurationError):
         problem_from_config({"family": "nope", "dim": 3})

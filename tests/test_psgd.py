@@ -241,7 +241,7 @@ def test_stop_mid_chunk_matches_stepwise_steps(sgc_saddle_10d):
 # schedules
 
 def _meta(rho=2.0, L_G=0.2, sigma=0.0):
-    return ProblemMetadata(dim=10, L=1.0, L_G=L_G, L_H=1.0, f_star=0.0,
+    return ProblemMetadata(dim=10, L_G=L_G, L_H=1.0, f_star=0.0,
                            box_radius=10.0, rho_true=rho, noise_sigma=sigma)
 
 
@@ -266,7 +266,7 @@ def test_first_order_schedule_frozen_example():
 
 
 def test_first_order_step_size_capped_by_smoothness():
-    meta = ProblemMetadata(dim=4, L=1.0, L_G=100.0, L_H=1.0, f_star=0.0, rho_true=1.0)
+    meta = ProblemMetadata(dim=4, L_G=100.0, L_H=1.0, f_star=0.0, rho_true=1.0)
     cfg = schedule_first_order(ScheduleConstants(epsilon=0.1), meta, 1.0)
     assert cfg.eta == pytest.approx(1.0 / 100.0)
 
@@ -295,7 +295,7 @@ def test_schedule_rejects_large_epsilon():
 
 
 def test_schedule_requires_growth_constant():
-    meta = ProblemMetadata(dim=4, L=1.0, L_G=1.0, L_H=1.0, f_star=0.0, rho_true=None)
+    meta = ProblemMetadata(dim=4, L_G=1.0, L_H=1.0, f_star=0.0, rho_true=None)
     with pytest.raises(ScheduleError):
         schedule_first_order(ScheduleConstants(epsilon=0.1), meta, 1.0)
 
@@ -313,7 +313,7 @@ def test_no_sgc_first_order_batch_grows_like_inverse_eps_squared():
 
 def test_zeroth_order_schedule_smoothing_radius():
     # eps=0.1, d=2, all kappa = 1, rho = 2: nu = 0.1 / (2 log 10)
-    meta = ProblemMetadata(dim=2, L=1.0, L_G=0.2, L_H=1.0, f_star=0.0, rho_true=2.0)
+    meta = ProblemMetadata(dim=2, L_G=0.2, L_H=1.0, f_star=0.0, rho_true=2.0)
     cfg = schedule_zeroth_order(ScheduleConstants(epsilon=0.1), meta, 1.0)
     assert cfg.nu == pytest.approx(0.1 / (2 * math.log(10.0)))
     assert cfg.mode == ZEROTH_ORDER

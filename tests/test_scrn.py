@@ -286,7 +286,7 @@ def test_random_iterate_statistic_recorded(sgc_saddle_10d):
 # schedules
 
 def _meta(rho=2.0, sigma2=3.0, L_H=2.0, L_G=10.0):
-    return ProblemMetadata(dim=10, L=1.0, L_G=L_G, L_H=L_H, f_star=0.0,
+    return ProblemMetadata(dim=10, L_G=L_G, L_H=L_H, f_star=0.0,
                            box_radius=10.0, rho_true=rho, sigma2=sigma2)
 
 

@@ -44,8 +44,8 @@ def _ref_uniform01(seeds, tag=TAG_U01):
     return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
-def _ref_standard_normals(seeds, dim, tag=TAG_NORMAL):
-    s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) ^ np.uint64(tag)
+def _ref_standard_normals(seeds, dim):
+    s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) ^ np.uint64(TAG_NORMAL)
     cols = np.arange(dim, dtype=np.uint64).reshape(1, -1)
     h1 = _ref_mix(s + _ref_mix(np.uint64(2) * cols))
     h2 = _ref_mix(s + _ref_mix(np.uint64(2) * cols + np.uint64(1)))
@@ -146,8 +146,6 @@ def test_streams_match_out_of_place_reference(n):
         z = standard_normals(seeds, dim)
         assert z.shape == (n, dim) and z.dtype == np.float64 and z.flags.c_contiguous
         assert np.array_equal(z, _ref_standard_normals(seeds, dim))
-        assert np.array_equal(standard_normals(seeds, dim, tag=0xD6E8FEB86659FD93),
-                              _ref_standard_normals(seeds, dim, tag=0xD6E8FEB86659FD93))
     for dim in (1, 10, 63, 64, 65, 130):  # d > 64 takes more than one hash per seed
         for tag in NOISE_TAGS:
             z = random_signs(seeds, dim, tag)
