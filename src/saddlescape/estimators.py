@@ -51,19 +51,29 @@ class HessEstimate:
 
 
 def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream) -> GradEstimate:
-    """Average of n1 sampled gradients; costs n1 oracle calls."""
+    """Average of n1 sampled gradients; costs n1 oracle calls.
+
+    With a (k, d) ``x`` and a block of k streams, row i of ``g`` is the
+    estimate of run i at x[i], from one oracle call for all k runs.
+    """
     if not p.has_grad_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no gradient oracle")
     if n1 < 1:
         raise ConfigurationError(f"n1 must be >= 1, got {n1}")
     seeds = stream.child("xi").seeds(n1)
-    grads = p.sample_grad_batch(np.asarray(x, dtype=np.float64), seeds)
+    grads = p.sample_grad_batch(np.asarray(x, dtype=np.float64), seeds.reshape(-1))
     # sum / n is what mean computes, without its dispatch cost
-    return GradEstimate(g=grads.sum(axis=0) / n1, oracle_calls=n1)
+    return GradEstimate(g=grads.reshape(seeds.shape + (-1,)).sum(axis=-2) / n1, oracle_calls=n1)
 
 
 def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream: SeedStream) -> GradEstimate:
-    """Gaussian-smoothing forward-difference gradient; 2 calls per direction."""
+    """Gaussian-smoothing forward-difference gradient; 2 calls per direction.
+
+    A (k, d) ``x`` with a block of k streams gives the k runs' estimates as
+    the rows of ``g``, each run's from its own call (see ``_run_by_run``).
+    """
+    if stream.is_block:
+        return GradEstimate(_run_by_run(zo_gradient, p, x, nu, n1, stream, "g"), 2 * n1)
     g = np.zeros(p.meta.dim)
     blocks = _direction_blocks(p, x, nu, n1, stream.child("xi"), stream.child("u").rng(),
                                central=False)
@@ -73,22 +83,29 @@ def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream:
 
 
 def so_hessian(p: StochasticProblem, x: np.ndarray, n2: int, stream: SeedStream) -> HessEstimate:
-    """Average of n2 sampled Hessians, symmetrized; costs n2 calls."""
+    """Average of n2 sampled Hessians, symmetrized; costs n2 calls.
+
+    Takes a (k, d) ``x`` with a block of k streams as ``fo_gradient`` does.
+    """
     if not p.has_hess_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no Hessian oracle")
     if n2 < 1:
         raise ConfigurationError(f"n2 must be >= 1, got {n2}")
     seeds = stream.child("xih").seeds(n2)
-    h = p.sample_hess_batch(np.asarray(x, dtype=np.float64), seeds).sum(axis=0) / n2
-    return HessEstimate(H=0.5 * (h + h.T), oracle_calls=n2)
+    hess = p.sample_hess_batch(np.asarray(x, dtype=np.float64), seeds.reshape(-1))
+    h = hess.reshape(seeds.shape + hess.shape[1:]).sum(axis=-3) / n2
+    return HessEstimate(H=0.5 * (h + np.swapaxes(h, -1, -2)), oracle_calls=n2)
 
 
 def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: SeedStream) -> HessEstimate:
     """Central-second-difference Hessian estimate; 3 calls per direction.
 
     The averaged ``h_i (u_i u_i' - I)`` is symmetric in exact arithmetic; we
-    symmetrize explicitly because floating-point accumulation is not.
+    symmetrize explicitly because floating-point accumulation is not.  A
+    (k, d) ``x`` with a block of k streams is run as in ``zo_gradient``.
     """
+    if stream.is_block:
+        return HessEstimate(_run_by_run(zo_hessian, p, x, nu, n2, stream, "H"), 3 * n2)
     d = p.meta.dim
     outer = np.zeros((d, d))
     curv_sum = 0.0
@@ -102,6 +119,18 @@ def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: 
         curv_sum += curv.sum()
     h = outer / n2 - (curv_sum / n2) * np.eye(d)
     return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * n2)
+
+
+def _run_by_run(estimator, p, x, nu, n, stream, field) -> np.ndarray:
+    """The stacked ``field`` of a zeroth-order estimator run on each of k runs.
+
+    Each run draws its directions from its own generator and queries its
+    own blocks: the saddle's values of an (m, d) batch come from one BLAS
+    matrix-vector product, whose rounding depends on a row's position in
+    the batch, so stacking the runs' blocks would change their estimates.
+    """
+    return np.stack([getattr(estimator(p, row, nu, n, node), field)
+                     for row, node in zip(x, stream.nodes())])
 
 
 def _block_rows(d: int) -> int:

@@ -181,33 +181,50 @@ def _x0(spec: ExperimentSpec, dim: int, stream: SeedStream) -> np.ndarray:
 
 
 def run_cell(spec: ExperimentSpec, epsilon: float, seed: int, master_seed: int = 0) -> RunTrace:
-    """Run one (epsilon, seed) cell of an experiment."""
+    """Run one (epsilon, seed) cell of an experiment: the group of that seed alone."""
+    (outcome,) = _run_group(spec, epsilon, [seed], master_seed)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
+
+
+def _run_group(spec: ExperimentSpec, epsilon: float, seeds: Sequence[int],
+               master_seed: int = 0) -> list:
+    """Run the cells (epsilon, seed) of ``seeds`` in lockstep.
+
+    Returns one outcome per seed: its RunTrace, or the NumericalError that
+    ended it (``psgd.run_steps``).  Each outcome is the one the cell gives
+    on its own.
+    """
     p = problem_from_config(dict(spec.problem))
     cfg = _schedule(spec, p, epsilon)
     theorem_T = cfg.T
     run_T = min(theorem_T, spec.max_steps)
     cfg = dataclasses.replace(cfg, T=max(run_T, 1))
-    run_seed = int(SeedStream(master_seed, "cell", seed).state)
-    x0 = _x0(spec, p.meta.dim, SeedStream(run_seed))
+    run_seeds = [int(SeedStream(master_seed, "cell", seed).state) for seed in seeds]
+    x0 = [_x0(spec, p.meta.dim, SeedStream(run_seed)) for run_seed in run_seeds]
     if spec.algorithm == "scrn":
-        trace = _scrn.run_scrn(p, x0, cfg, certify_every=spec.certify_every, seed=run_seed)
+        outcomes = _scrn.run_scrn(p, x0, cfg, certify_every=spec.certify_every, seed=run_seeds)
     elif spec.stop_after_certified:
-        trace = _run_psgd_stopping(p, x0, cfg, spec.certify_every, run_seed)
+        outcomes = _run_psgd_stopping(p, x0, cfg, spec.certify_every, run_seeds)
     else:
-        trace = _psgd.run_psgd(p, x0, cfg, certify_every=spec.certify_every, seed=run_seed)
-    trace.config_echo += (
-        f"\ntheorem_T = {theorem_T}\nsgc_arm = {spec.sgc_arm}"
-        f"\nuser_seed = {seed}\nmaster_seed = {master_seed}"
-        f"\nburn_in = {float(spec.burn_in)!r}"
-    )
-    return trace
+        outcomes = _psgd.run_psgd(p, x0, cfg, certify_every=spec.certify_every, seed=run_seeds)
+    for seed, trace in zip(seeds, outcomes):
+        if isinstance(trace, RunTrace):
+            trace.config_echo += (
+                f"\ntheorem_T = {theorem_T}\nsgc_arm = {spec.sgc_arm}"
+                f"\nuser_seed = {seed}\nmaster_seed = {master_seed}"
+                f"\nburn_in = {float(spec.burn_in)!r}"
+            )
+    return outcomes
 
 
-# run_cell could call run_psgd directly; this wrapper remains because the
+# _run_group could call run_psgd directly; this wrapper remains because the
 # benchmark's tracer times the stopping run loop under its name
-def _run_psgd_stopping(p, x0, cfg: PsgdConfig, certify_every: int, seed: int) -> RunTrace:
-    """run_psgd ending at the first certified checkpoint (complexity sweeps)."""
-    return _psgd.run_psgd(p, x0, cfg, certify_every=certify_every, seed=seed,
+def _run_psgd_stopping(p, x0, cfg: PsgdConfig, certify_every: int, seeds) -> list:
+    """run_psgd on a group of seeds, each run ending at its first certified
+    checkpoint (complexity sweeps)."""
+    return _psgd.run_psgd(p, x0, cfg, certify_every=certify_every, seed=seeds,
                           stop_after_certified=True)
 
 
@@ -267,28 +284,27 @@ def run_experiment(
 ) -> List[SummaryRow]:
     """Execute all (epsilon, seed) cells; write traces, summary, and plot.
 
-    Cells run one after another in this process.  ``workers`` must be 1:
-    the keyword remains for the benchmark worker, which passes it.
-    Cell failures are recorded in cells.txt and excluded from the summary;
-    only I/O failures abort the whole experiment, and EvaluationError is
-    raised when no cell succeeds.  Returns the summary rows sorted by (arm,
-    epsilon descending).
+    The seeds of each epsilon run as one group, in lockstep
+    (``psgd.run_steps``), and the groups one after another in this process;
+    every trace is the one its cell gives on its own (``run_cell``).
+    ``workers`` must be 1: the keyword remains for the benchmark worker,
+    which passes it.  Cell failures are recorded in cells.txt and excluded
+    from the summary; only I/O failures abort the whole experiment, and
+    EvaluationError is raised when no cell succeeds.  Returns the summary
+    rows sorted by (arm, epsilon descending).
     """
     if workers != 1:
         raise ConfigurationError(f"workers must be 1, got {workers}")
     out = Path(os.environ.get(OUT_DIR_ENV) or out_dir or spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = [(eps, seed) for eps in spec.epsilon_grid for seed in spec.seeds]
-
-    def run_one(cell):
-        eps, seed = cell
+    results = []
+    for eps in spec.epsilon_grid:
         try:
-            return cell, run_cell(spec, eps, seed, master_seed=master_seed), None
+            outcomes = _run_group(spec, eps, spec.seeds, master_seed=master_seed)
         except (NumericalError, ConfigurationError) as err:
-            return cell, None, err
-
-    results = [run_one(cell) for cell in cells]
+            outcomes = [err] * len(spec.seeds)
+        results += [((eps, seed), outcome) for seed, outcome in zip(spec.seeds, outcomes)]
 
     # an earlier run's traces would join the summary, and its summary and
     # plot would outlive a run in which no cell succeeds
@@ -296,11 +312,12 @@ def run_experiment(
         stale.unlink(missing_ok=True)
     traces = []
     with open(out / "cells.txt", "w", encoding="utf-8") as fh:
-        for (eps, seed), trace, err in results:
-            fh.write(f"eps={eps:g} seed={seed} {'ok' if err is None else f'failed: {err}'}\n")
-            if err is None:
-                write_trace(trace, out / _trace_filename(spec, eps, seed))
-                traces.append(trace)
+        for (eps, seed), outcome in results:
+            ok = isinstance(outcome, RunTrace)
+            fh.write(f"eps={eps:g} seed={seed} {'ok' if ok else f'failed: {outcome}'}\n")
+            if ok:
+                write_trace(outcome, out / _trace_filename(spec, eps, seed))
+                traces.append(outcome)
     if not traces:
         raise EvaluationError(f"no cell succeeded; see {out / 'cells.txt'}")
     rows = summarize_traces(traces)
@@ -595,15 +612,12 @@ def tune_constants(
     eps = spec.epsilon_grid[0]
     best = None
     for cand in candidates:
-        hits = []
-        for seed in tune_seeds:
-            try:
-                # a candidate whose schedule is undefined fails when its spec is built
-                trace = run_cell(dataclasses.replace(spec, **cand), eps, seed)
-            except (NumericalError, ConfigurationError):
-                hits.append(None)
-                continue
-            hits.append(trace.first_certified_calls())
+        try:
+            # a candidate whose schedule is undefined fails when its spec is built
+            outcomes = _run_group(dataclasses.replace(spec, **cand), eps, tune_seeds)
+        except (NumericalError, ConfigurationError):
+            outcomes = [None] * len(tune_seeds)
+        hits = [o.first_certified_calls() if isinstance(o, RunTrace) else None for o in outcomes]
         wins = sum(h is not None for h in hits)
         med = float(np.median([h for h in hits if h is not None])) if wins else math.inf
         score = (-wins, med)

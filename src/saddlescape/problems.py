@@ -82,9 +82,16 @@ class ProblemMetadata:
 class StochasticProblem:
     """Oracle bundle: sampled F and exact f with metadata.
 
-    Batch oracles take ``points`` of shape ``(n, d)`` (or a single ``(d,)``
-    point, broadcast) and ``seeds`` of shape ``(n,)``; they are pure, so the
-    same seed always reproduces the same sample.
+    Batch oracles take ``seeds`` of shape ``(n,)`` and ``points`` of shape
+    ``(k, d)`` with k dividing n, or a single ``(d,)`` point (k = 1): point
+    j serves the n/k consecutive seeds from j n/k on, so one call serves k
+    runs that each draw n/k samples at their own iterate.  They are pure:
+    the same point and seed always reproduce the same sample.  Rounding may
+    depend on the rest of the call: the saddle's values of n distinct
+    points come from one matrix-vector product, so a row's last bit can
+    change with its position.  A point that serves several seeds gives the
+    values of its own call, and gradients and Hessians never depend on the
+    other rows.
     """
 
     meta: ProblemMetadata
@@ -142,15 +149,31 @@ def clamp_to_box(x: np.ndarray, radius: float) -> np.ndarray:
     return x * (radius / norm)
 
 
-def _rows(points: np.ndarray, n: int, dim: int) -> np.ndarray:
+def _points(points, n: int, dim: int) -> np.ndarray:
+    """The (k, dim) distinct points of an oracle call with n seeds."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
-        if pts.size != dim:
-            raise ConfigurationError(f"point dimension {pts.size} != {dim}")
-        return pts[None, :] if n == 1 else np.broadcast_to(pts, (n, dim))
-    if pts.shape != (n, dim):
-        raise ConfigurationError(f"points shape {pts.shape} incompatible with {(n, dim)}")
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ConfigurationError(f"points shape {np.shape(points)} incompatible with dimension {dim}")
+    if not len(pts) or n % len(pts):
+        raise ConfigurationError(f"{len(pts)} points cannot serve {n} seeds; "
+                                 "the point count must divide the seed count")
     return pts
+
+
+def _rows(points, n: int, dim: int) -> np.ndarray:
+    """(n, dim): the point each of an oracle call's n seeds is evaluated at."""
+    pts = _points(points, n, dim)
+    return pts if len(pts) == n else np.repeat(pts, n // len(pts), axis=0)
+
+
+def _check_box_radius(box_radius: float) -> float:
+    """The families' box radius (config key ``r_box``), checked before any
+    Lipschitz constant is computed from it."""
+    if not box_radius > 0:
+        raise ConfigurationError(f"r_box must be positive, got {box_radius}")
+    return float(box_radius)
 
 
 def two_point_multiplier(seeds: np.ndarray, rho: float) -> np.ndarray:
@@ -187,15 +210,18 @@ def make_multiplicative_saddle(
     if quartic_coeff < 0:
         raise ConfigurationError(f"quartic_coeff must be >= 0, got {quartic_coeff}")
 
+    R = _check_box_radius(box_radius)
     a_diag = np.concatenate([-np.ones(neg_count), np.ones(d - neg_count)])
     q = float(quartic_coeff)
-    R = float(box_radius)
 
-    def f_rows(pts: np.ndarray) -> np.ndarray:
+    def f_rows(pts: np.ndarray, each: bool = False) -> np.ndarray:
+        """f at each row.  An (n, d) matrix-vector product rounds a row by
+        its position in the batch; with ``each``, stacked 1 x d products
+        round every row as a batch of that row alone does."""
         sq = pts * pts  # the one (n, d) temporary
         quartic = q * np.square(sq.sum(axis=1)) if q else None
         sq *= 0.5
-        val = sq @ a_diag
+        val = (sq[:, None, :] @ a_diag[:, None])[:, 0, 0] if each else sq @ a_diag
         if q:
             val += quartic
         return val
@@ -215,25 +241,31 @@ def make_multiplicative_saddle(
         nrm2 = float(x @ x)
         return a_mat + (4.0 * q * nrm2 * eye + 8.0 * q * np.outer(x, x))
 
-    def value_batch(points, seeds):
-        xi = two_point_multiplier(seeds, rho)
-        if np.ndim(points) == 1:
-            return xi * f_rows(_rows(points, 1, d))[0]
-        return xi * f_rows(_rows(points, len(seeds), d))
+    def hess_rows(pts: np.ndarray) -> np.ndarray:
+        """``hess_at`` of each row, bit for bit, without a loop over rows."""
+        if not q:
+            return np.repeat(a_mat[None], len(pts), axis=0)
+        # stacked 1 x d by d x 1 products: each is x @ x, bit for bit
+        nrm2 = pts[:, None, :] @ pts[:, :, None]
+        return a_mat + ((4.0 * q) * nrm2 * eye + (8.0 * q) * (pts[:, :, None] * pts[:, None, :]))
 
-    # a single (d,) point is evaluated once and scaled by each seed's xi;
-    # every row equals the one an (n, d) batch of copies gives, bit for bit
+    # each distinct point is evaluated once and scaled by the xi of each of
+    # its seeds: gradients and Hessians equal those of an (n, d) batch of
+    # copies bit for bit, and values those of the point's own call
+    def scaled(rows, seeds):
+        xi = two_point_multiplier(seeds, rho).reshape((len(rows), -1) + (1,) * (rows.ndim - 1))
+        return (xi * rows[:, None]).reshape((len(seeds),) + rows.shape[1:])
+
+    def value_batch(points, seeds):
+        pts = _points(points, len(seeds), d)
+        # a point that serves several seeds is evaluated as a call of its own
+        return scaled(f_rows(pts, each=len(pts) < len(seeds)), seeds)
+
     def grad_batch(points, seeds):
-        xi = two_point_multiplier(seeds, rho)
-        if np.ndim(points) == 1:
-            return np.multiply.outer(xi, grad_rows(_rows(points, 1, d))[0])
-        return xi[:, None] * grad_rows(_rows(points, len(seeds), d))
+        return scaled(grad_rows(_points(points, len(seeds), d)), seeds)
 
     def hess_batch(points, seeds):
-        xi = two_point_multiplier(seeds, rho)
-        if np.ndim(points) == 1:
-            return np.multiply.outer(xi, hess_at(_rows(points, 1, d)[0]))
-        return xi[:, None, None] * np.stack([hess_at(p) for p in _rows(points, len(seeds), d)])
+        return scaled(hess_rows(_points(points, len(seeds), d)), seeds)
 
     if q > 0:
         f_star = -1.0 / (16.0 * q)
@@ -281,6 +313,7 @@ def make_phase_retrieval(
         raise ConfigurationError(f"need m >= d, got m={m}, d={d}")
     if m > MAX_FINITE_SUM:
         raise ConfigurationError(f"m={m} exceeds the exact-enumeration limit {MAX_FINITE_SUM}")
+    R = _check_box_radius(box_radius)
 
     root = SeedStream(planted_seed, "phase_retrieval")
     x_star = root.child("planted").rng().standard_normal(d)
@@ -289,7 +322,6 @@ def make_phase_retrieval(
     # same reduction as the sampled oracles, so residuals at x_star are
     # exactly zero (interpolation holds bitwise, not just statistically)
     b = np.square(np.einsum("nd,nd->n", np.broadcast_to(x_star, sensing.shape), sensing))
-    R = float(box_radius)
 
     def indices(seeds: np.ndarray) -> np.ndarray:
         h = mix64_array(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(_TAG_INDEX))

@@ -8,7 +8,11 @@ constants stay valid.
 
 The theta of step t is ``r * standard_normals(s_t, d)``, with ``s_t`` the
 state of the step stream's ``child("theta")``; ``run_psgd`` draws the rows
-of ``_THETA_CHUNK`` steps per call, with the same bits as one call a step.
+of ``_THETA_CHUNK`` steps of all the seeds it runs per call, with the same
+bits as one call a step and seed.
+
+``run_steps`` is the one run loop, of PSGD and of cubic Newton: it advances
+the seeds of a group in lockstep, and a single seed is the group of one.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -102,7 +106,7 @@ class PsgdConfig:
         return 2 * self.n1 if self.mode == ZEROTH_ORDER else self.n1
 
 
-_THETA_CHUNK = 64  # steps whose theta rows run_psgd draws in one call; no value depends on it
+_THETA_CHUNK = 64  # steps whose theta rows one draw_perturbation call covers; no value depends on it
 
 
 def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
@@ -120,14 +124,45 @@ def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
     return theta
 
 
-def _perturbations(stream: SeedStream, dim: int, r: float, T: int):
-    """The theta rows of steps 1..T of the run stream ``stream``, in order,
-    drawn ``_THETA_CHUNK`` steps at a time."""
-    step_state = stream.child("step").state
-    for start in range(1, T + 1, _THETA_CHUNK):
-        ks = np.arange(start, min(start + _THETA_CHUNK, T + 1))
-        # a module-level name the benchmark's tracer patches to time the draws
-        yield from draw_perturbation(fold_int_states(step_state, ks), dim, r)
+def _step_states(seeds: Sequence[int], algorithm: str) -> np.ndarray:
+    """The states of the ``child("step")`` of the run streams of ``seeds``."""
+    return SeedStream.block([SeedStream(s, algorithm).state for s in seeds]).child("step").state
+
+
+def _perturbations(step_states: np.ndarray, dim: int, r: float, T: int) -> Callable:
+    """``theta(t, rows)``: the (len(rows), dim) theta of step t for the runs
+    ``rows`` of a group whose ``child("step")`` states are ``step_states``.
+
+    One call of the module-level ``draw_perturbation``, which the
+    benchmark's tracer patches to time the draws, covers ``_THETA_CHUNK``
+    steps of the runs that are active at the chunk's first step.
+    """
+    chunk = [0, 0, None]  # first step, end, (steps, runs, dim) theta
+
+    def theta(t: int, rows: np.ndarray) -> np.ndarray:
+        start, stop, draws = chunk
+        if t >= stop:
+            start, stop = t, min(t + _THETA_CHUNK, T + 1)
+            states = fold_int_states(step_states[rows], np.arange(start, stop)[:, None])
+            draws = np.empty((stop - start, len(step_states), dim))
+            draws[:, rows] = draw_perturbation(states.reshape(-1), dim, r).reshape(
+                stop - start, len(rows), dim)
+            chunk[:] = start, stop, draws
+        return draws[t - start, rows]
+
+    return theta
+
+
+def _check_rows(x_new: np.ndarray, message: str, faults: Optional[dict]) -> None:
+    """Raise ``NumericalError(message)`` if ``x_new`` has a non-finite entry;
+    with a ``faults`` dict and a (k, d) ``x_new``, record the error there
+    under each row that has one (unless the row has failed already)."""
+    if np.isfinite(x_new).all():
+        return
+    if faults is None or x_new.ndim == 1:
+        raise NumericalError(message)
+    for j in np.flatnonzero(~np.isfinite(x_new).all(axis=-1)).tolist():
+        faults.setdefault(j, NumericalError(message))
 
 
 def psgd_step(
@@ -136,11 +171,17 @@ def psgd_step(
     cfg: PsgdConfig,
     stream: SeedStream,
     theta: Optional[np.ndarray] = None,
+    faults: Optional[dict] = None,
 ):
     """One perturbed gradient step; returns (new point, oracle calls).
 
+    ``x`` is one run's (d,) iterate with its step stream, or the (k, d)
+    iterates of k runs with the block of their step streams; the calls are
+    those of one run, and every row is the one its run alone gives.
     ``theta`` is the step's perturbation when the caller has drawn it; by
-    default the step draws it from ``stream``, the same row.
+    default the step draws it from ``stream``, the same rows.  A non-finite
+    update raises ``NumericalError``, or with a ``faults`` dict goes there
+    under its row (see ``run_steps``).
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -150,11 +191,31 @@ def psgd_step(
     else:
         est = fo_gradient(p, x, cfg.n1, stream)
     if theta is None:
-        theta = draw_perturbation([stream.state], p.meta.dim, cfg.r)[0]
-    x_new = clamp_to_box(x - cfg.eta * (est.g + theta), cfg.box_radius)
-    if not np.isfinite(x_new).all():
-        raise NumericalError("update produced non-finite entries")
+        theta = draw_perturbation(np.array(stream.state, dtype=np.uint64).reshape(-1), p.meta.dim,
+                                  cfg.r).reshape(x.shape)
+    x_new = x - cfg.eta * (est.g + theta)
+    for row in np.atleast_2d(x_new):  # one clamp per run: the benchmark's tracer counts them
+        clamped = clamp_to_box(row, cfg.box_radius)
+        if clamped is not row:
+            row[...] = clamped
+    _check_rows(x_new, "update produced non-finite entries", faults)
     return x_new, est.oracle_calls
+
+
+def _per_seed(run: Callable, x0, seed):
+    """``run(x0s, seeds)`` on one seed or on a sequence of seeds.
+
+    For one seed, ``x0`` is its start point and the result its RunTrace;
+    the NumericalError that ended the run is raised.  For a sequence of S
+    seeds, ``x0`` holds their S start points and the result is the list of
+    outcomes of ``run_steps``.
+    """
+    if np.ndim(seed):
+        return run(x0, [int(s) for s in seed])
+    (outcome,) = run([x0], [int(seed)])
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
 
 
 def run_psgd(
@@ -162,15 +223,24 @@ def run_psgd(
     x0,
     cfg: PsgdConfig,
     certify_every: int = 1,
-    seed: int = 0,
+    seed=0,
     stop_after_certified: bool = False,
-) -> RunTrace:
-    """Run T perturbed steps with certification rows (see ``run_steps``)."""
-    thetas = _perturbations(SeedStream(seed, cfg.algorithm), p.meta.dim, cfg.r, cfg.T)
-    return run_steps(
-        p, x0, cfg, lambda x, stream: (*psgd_step(p, x, cfg, stream, next(thetas)), None),
-        certify_every=certify_every, seed=seed, stop_after_certified=stop_after_certified,
-    )
+):
+    """Run T perturbed steps with certification rows (see ``run_steps``).
+
+    ``seed`` is one run seed, or a sequence of seeds run in lockstep with
+    their start points ``x0`` (see ``_per_seed``).
+    """
+    def run(x0s, seeds):
+        theta = _perturbations(_step_states(seeds, cfg.algorithm), p.meta.dim, cfg.r, cfg.T)
+
+        def step(t, rows, x, stream, faults):
+            return (*psgd_step(p, x, cfg, stream, theta(t, rows), faults), None)
+
+        return run_steps(p, x0s, cfg, step, seeds, certify_every=certify_every,
+                         stop_after_certified=stop_after_certified)
+
+    return _per_seed(run, x0, seed)
 
 
 def _config_echo(cfg) -> str:
@@ -186,63 +256,106 @@ def _config_echo(cfg) -> str:
 # certify in psgd, scrn and harness, not in diagnostics
 def run_steps(
     p: StochasticProblem,
-    x0,
+    x0s,
     cfg,
     step: Callable,
+    seeds: Sequence[int],
     certify_every: int = 1,
-    seed: int = 0,
     stop_after_certified: bool = False,
-    r_index: Optional[int] = None,
-) -> RunTrace:
-    """The run loop of PSGD and cubic Newton: T steps with certification rows.
+    r_indices: Optional[Sequence[int]] = None,
+) -> list:
+    """The run loop of PSGD and cubic Newton: S runs of T steps in lockstep,
+    with certification rows.
 
-    ``step(x, stream)`` is called once per step, for t = 1, 2, ... in order,
-    with the step stream ``child("step", t)`` of the run stream.  It returns
-    ``(x_new, oracle_calls, sol)``, with ``sol`` the cubic step's
-    ``CubicSolution``, whose radius and model decrease the rows record, or
-    None.  Rows are certified on exact oracles, never charged to the budget,
-    at t = 0, every ``certify_every`` steps and at step T.
-    ``stop_after_certified`` ends the run at its first certified row (a pure
-    function of the trajectory, so traces stay byte-reproducible); ``r_index``
-    keeps that step's iterate and budget and certifies the iterate at the end.
-    A ``NumericalError`` carries the step index and the partial trace.
+    Run i starts at ``x0s[i]`` with the run stream of ``seeds[i]``.  At
+    t = 1, 2, ... the loop calls ``step(t, rows, x, stream, faults)`` once
+    for the runs ``rows`` (an index array) that are still active: ``x`` is
+    their (k, d) iterates and ``stream`` the block of their step streams
+    ``child("step", t)``.  The step returns ``(x_new, oracle_calls, sols)``,
+    with the calls of one run's step and ``sols`` None or the list of the
+    k cubic steps' ``CubicSolution``, whose radius and model decrease the
+    rows record.  The step does the sampling, the estimators and the update
+    once for all k runs; a run whose step fails goes into the ``faults``
+    dict under its position in ``rows``, with its ``NumericalError``.
+
+    Rows are certified on exact oracles, never charged to the budget, at
+    t = 0, every ``certify_every`` steps and at step T.  Certification, like
+    the cubic solve and the clamp to the box, stays one call per run: the
+    benchmark's tracer counts those calls by patching them, so they stay
+    per run until the program counts them itself.  ``stop_after_certified``
+    ends a run at its first certified row (a pure function of its
+    trajectory, so traces stay byte-reproducible); ``r_indices[i]`` keeps
+    that step's iterate and budget of run i and certifies the iterate at
+    the end.  A run that stops or fails leaves the active set and draws no
+    more samples.
+
+    Returns one outcome per run, in order: its RunTrace, or the
+    NumericalError that ended it, carrying the step index and the partial
+    trace, whose ``total_oracle_calls`` counts the samples drawn.  Each
+    outcome is the one a group of that run alone gives.
     """
     if certify_every < 1:
         raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
-    x = as_point(x0, p.meta.dim)
-    stream = SeedStream(seed, cfg.algorithm)
-    trace = RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=_config_echo(cfg))
+    x = np.stack([as_point(x0, p.meta.dim) for x0 in x0s])
+    echo = _config_echo(cfg)
+    traces = [RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=echo) for seed in seeds]
+    outcomes: list = list(traces)
+    calls = [0] * len(traces)
+    at_r: list = [None] * len(traces)
+    step_states = _step_states(seeds, cfg.algorithm)
 
-    def record(t: int, calls: int, sol) -> bool:
-        cert = certify(p, x, cfg.epsilon)
-        trace.append(TraceRow(
-            t, p.exact_value(x), cert.grad_norm, cert.lambda_min, calls, cert.certified,
+    def fail(i: int, t: int, err: NumericalError, charged: int) -> None:
+        err.iterate, err.trace = t, traces[i]
+        traces[i].total_oracle_calls = charged
+        outcomes[i] = err
+
+    def record(i: int, t: int, sol) -> bool:
+        """Certify run i's row t; True if the run leaves the active set."""
+        try:
+            cert = certify(p, x[i], cfg.epsilon)
+        except NumericalError as err:
+            fail(i, t, err, calls[i])
+            return True
+        traces[i].append(TraceRow(
+            t, p.exact_value(x[i]), cert.grad_norm, cert.lambda_min, calls[i], cert.certified,
             *((None, None) if sol is None else (sol.radius, sol.model_decrease)),
         ))
         return stop_after_certified and cert.certified
 
-    calls = 0
-    done = record(0, calls, None)
-    x_at_r = calls_at_r = None
+    active = [i for i in range(len(traces)) if not record(i, 0, None)]
+    rows: list = []
     for t in range(1, cfg.T + 1):
-        if done:
+        if not active:
             break
-        try:
-            x, step_calls, sol = step(x, stream.child("step", t))
-        except NumericalError as err:
-            err.iterate = t
-            err.trace = trace
-            raise
-        calls += step_calls
-        if t == r_index:
-            x_at_r, calls_at_r = x.copy(), calls
-        if t % certify_every == 0 or t == cfg.T:
-            done = record(t, calls, sol)
-    trace.total_oracle_calls = calls
-    if r_index is not None:
-        trace.r_index, trace.r_oracle_calls = r_index, calls_at_r
-        trace.r_certificate = certify(p, x_at_r, cfg.epsilon)
-    return trace
+        if len(rows) != len(active):  # the active set only shrinks
+            rows = np.array(active)
+            steps = SeedStream.block(step_states[rows])
+        faults: dict = {}
+        x_new, step_calls, sols = step(t, rows, x[rows], steps.child(t), faults)
+        x[rows] = x_new
+        checkpoint = t % certify_every == 0 or t == cfg.T
+        still = []
+        for j, i in enumerate(active):
+            if j in faults:
+                fail(i, t, faults[j], calls[i] + step_calls)
+                continue
+            calls[i] += step_calls
+            if r_indices is not None and t == r_indices[i]:
+                at_r[i] = (x[i].copy(), calls[i])
+            if not (checkpoint and record(i, t, None if sols is None else sols[j])):
+                still.append(i)
+        active = still
+    for i, trace in enumerate(traces):
+        if outcomes[i] is not trace:
+            continue
+        trace.total_oracle_calls = calls[i]
+        if r_indices is not None:
+            trace.r_index, (x_r, trace.r_oracle_calls) = r_indices[i], at_r[i]
+            try:
+                trace.r_certificate = certify(p, x_r, cfg.epsilon)
+            except NumericalError as err:
+                fail(i, trace.r_index, err, calls[i])
+    return outcomes
 
 
 def _epsilon_logs(consts: ScheduleConstants, f0_gap: float) -> tuple:

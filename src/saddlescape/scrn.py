@@ -41,11 +41,11 @@ from typing import Optional
 import numpy as np
 
 # certify is unused here, but the benchmark's tracer patches it in this module
-from .diagnostics import RunTrace, certify  # noqa: F401
+from .diagnostics import certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
-from .psgd import _require_rho, run_steps
+from .psgd import _check_rows, _per_seed, _require_rho, run_steps
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -336,18 +336,42 @@ class ScrnConfig:
         return 2 * self.n1 + 3 * self.n2 if self.mode == ZEROTH_ORDER else self.n1 + self.n2
 
 
-def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream):
+def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream,
+                   faults: Optional[dict] = None):
+    """One cubic-Newton step; returns (new point, oracle calls, CubicSolution).
+
+    As in ``psgd_step``, ``x`` is one run's (d,) iterate with its step
+    stream, or the (k, d) iterates of k runs with the block of their step
+    streams, whose estimates come from one oracle call per estimator; the
+    solution is then a list, one per row, and a failed row's is None.  The
+    cubic solve and the clamp stay one call per run.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if cfg.mode == ZEROTH_ORDER:
         grad = zo_gradient(p, x, cfg.nu, cfg.n1, stream)
         hess = zo_hessian(p, x, cfg.nu, cfg.n2, stream)
     else:
         grad = fo_gradient(p, x, cfg.n1, stream)
         hess = so_hessian(p, x, cfg.n2, stream)
-    sol = solve_cubic(CubicModel(g=grad.g, H=hess.H, M=cfg.M))
-    x_new = clamp_to_box(x + sol.h_star, cfg.box_radius)
-    if not np.isfinite(x_new).all():
-        raise NumericalError("cubic step produced non-finite entries")
-    return x_new, grad.oracle_calls + hess.oracle_calls, sol
+    xs, d = np.atleast_2d(x), x.shape[-1]
+    gs, Hs = grad.g.reshape(-1, d), hess.H.reshape(-1, d, d)
+    x_new = np.empty_like(xs)
+    sols = []
+    for j in range(len(xs)):
+        try:
+            sol = solve_cubic(CubicModel(g=gs[j], H=Hs[j], M=cfg.M))
+        except NumericalError as err:
+            if faults is None:
+                raise
+            faults[j] = err
+            sols.append(None)
+            x_new[j] = np.nan
+            continue
+        sols.append(sol)
+        x_new[j] = clamp_to_box(xs[j] + sol.h_star, cfg.box_radius)
+    _check_rows(x_new, "cubic step produced non-finite entries", faults)
+    calls = grad.oracle_calls + hess.oracle_calls
+    return (x_new[0], calls, sols[0]) if x.ndim == 1 else (x_new, calls, sols)
 
 
 def run_scrn(
@@ -355,22 +379,28 @@ def run_scrn(
     x1,
     cfg: ScrnConfig,
     certify_every: int = 1,
-    seed: int = 0,
-) -> RunTrace:
+    seed=0,
+):
     """Run T cubic-Newton steps with certification checkpoints.
 
     Besides the per-checkpoint diagnostics (which also record the step norm
     and model decrease), the trace reports the uniformly drawn iterate
     ``R ~ U{1..T}`` with its certificate and the budget consumed through it:
     that random iterate is the object of the method's in-expectation
-    guarantee.  See ``psgd.run_steps`` for the checkpoints and failures.
+    guarantee.  ``seed`` is one run seed, or a sequence of seeds run in
+    lockstep with their start points ``x1`` (see ``psgd._per_seed``).  See
+    ``psgd.run_steps`` for the checkpoints and failures.
     """
-    stream = SeedStream(seed, cfg.algorithm)
-    r_index = int(stream.child("random_iterate").rng().integers(1, cfg.T + 1))
-    return run_steps(
-        p, x1, cfg, lambda x, step_stream: _estimate_step(p, x, cfg, step_stream),
-        certify_every=certify_every, seed=seed, r_index=r_index,
-    )
+    def run(x1s, seeds):
+        r_indices = [int(SeedStream(s, cfg.algorithm).child("random_iterate").rng()
+                         .integers(1, cfg.T + 1)) for s in seeds]
+        return run_steps(
+            p, x1s, cfg,
+            lambda t, rows, x, stream, faults: _estimate_step(p, x, cfg, stream, faults),
+            seeds, certify_every=certify_every, r_indices=r_indices,
+        )
+
+    return _per_seed(run, x1, seed)
 
 
 def check_mu(mu) -> None:

@@ -5,9 +5,11 @@ a 64-bit seed is hashed (splitmix64 finalizer) into uniforms, normals or signs, 
 the same seed always yields the same sample, independent of call order or
 process.  ``SeedStream`` organizes seeds hierarchically: a stream is an
 immutable 64-bit state, ``child(*steps)`` derives an independent stream, and
-``seeds(n)`` derives a block of oracle seeds.  Streams never mutate, so
-batches may be evaluated in any order (or in parallel) with identical
-results.
+``seeds(n)`` derives a block of oracle seeds.  A stream block holds the
+states of several streams that advance together (the seeds of one run
+group), and derives each one's children and seeds exactly as its own stream
+would.  Streams never mutate, so batches may be evaluated in any order (or
+in parallel) with identical results.
 
 Splitting by label is what keeps paired experiments comparable: a first-order
 and a zeroth-order run with the same master seed consume the same noise-seed
@@ -79,13 +81,12 @@ def _fold(state: int, token) -> int:
     raise TypeError(f"seed path steps must be int or str, got {type(token)!r}")
 
 
-def fold_int_states(state: int, ks: np.ndarray) -> np.ndarray:
-    """Vectorized ``child(k).state`` for an array of integer steps.
+def fold_int_states(states, ks) -> np.ndarray:
+    """Vectorized ``child(k).state``: the states and integer steps broadcast.
 
-    Bit-identical to ``SeedStream.child(k)`` looped over ``ks``.
+    Bit-identical to ``SeedStream(...).child(k)`` looped over both.
     """
-    ks = np.asarray(ks, dtype=np.uint64)
-    return mix64_array(np.uint64(state) ^ mix64_array(ks))
+    return mix64_array(np.asarray(states, dtype=np.uint64) ^ mix64_array(ks))
 
 
 def fold_label_states(states: np.ndarray, label: str) -> np.ndarray:
@@ -121,14 +122,29 @@ def _first_hashes(start: int, n: int) -> np.ndarray:
     return _index_hashes(start, n)
 
 
-def seed_blocks(states: np.ndarray, n: int) -> np.ndarray:
-    """(len(states), n) oracle-seed grid; row i equals the ``seeds(n)`` of a
-    stream whose state is ``states[i]``."""
-    return _mix_inplace(_first_hashes(0, n)[None, :] ^ np.asarray(states, dtype=np.uint64)[:, None])
+def seed_blocks(states: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """(len(states), n) oracle-seed grid; row i equals the ``seeds(n, start)``
+    of a stream whose state is ``states[i]``."""
+    return _mix_inplace(_first_hashes(start, n)[None, :]
+                        ^ np.asarray(states, dtype=np.uint64)[:, None])
+
+
+def _fold_block(states: np.ndarray, token) -> np.ndarray:
+    if isinstance(token, str):
+        return fold_label_states(states, token)
+    if isinstance(token, (int, np.integer)):
+        return fold_int_states(states, int(token) & _MASK)
+    raise TypeError(f"seed path steps must be int or str, got {type(token)!r}")
 
 
 class SeedStream:
-    """Immutable node in a deterministic seed tree."""
+    """Immutable node in a deterministic seed tree, or a block of nodes.
+
+    A node's ``state`` is an int.  A block (``SeedStream.block``) holds the
+    (k,) uint64 states of k nodes: its ``child`` is the block of their
+    children, its ``seeds(n)`` the (k, n) grid of their seeds, and
+    ``nodes()`` gives the nodes back one by one.
+    """
 
     __slots__ = ("state",)
 
@@ -138,29 +154,58 @@ class SeedStream:
             state = _fold(state, token)
         self.state = state
 
+    @staticmethod
+    def block(states) -> "SeedStream":
+        """The block of the streams whose states are ``states``, in order."""
+        return _stream(np.array(states, dtype=np.uint64).reshape(-1))
+
+    @property
+    def is_block(self) -> bool:
+        return isinstance(self.state, np.ndarray)
+
     def child(self, *path) -> "SeedStream":
-        s = SeedStream.__new__(SeedStream)
         state = self.state
+        fold = _fold_block if self.is_block else _fold
         for token in path:
-            state = _fold(state, token)
-        s.state = state
-        return s
+            state = fold(state, token)
+        return _stream(state)
+
+    def nodes(self) -> list:
+        """The streams of a block in order; a node's is ``[self]``."""
+        return [_stream(state) for state in self.state.tolist()] if self.is_block else [self]
 
     def seeds(self, n: int, start: int = 0) -> np.ndarray:
-        """Oracle seeds ``start .. start + n - 1`` (uint64) of this stream.
+        """Oracle seeds ``start .. start + n - 1`` (uint64) of this stream,
+        or of each stream of a block as the rows of a (k, n) grid.
 
         Seed ``i`` is a pure function of (stream, i), so ``seeds(n)`` equals
         ``seeds(k)`` followed by ``seeds(n - k, k)``: a batch can be derived
         block by block.
         """
+        if self.is_block:
+            return seed_blocks(self.state, n, start)
         return _mix_inplace(_first_hashes(start, n) ^ np.uint64(self.state))
 
     def rng(self) -> np.random.Generator:
-        """PCG64 generator seeded with the state: the stream of ``default_rng(state)``."""
+        """PCG64 generator seeded with the state: the stream of ``default_rng(state)``.
+
+        A block has no generator: take its ``nodes()`` one by one.
+        """
+        if self.is_block:
+            raise TypeError("a SeedStream block has no rng(); call rng() on its nodes()")
         return np.random.Generator(np.random.PCG64(self.state))
 
     def __repr__(self):
+        if self.is_block:
+            return f"SeedStream.block({self.state.tolist()})"
         return f"SeedStream(0x{self.state:016x})"
+
+
+def _stream(state) -> SeedStream:
+    """The stream, or block of streams, whose state is ``state``."""
+    s = SeedStream.__new__(SeedStream)
+    s.state = state
+    return s
 
 
 def uniform01(seeds: np.ndarray, tag: int = TAG_U01) -> np.ndarray:

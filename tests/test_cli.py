@@ -140,6 +140,21 @@ def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("problem", [
+    "family = phase_retrieval\ndim = 4\nm = 16\nr_box = -2\n",
+    "family = multiplicative_saddle\ndim = 4\nquartic_coeff = 0.1\nr_box = 0\n",
+], ids=["phase_retrieval", "saddle"])
+def test_run_names_a_non_positive_r_box(tmp_path, capsys, problem):
+    spec = tmp_path / "exp.cfg"
+    spec.write_text(problem + "algorithm = psgd\nsgc_arm = false\nepsilon_grid = 0.2\nseeds = 0\n")
+    out = tmp_path / "runs"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    value = problem.split("r_box = ")[1].strip()
+    assert captured.err == f"error: r_box must be positive, got {float(value)}\n"
+
+
 def test_failed_run_removes_earlier_summary(tmp_path, capsys):
     spec = tmp_path / "exp.cfg"
     out = tmp_path / "runs"

@@ -1,0 +1,119 @@
+"""The seeds of an epsilon group run in lockstep and give their own runs.
+
+``run_experiment`` advances all seeds of an epsilon as one group through
+``psgd.run_steps``; ``run_cell`` is the group of one seed.  Every trace of a
+group must be byte-identical to the seed's own run, and a seed that stops
+or fails must leave the group without touching the others.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from conftest import counting_problem
+
+from saddlescape import harness
+from saddlescape.errors import NumericalError
+from saddlescape.harness import ExperimentSpec, read_trace, run_cell, run_experiment, write_trace
+
+SADDLE = dict(family="multiplicative_saddle", dim=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
+SMALL_SADDLE = dict(SADDLE, dim=4)
+
+ARMS = {
+    # seeds stop at their first certified row, at different steps
+    "psgd_sgc_stopping": dict(
+        problem=SADDLE, algorithm="psgd", mode="first_order", sgc_arm=True,
+        epsilon_grid=(0.2, 0.1), seeds=range(5), max_steps=2000, c=0.01,
+        stop_after_certified=True),
+    "psgd_additive": dict(
+        problem=dict(SADDLE, rho=1.0, sigma=0.5), algorithm="psgd", mode="first_order",
+        sgc_arm=False, epsilon_grid=(0.2,), seeds=range(3), max_steps=80, c=0.01,
+        certify_every=7),
+    "psgd_zeroth_order": dict(
+        problem=SADDLE, algorithm="psgd", mode="zeroth_order", sgc_arm=True,
+        epsilon_grid=(0.2,), seeds=range(3), max_steps=30, certify_every=4,
+        kappa=(1.0,) * 5 + (0.01,) + (1.0,) * 4),
+    "scrn_higher_order": dict(
+        problem=SADDLE, algorithm="scrn", mode="higher_order", sgc_arm=True,
+        epsilon_grid=(0.2, 0.1), seeds=range(3), max_steps=60, x0_offset=0.3),
+    "scrn_zeroth_order": dict(
+        problem=SMALL_SADDLE, algorithm="scrn", mode="zeroth_order", sgc_arm=True,
+        epsilon_grid=(0.2,), seeds=range(3), max_steps=3, mu=(1.0, 1.0, 1e-4, 1.0, 1.0)),
+    "phase_retrieval": dict(
+        problem=dict(family="phase_retrieval", dim=4, m=32, planted_seed=2, sigma=0.1),
+        algorithm="psgd", mode="first_order", sgc_arm=False, epsilon_grid=(0.2,),
+        seeds=range(3), max_steps=50, c=0.01, x0_offset=0.5),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_group_traces_are_the_one_seed_traces(tmp_path, arm):
+    spec = ExperimentSpec(**ARMS[arm])
+    run_experiment(spec, out_dir=tmp_path, master_seed=3)
+    assert (tmp_path / "cells.txt").read_text().count(" ok\n") == len(spec.epsilon_grid) * len(spec.seeds)
+    last_rows = set()
+    for eps in spec.epsilon_grid:
+        for seed in spec.seeds:
+            name = harness._trace_filename(spec, eps, seed)
+            own = run_cell(spec, eps, seed, master_seed=3)
+            write_trace(own, tmp_path / f"own_{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"own_{name}").read_bytes()
+            grouped = read_trace(tmp_path / name)
+            assert grouped.total_oracle_calls == own.total_oracle_calls
+            assert (grouped.r_index, grouped.r_oracle_calls, grouped.r_certificate) == (
+                own.r_index, own.r_oracle_calls, own.r_certificate)
+            last_rows.add(own.rows[-1].t)
+    if spec.stop_after_certified:
+        assert len(last_rows) > 1  # the seeds left the group at different steps
+
+
+def _nan_gradients_beyond(p, limit):
+    """``p`` whose sampled gradients are NaN at points with x[0] > limit."""
+    def grad_batch(points, seeds):
+        grads = p.sample_grad_batch(points, seeds)
+        pts = np.atleast_2d(points)
+        grads[np.repeat(pts[:, 0] > limit, len(seeds) // len(pts))] = np.nan
+        return grads
+
+    return dataclasses.replace(p, sample_grad_batch=grad_batch)
+
+
+def test_failed_seed_leaves_the_group_alone(tmp_path, monkeypatch):
+    counters = []
+
+    def faulty(config):
+        p, counter = counting_problem(_nan_gradients_beyond(build(config), 0.5))
+        counters.append(counter)
+        return p
+
+    build = harness.problem_from_config
+    monkeypatch.setattr(harness, "problem_from_config", faulty)
+    spec = ExperimentSpec(problem=SADDLE, algorithm="psgd", mode="first_order", sgc_arm=True,
+                          epsilon_grid=(0.2,), seeds=(0, 1, 2), max_steps=150, c=0.01)
+    run_experiment(spec, out_dir=tmp_path)
+    group_drawn = counters[-1].total
+    group_lines = (tmp_path / "cells.txt").read_text().splitlines()
+    outcomes = harness._run_group(spec, 0.2, spec.seeds)
+    assert counters[-1].total == group_drawn
+    failed = [o for o in outcomes if isinstance(o, NumericalError)]
+    assert len(failed) == 1 and 1 < failed[0].iterate < 150
+
+    own_drawn = 0
+    for seed, outcome, line in zip(spec.seeds, outcomes, group_lines):
+        try:
+            own = run_cell(spec, 0.2, seed)
+        except NumericalError as err:
+            assert line == f"eps=0.2 seed={seed} failed: {err}"
+            assert isinstance(outcome, NumericalError) and str(outcome) == str(err)
+            assert outcome.iterate == err.iterate and outcome.trace.rows == err.trace.rows
+            assert outcome.trace.total_oracle_calls == err.trace.total_oracle_calls
+        else:
+            assert line == f"eps=0.2 seed={seed} ok"
+            name = harness._trace_filename(spec, 0.2, seed)
+            write_trace(own, tmp_path / f"own_{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"own_{name}").read_bytes()
+        own_drawn += counters[-1].total
+    # samples drawn = calls charged, the failed seed's through its failing step
+    charged = sum((o.trace if isinstance(o, NumericalError) else o).total_oracle_calls
+                  for o in outcomes)
+    assert group_drawn == own_drawn == charged

@@ -297,3 +297,66 @@ def test_clamp_to_box():
     clamped = clamp_to_box(x, 1.0)
     assert np.isclose(np.linalg.norm(clamped), 1.0)
     assert np.allclose(clamped, x / 5.0)
+
+
+# ---------------------------------------------------------------------------
+# the batch-oracle contract: k points serve n seeds, n/k consecutive each
+
+_D = 4
+_CONTRACT_PROBLEMS = {
+    "saddle": make_multiplicative_saddle(d=_D, neg_count=1, rho=2.0, quartic_coeff=0.05),
+    "phase_retrieval": make_phase_retrieval(d=_D, m=32, planted_seed=1),
+    "additive": make_additive_noise_variant(
+        make_multiplicative_saddle(d=_D, neg_count=1, rho=1.0, quartic_coeff=0.05), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))
+def test_k_points_serve_consecutive_seeds(name):
+    p = _CONTRACT_PROBLEMS[name]
+    rng = np.random.default_rng(5)
+    for k, n in [(1, 7), (3, 12), (4, 4), (5, 35)]:
+        pts = rng.uniform(-1.5, 1.5, (k, _D))
+        seeds = SeedStream(k).seeds(n)
+        expanded = np.repeat(pts, n // k, axis=0)
+
+        def own_calls(oracle):
+            return np.concatenate([oracle(x, s) for x, s in zip(pts, seeds.reshape(k, -1))])
+
+        for oracle in (p.sample_grad_batch, p.sample_hess_batch):
+            assert np.array_equal(oracle(pts, seeds), oracle(expanded, seeds))
+            assert np.array_equal(oracle(pts, seeds), own_calls(oracle))
+        if name == "additive":  # xi = 1: the vectorised Hessians are the exact ones
+            exact = np.repeat([p.exact_hess(x) for x in pts], n // k, axis=0)
+            assert np.array_equal(p.sample_hess_batch(pts, seeds), exact)
+        values = p.sample_value_batch(pts, seeds)
+        if name == "phase_retrieval" or k == n:
+            assert np.array_equal(values, p.sample_value_batch(expanded, seeds))
+        if k < n:
+            # the saddle's values of n distinct points come from one matrix-vector
+            # product, which rounds a row by its position in the batch; a shared
+            # point's values are those of its own call
+            assert np.array_equal(values, own_calls(p.sample_value_batch))
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))
+def test_point_count_must_divide_seed_count(name):
+    p = _CONTRACT_PROBLEMS[name]
+    seeds = SeedStream(0).seeds(7)
+    for oracle in (p.sample_value_batch, p.sample_grad_batch, p.sample_hess_batch):
+        with pytest.raises(ConfigurationError, match="3 points cannot serve 7 seeds"):
+            oracle(np.zeros((3, _D)), seeds)
+
+
+@pytest.mark.parametrize("config", [
+    {"family": "phase_retrieval", "dim": 4, "m": 16, "r_box": -2},
+    {"family": "phase_retrieval", "dim": 4, "m": 16, "r_box": 0},
+    {"family": "multiplicative_saddle", "dim": 4, "quartic_coeff": 0.1, "r_box": 0},
+    {"family": "multiplicative_saddle", "dim": 4, "r_box": -1},
+], ids=["phase_retrieval_negative", "phase_retrieval_zero", "saddle_quartic_zero",
+        "saddle_quadratic_negative"])
+def test_non_positive_r_box_is_named_with_its_value(config):
+    message = f"r_box must be positive, got {float(config['r_box'])}"
+    with pytest.raises(ConfigurationError) as excinfo:
+        problem_from_config(config)
+    assert str(excinfo.value) == message

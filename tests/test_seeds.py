@@ -203,3 +203,22 @@ def test_kernels_leave_their_input_unchanged():
     fold_label_states(seeds, "u")
     seed_blocks(seeds, 3)
     assert np.array_equal(seeds, kept)
+
+
+def test_block_derives_each_node_as_its_own_stream():
+    nodes = [SeedStream(s, "psgd").child("step") for s in (0, 7, 2**40)]
+    block = SeedStream.block([node.state for node in nodes])
+    assert block.is_block and not nodes[0].is_block
+    for path in [(5,), ("xi",), (3, "theta"), (np.int64(9), "u")]:
+        assert block.child(*path).state.tolist() == [node.child(*path).state for node in nodes]
+    assert np.array_equal(block.child(4, "xi").seeds(6, 2),
+                          [node.child(4, "xi").seeds(6, 2) for node in nodes])
+    assert [n.state for n in block.child("u").nodes()] == [n.child("u").state for n in nodes]
+    assert nodes[0].nodes() == [nodes[0]]
+    # the integer steps of many nodes fold in one broadcast call
+    states = fold_int_states(block.state[None, :], np.arange(1, 4)[:, None])
+    assert states.tolist() == [[node.child(k).state for node in nodes] for k in (1, 2, 3)]
+    with pytest.raises(TypeError, match="nodes"):
+        block.rng()
+    with pytest.raises(TypeError):
+        block.child(1.5)
