@@ -96,47 +96,72 @@ def min_eigenvalue(H: np.ndarray):
     Dense decomposition up to ``DENSE_EIG_LIMIT``; Lanczos with a
     deterministic start vector beyond that.  The returned pair satisfies
     ``||H v - lambda v|| <= 1e-8 ||H||``.
+
+    A (k, d, d) stack returns the (k,) eigenvalues and (k, d) eigenvectors,
+    row i equal to the call on ``H[i]`` bit for bit: one ``eigh`` call up to
+    the limit, one Lanczos run per matrix beyond it.  The checks hold per
+    matrix, and the first matrix that fails one raises.
     """
     H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ConfigurationError(f"expected a square matrix, got shape {H.shape}")
-    if not np.isfinite(H).all():
+    stack = H if H.ndim == 3 else H[None]
+    k, d = stack.shape[:2]
+    if not np.isfinite(stack).all():
         raise NumericalError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(H).max()))
+    scale = np.abs(stack).reshape(k, -1).max(axis=1)
     # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
-    if float((H - H.T).max()) > 1e-10 * scale:
+    if ((stack - stack.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
+            > 1e-10 * np.maximum(scale, 1.0)).any():
         raise ConfigurationError("matrix is not symmetric within tolerance")
-    d = H.shape[0]
+    sym = 0.5 * (stack + stack.transpose(0, 2, 1))
     if d <= DENSE_EIG_LIMIT:
-        w, v = np.linalg.eigh(0.5 * (H + H.T))
-        lam, vec = float(w[0]), v[:, 0].copy()
-        norm = max(-lam, float(w[-1]))  # ||H||_2 from the ends of the ascending spectrum
+        w, v = np.linalg.eigh(sym)
+        lam, vec = w[:, 0], v[:, :, 0].copy()
+        norm = np.maximum(-lam, w[:, -1])  # ||H||_2 from the ends of the ascending spectrum
     else:
         from scipy.sparse.linalg import eigsh
 
         v0 = np.cos(np.arange(d, dtype=np.float64))  # deterministic start
-        w, v = eigsh(0.5 * (H + H.T), k=1, which="SA", v0=v0, tol=1e-12)
-        lam, vec = float(w[0]), v[:, 0].copy()
-        norm = float(np.linalg.norm(H, 2))
-    # math.sqrt(v @ v) is np.linalg.norm(v) for a contiguous vector
-    vec = vec / math.sqrt(vec @ vec)
-    r = H @ vec - lam * vec
-    resid = math.sqrt(r @ r)
-    if resid > 1e-8 * max(norm, 1e-300):
-        raise NumericalError(f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||H||")
-    return lam, vec
+        lam, vec, norm = np.empty(k), np.empty((k, d)), np.empty(k)
+        for i, S in enumerate(sym):
+            w, v = eigsh(S, k=1, which="SA", v0=v0, tol=1e-12)
+            lam[i], vec[i] = w[0], v[:, 0]
+            # ||H||_2 is the largest |eigenvalue|: one more Lanczos run, not an SVD
+            norm[i] = abs(eigsh(S, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False)[0])
+    # stacked 1 x d by d x 1 products: each is v @ v, as np.linalg.norm(v) rounds
+    vec /= np.sqrt(vec[:, None, :] @ vec[:, :, None])[:, 0]
+    r = (stack @ vec[:, :, None])[:, :, 0]
+    r -= lam[:, None] * vec
+    resid = np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    over = resid > 1e-8 * np.maximum(norm, 1e-300)
+    if over.any():
+        raise NumericalError(f"eigenpair residual {resid[over.argmax()]:.3e} exceeds 1e-8 * ||H||")
+    return (float(lam[0]), vec[0]) if H.ndim == 2 else (lam, vec)
 
 
-def certify(p: StochasticProblem, x, epsilon: float) -> SospCertificate:
-    """Certify x against the epsilon-local-minimizer definition (exact oracles)."""
+def certify(p: StochasticProblem, x, epsilon: float, *, grad=None,
+            lambda_min=None) -> SospCertificate:
+    """Certify x against the epsilon-local-minimizer definition (exact oracles).
+
+    ``grad`` and ``lambda_min``, given together, are the exact gradient and
+    Hessian minimum eigenvalue at x, computed by the caller with those of
+    other points (``psgd.run_steps``); without them certify calls the exact
+    oracles at x itself.
+    """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigurationError(f"epsilon must be finite and positive, got {epsilon}")
     if p.meta.L_H <= 0:
         raise ConfigurationError("certification needs metadata L_H > 0")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.ascontiguousarray(p.exact_grad(x), dtype=np.float64)
+    if (grad is None) != (lambda_min is None):
+        raise ConfigurationError("certify needs both grad and lambda_min, or neither")
+    if grad is None:
+        x = np.asarray(x, dtype=np.float64)
+        grad = p.exact_grad(x)
+        lambda_min, _ = min_eigenvalue(p.exact_hess(x))
+    g = np.ascontiguousarray(grad, dtype=np.float64)
     grad_norm = math.sqrt(g @ g)
-    lam, _ = min_eigenvalue(p.exact_hess(x))
+    lam = float(lambda_min)
     score = max(math.sqrt(grad_norm), -lam / p.meta.L_H)
     return SospCertificate(
         grad_norm=grad_norm,

@@ -82,6 +82,12 @@ class ProblemMetadata:
 class StochasticProblem:
     """Oracle bundle: sampled F and exact f with metadata.
 
+    Exact oracles take a ``(d,)`` point, returning a float, a ``(d,)``
+    gradient and a ``(d, d)`` Hessian, or a ``(k, d)`` stack of points,
+    returning ``(k,)``, ``(k, d)`` and ``(k, d, d)`` arrays whose row i
+    equals the call on point i bit for bit; certification evaluates the
+    iterates of a seed group in one call each.
+
     Batch oracles take ``seeds`` of shape ``(n,)`` and ``points`` of shape
     ``(k, d)`` with k dividing n, or a single ``(d,)`` point (k = 1): point
     j serves the n/k consecutive seeds from j n/k on, so one call serves k
@@ -166,6 +172,16 @@ def _rows(points, n: int, dim: int) -> np.ndarray:
     """(n, dim): the point each of an oracle call's n seeds is evaluated at."""
     pts = _points(points, n, dim)
     return pts if len(pts) == n else np.repeat(pts, n // len(pts), axis=0)
+
+
+def _row_by_row(one: Callable) -> Callable:
+    """The exact oracle ``one`` of a (d,) point, extended to a (k, d) stack
+    by calling it on each row."""
+    def oracle(x):
+        x = np.asarray(x, dtype=np.float64)
+        return one(x) if x.ndim == 1 else np.array([one(row) for row in x])
+
+    return oracle
 
 
 def _check_box_radius(box_radius: float) -> float:
@@ -267,6 +283,20 @@ def make_multiplicative_saddle(
     def hess_batch(points, seeds):
         return scaled(hess_rows(_points(points, len(seeds), d)), seeds)
 
+    # each row of a (k, d) stack rounds as its one-point call does: values
+    # through stacked 1 x d products, Hessians through hess_rows (= hess_at)
+    def exact_value(x):
+        x = np.asarray(x, dtype=np.float64)
+        return float(f_rows(x[None, :])[0]) if x.ndim == 1 else f_rows(x, each=True)
+
+    def exact_grad(x):
+        x = np.asarray(x, dtype=np.float64)
+        return grad_rows(x[None, :])[0] if x.ndim == 1 else grad_rows(x)
+
+    def exact_hess(x):
+        x = np.asarray(x, dtype=np.float64)
+        return hess_at(x) if x.ndim == 1 else hess_rows(x)
+
     if q > 0:
         f_star = -1.0 / (16.0 * q)
         lip_hess = 24.0 * q * R
@@ -286,9 +316,9 @@ def make_multiplicative_saddle(
     return StochasticProblem(
         meta=meta,
         name=f"multiplicative_saddle(d={d}, neg={neg_count}, rho={rho}, q={q})",
-        exact_value=lambda x: float(f_rows(np.asarray(x, dtype=np.float64)[None, :])[0]),
-        exact_grad=lambda x: grad_rows(np.asarray(x, dtype=np.float64)[None, :])[0],
-        exact_hess=lambda x: hess_at(np.asarray(x, dtype=np.float64)),
+        exact_value=exact_value,
+        exact_grad=exact_grad,
+        exact_hess=exact_hess,
         sample_value_batch=value_batch,
         sample_grad_batch=grad_batch,
         sample_hess_batch=hess_batch,
@@ -378,9 +408,9 @@ def make_phase_retrieval(
     return StochasticProblem(
         meta=meta,
         name=f"phase_retrieval(d={d}, m={m}, seed={planted_seed})",
-        exact_value=exact_value,
-        exact_grad=exact_grad,
-        exact_hess=exact_hess,
+        exact_value=_row_by_row(exact_value),
+        exact_grad=_row_by_row(exact_grad),
+        exact_hess=_row_by_row(exact_hess),
         sample_value_batch=value_batch,
         sample_grad_batch=grad_batch,
         sample_hess_batch=hess_batch,

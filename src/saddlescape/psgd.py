@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import diagnostics
 from .diagnostics import RunTrace, TraceRow, certify
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, zo_gradient
@@ -252,8 +253,32 @@ def _config_echo(cfg) -> str:
                      for key, value in values.items() if value is not None)
 
 
-# lives here rather than in diagnostics: the benchmark's tracer patches
-# certify in psgd, scrn and harness, not in diagnostics
+# lives here, with run_steps, rather than in diagnostics: the benchmark's
+# tracer patches certify in psgd, scrn and harness, not in diagnostics
+def _certify_points(p: StochasticProblem, xs: np.ndarray, epsilon: float) -> list:
+    """One outcome per row of the (k, d) points ``xs``: its SospCertificate,
+    or the NumericalError that its own ``certify`` call raises.
+
+    One call of each exact oracle and of ``min_eigenvalue`` (looked up in
+    ``diagnostics`` at call time, where the benchmark's tracer times it)
+    serve all rows; each row then gets its certificate from its own
+    ``certify`` call, which the tracer counts.  If the stacked pass fails,
+    each row is certified on its own, so a failure ends only its row's run.
+    """
+    try:
+        grads = p.exact_grad(xs)
+        lams, _ = diagnostics.min_eigenvalue(p.exact_hess(xs))
+    except NumericalError:
+        outcomes = []
+        for x in xs:
+            try:
+                outcomes.append(certify(p, x, epsilon))
+            except NumericalError as err:
+                outcomes.append(err)
+        return outcomes
+    return [certify(p, x, epsilon, grad=g, lambda_min=lam) for x, g, lam in zip(xs, grads, lams)]
+
+
 def run_steps(
     p: StochasticProblem,
     x0s,
@@ -279,15 +304,18 @@ def run_steps(
     dict under its position in ``rows``, with its ``NumericalError``.
 
     Rows are certified on exact oracles, never charged to the budget, at
-    t = 0, every ``certify_every`` steps and at step T.  Certification, like
-    the cubic solve and the clamp to the box, stays one call per run: the
-    benchmark's tracer counts those calls by patching them, so they stay
-    per run until the program counts them itself.  ``stop_after_certified``
-    ends a run at its first certified row (a pure function of its
-    trajectory, so traces stay byte-reproducible); ``r_indices[i]`` keeps
-    that step's iterate and budget of run i and certifies the iterate at
-    the end.  A run that stops or fails leaves the active set and draws no
-    more samples.
+    t = 0, every ``certify_every`` steps and at step T.  The active runs of
+    a checkpoint are certified together (``_certify_points``): the exact
+    oracles take their (k, d) stack of iterates and ``min_eigenvalue`` the
+    (k, d, d) Hessians, once per checkpoint.  The per-row ``certify`` call,
+    like the cubic solve and the clamp to the box, stays one call per run:
+    the benchmark's tracer counts those calls by patching them, so they
+    stay per run until the program counts them itself.
+    ``stop_after_certified`` ends a run at its first certified row (a pure
+    function of its trajectory, so traces stay byte-reproducible);
+    ``r_indices[i]`` keeps that step's iterate and budget of run i, and the
+    iterates of all finished runs are certified together at the end.  A run
+    that stops or fails leaves the active set and draws no more samples.
 
     Returns one outcome per run, in order: its RunTrace, or the
     NumericalError that ended it, carrying the step index and the partial
@@ -309,20 +337,27 @@ def run_steps(
         traces[i].total_oracle_calls = charged
         outcomes[i] = err
 
-    def record(i: int, t: int, sol) -> bool:
-        """Certify run i's row t; True if the run leaves the active set."""
-        try:
-            cert = certify(p, x[i], cfg.epsilon)
-        except NumericalError as err:
-            fail(i, t, err, calls[i])
-            return True
-        traces[i].append(TraceRow(
-            t, p.exact_value(x[i]), cert.grad_norm, cert.lambda_min, calls[i], cert.certified,
-            *((None, None) if sol is None else (sol.radius, sol.model_decrease)),
-        ))
-        return stop_after_certified and cert.certified
+    def record(runs: list, t: int, sols: list) -> list:
+        """Certify row t of ``runs``, whose steps gave ``sols``; returns the
+        runs that stay active."""
+        if not runs:
+            return runs
+        xs = x[runs]
+        values = p.exact_value(xs)
+        still = []
+        for i, f, cert, sol in zip(runs, values.tolist(), _certify_points(p, xs, cfg.epsilon), sols):
+            if isinstance(cert, NumericalError):
+                fail(i, t, cert, calls[i])
+                continue
+            traces[i].append(TraceRow(
+                t, f, cert.grad_norm, cert.lambda_min, calls[i], cert.certified,
+                *((None, None) if sol is None else (sol.radius, sol.model_decrease)),
+            ))
+            if not (stop_after_certified and cert.certified):
+                still.append(i)
+        return still
 
-    active = [i for i in range(len(traces)) if not record(i, 0, None)]
+    active = record(list(range(len(traces))), 0, [None] * len(traces))
     rows: list = []
     for t in range(1, cfg.T + 1):
         if not active:
@@ -333,8 +368,7 @@ def run_steps(
         faults: dict = {}
         x_new, step_calls, sols = step(t, rows, x[rows], steps.child(t), faults)
         x[rows] = x_new
-        checkpoint = t % certify_every == 0 or t == cfg.T
-        still = []
+        stepped, stepped_sols = [], []
         for j, i in enumerate(active):
             if j in faults:
                 fail(i, t, faults[j], calls[i] + step_calls)
@@ -342,19 +376,21 @@ def run_steps(
             calls[i] += step_calls
             if r_indices is not None and t == r_indices[i]:
                 at_r[i] = (x[i].copy(), calls[i])
-            if not (checkpoint and record(i, t, None if sols is None else sols[j])):
-                still.append(i)
-        active = still
-    for i, trace in enumerate(traces):
-        if outcomes[i] is not trace:
-            continue
-        trace.total_oracle_calls = calls[i]
-        if r_indices is not None:
-            trace.r_index, (x_r, trace.r_oracle_calls) = r_indices[i], at_r[i]
-            try:
-                trace.r_certificate = certify(p, x_r, cfg.epsilon)
-            except NumericalError as err:
-                fail(i, trace.r_index, err, calls[i])
+            stepped.append(i)
+            stepped_sols.append(None if sols is None else sols[j])
+        active = record(stepped, t, stepped_sols) if t % certify_every == 0 or t == cfg.T else stepped
+    finished = [i for i, trace in enumerate(traces) if outcomes[i] is trace]
+    for i in finished:
+        traces[i].total_oracle_calls = calls[i]
+    if r_indices is not None and finished:
+        certs = _certify_points(p, np.stack([at_r[i][0] for i in finished]), cfg.epsilon)
+        for i, cert in zip(finished, certs):
+            trace = traces[i]
+            trace.r_index, trace.r_oracle_calls = r_indices[i], at_r[i][1]
+            if isinstance(cert, NumericalError):
+                fail(i, trace.r_index, cert, calls[i])
+            else:
+                trace.r_certificate = cert
     return outcomes
 
 

@@ -58,9 +58,9 @@ def constant_problem(d: int, value: float = 3.25) -> StochasticProblem:
     return dataclasses.replace(
         base,
         name=f"constant({value})",
-        exact_value=lambda x: value,
-        exact_grad=lambda x: np.zeros(d),
-        exact_hess=lambda x: np.zeros((d, d)),
+        exact_value=lambda x: value if np.ndim(x) == 1 else np.full(len(x), value),
+        exact_grad=lambda x: np.zeros(np.shape(x)),
+        exact_hess=lambda x: np.zeros(np.shape(x) + (d,)),
         sample_value_batch=value_batch,
         sample_grad_batch=None,
         sample_hess_batch=None,

@@ -66,3 +66,28 @@ def test_tracer_wraps_the_zeroth_order_estimators(monkeypatch):
     assert trace.rows[-1].t == 1
     assert tracer.calls["estimators.zo_gradient"] == tracer.calls["estimators.zo_hessian"] == 1
     assert tracer.zo_hess_peak_bytes > 0
+
+
+def test_tracer_sees_a_group_certified_together(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import WORKLOADS
+
+    seeds = (0, 1, 2)
+    psgd_spec = harness.ExperimentSpec(**dict(
+        WORKLOADS["psgd_sgc"], epsilon_grid=(0.2,), seeds=seeds, max_steps=2000))
+    scrn_spec = harness.ExperimentSpec(**dict(
+        WORKLOADS["scrn_ho"], epsilon_grid=(0.2,), seeds=seeds, max_steps=20))
+    for spec, r_certificates in ((psgd_spec, 0), (scrn_spec, len(seeds))):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            traces = harness._run_group(spec, 0.2, seeds)
+        rows = [row.t for trace in traces for row in trace.rows]
+        assert sum(trace.r_certificate is not None for trace in traces) == r_certificates
+        # one certify call per seed and row, and per random iterate
+        assert tracer.calls["diagnostics.certify"] == len(rows) + r_certificates
+        # one stacked min_eigenvalue call per checkpoint of the group, and one
+        # for the random iterates
+        checkpoints = len(set(rows)) + (r_certificates > 0)
+        assert tracer.calls["diagnostics.min_eigenvalue"] == checkpoints < len(rows)
+        assert tracer.calls["problems.exact_hess"] == checkpoints

@@ -11,7 +11,7 @@ from saddlescape.diagnostics import (
     min_eigenvalue,
     sosp_fraction,
 )
-from saddlescape.errors import ConfigurationError, EvaluationError
+from saddlescape.errors import ConfigurationError, EvaluationError, NumericalError
 from saddlescape.problems import make_multiplicative_saddle, make_phase_retrieval
 
 
@@ -50,6 +50,7 @@ def test_min_eigenvalue_matches_power_iteration():
 
 def test_min_eigenvalue_residual_bound_on_random_matrices():
     rng = np.random.default_rng(42)
+    by_dim = {}
     for _ in range(1_000):
         d = int(rng.integers(1, 51))
         a = rng.standard_normal((d, d))
@@ -57,12 +58,30 @@ def test_min_eigenvalue_residual_bound_on_random_matrices():
         lam, vec = min_eigenvalue(H)
         norm = np.linalg.norm(H, 2)
         assert np.linalg.norm(H @ vec - lam * vec) <= 1e-8 * max(norm, 1e-12)
+        w, v = np.linalg.eigh(H)  # the reference pair: eigh's first, renormalised
+        assert lam == w[0] and np.array_equal(vec, v[:, 0] / np.linalg.norm(v[:, 0]))
+        by_dim.setdefault(d, []).append((H, lam, vec))
+    # a stack of the matrices of one dimension gives each its own call's pair
+    for pairs in by_dim.values():
+        lams, vecs = min_eigenvalue(np.stack([H for H, _, _ in pairs]))
+        assert lams.shape == (len(pairs),) and vecs.shape == (len(pairs), len(pairs[0][2]))
+        assert np.array_equal(lams, [lam for _, lam, _ in pairs])
+        assert np.array_equal(vecs, [vec for _, _, vec in pairs])
 
 
 def test_min_eigenvalue_rejects_asymmetry():
     H = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ConfigurationError):
         min_eigenvalue(H)
+    with pytest.raises(ConfigurationError, match="not symmetric"):
+        min_eigenvalue(np.stack([np.eye(2), H, np.eye(2)]))
+
+
+def test_min_eigenvalue_rejects_non_finite_entries():
+    H = np.diag([1.0, np.nan])
+    for matrices in (H, np.stack([np.eye(2), H])):
+        with pytest.raises(NumericalError, match="non-finite"):
+            min_eigenvalue(matrices)
 
 
 def test_min_eigenvalue_iterative_path_above_dense_limit():
@@ -110,6 +129,8 @@ def test_certificate_matches_independent_recomputation():
     for _ in range(5):
         x = rng.standard_normal(5)
         cert = certify(p, x, 0.1)
+        lam, _ = min_eigenvalue(p.exact_hess(x))
+        assert certify(p, x, 0.1, grad=p.exact_grad(x), lambda_min=lam) == cert
         # finite-difference gradient norm
         h = 1e-6
         fd = np.array([
@@ -134,6 +155,8 @@ def test_certify_preconditions(quad_saddle_2d):
     for epsilon in (math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="finite"):
             certify(quad_saddle_2d, np.zeros(2), epsilon)
+    with pytest.raises(ConfigurationError, match="both grad and lambda_min"):
+        certify(quad_saddle_2d, np.zeros(2), 0.1, grad=np.zeros(2))
 
 
 def _trace_with_flags(flags):

@@ -78,11 +78,27 @@ def _nan_gradients_beyond(p, limit):
     return dataclasses.replace(p, sample_grad_batch=grad_batch)
 
 
-def test_failed_seed_leaves_the_group_alone(tmp_path, monkeypatch):
+def _nan_hessians_beyond(p, limit):
+    """``p`` whose exact Hessians are NaN at points with x[0] > limit, of a
+    (d,) point or of each row of a (k, d) stack."""
+    def exact_hess(x):
+        hess = p.exact_hess(x)
+        hess[np.asarray(x)[..., 0] > limit] = np.nan
+        return hess
+
+    return dataclasses.replace(p, exact_hess=exact_hess)
+
+
+# a step fails on NaN sampled gradients, a certification on NaN exact Hessians
+@pytest.mark.parametrize("fault, message", [
+    (_nan_gradients_beyond, "update produced non-finite entries"),
+    (_nan_hessians_beyond, "matrix has non-finite entries"),
+], ids=["sampled_gradients", "exact_hessians"])
+def test_failed_seed_leaves_the_group_alone(tmp_path, monkeypatch, fault, message):
     counters = []
 
     def faulty(config):
-        p, counter = counting_problem(_nan_gradients_beyond(build(config), 0.5))
+        p, counter = counting_problem(fault(build(config), 0.5))
         counters.append(counter)
         return p
 
@@ -97,6 +113,7 @@ def test_failed_seed_leaves_the_group_alone(tmp_path, monkeypatch):
     assert counters[-1].total == group_drawn
     failed = [o for o in outcomes if isinstance(o, NumericalError)]
     assert len(failed) == 1 and 1 < failed[0].iterate < 150
+    assert str(failed[0]) == message
 
     own_drawn = 0
     for seed, outcome, line in zip(spec.seeds, outcomes, group_lines):

@@ -300,11 +300,13 @@ def test_clamp_to_box():
 
 
 # ---------------------------------------------------------------------------
-# the batch-oracle contract: k points serve n seeds, n/k consecutive each
+# the batch-oracle contract: k points serve n seeds, n/k consecutive each,
+# and the exact oracles of a (k, d) stack are the k one-point calls
 
 _D = 4
 _CONTRACT_PROBLEMS = {
     "saddle": make_multiplicative_saddle(d=_D, neg_count=1, rho=2.0, quartic_coeff=0.05),
+    "saddle_quadratic": make_multiplicative_saddle(d=_D, neg_count=1, rho=2.0, quartic_coeff=0.0),
     "phase_retrieval": make_phase_retrieval(d=_D, m=32, planted_seed=1),
     "additive": make_additive_noise_variant(
         make_multiplicative_saddle(d=_D, neg_count=1, rho=1.0, quartic_coeff=0.05), 0.5),
@@ -319,6 +321,12 @@ def test_k_points_serve_consecutive_seeds(name):
         pts = rng.uniform(-1.5, 1.5, (k, _D))
         seeds = SeedStream(k).seeds(n)
         expanded = np.repeat(pts, n // k, axis=0)
+
+        for exact, shape in ((p.exact_value, ()), (p.exact_grad, (_D,)), (p.exact_hess, (_D, _D))):
+            stacked = exact(pts)
+            assert stacked.shape == (k, *shape)
+            assert np.array_equal(stacked, np.array([exact(x) for x in pts]))
+        assert isinstance(p.exact_value(pts[0]), float)
 
         def own_calls(oracle):
             return np.concatenate([oracle(x, s) for x, s in zip(pts, seeds.reshape(k, -1))])
