@@ -16,8 +16,9 @@ call, so a zeroth-order gradient costs 2 per direction and a zeroth-order
 Hessian 3 per direction.
 
 Both zeroth-order estimators take the smoothing radius ``nu`` as an argument
-and stream their directions in blocks of a fixed number of bytes, so memory
-does not grow with ``n1`` or ``n2``.
+and stream their directions in blocks of a fixed number of bytes per run, so
+memory does not grow with ``n1`` or ``n2``; a group of k runs holds k runs'
+blocks at a time.
 
 Noise seeds and direction vectors come from independently split seed
 streams, so first-order and zeroth-order runs with the same master seed see
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
 from .problems import StochasticProblem
-from .seeds import SeedStream, fold_int_states, fold_label_states, seed_blocks
+from .seeds import SeedStream, fold_int_states
 
 NU_FLOOR = 1e-12  # below this, forward differences are cancellation noise
 _BLOCK_BYTES = 1 << 18  # zeroth-order directions are streamed in blocks of this many bytes
@@ -53,8 +54,9 @@ class HessEstimate:
 def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream) -> GradEstimate:
     """Average of n1 sampled gradients; costs n1 oracle calls.
 
-    With a (k, d) ``x`` and a block of k streams, row i of ``g`` is the
-    estimate of run i at x[i], from one oracle call for all k runs.
+    With a block of k streams and a (k, d) ``x`` (or one (d,) point that
+    all k runs share), row i of ``g`` is the estimate of run i at its
+    point, from one oracle call for all k runs.
     """
     if not p.has_grad_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no gradient oracle")
@@ -70,16 +72,15 @@ def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream:
     """Gaussian-smoothing forward-difference gradient; 2 calls per direction.
 
     A (k, d) ``x`` with a block of k streams gives the k runs' estimates as
-    the rows of ``g``, each run's from its own call (see ``_run_by_run``).
+    the rows of ``g``; each run draws its own directions, and each value
+    query serves all k runs (see ``_direction_blocks``).
     """
-    if stream.is_block:
-        return GradEstimate(_run_by_run(zo_gradient, p, x, nu, n1, stream, "g"), 2 * n1)
-    g = np.zeros(p.meta.dim)
-    blocks = _direction_blocks(p, x, nu, n1, stream.child("xi"), stream.child("u").rng(),
-                               central=False)
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros((x.size // p.meta.dim, p.meta.dim))
+    blocks = _direction_blocks(p, x, nu, n1, stream.child("xi"), stream.child("u"), central=False)
     for u, diff in blocks:
-        g += (diff / nu) @ u
-    return GradEstimate(g=g / n1, oracle_calls=2 * n1)
+        g += ((diff / nu)[:, None, :] @ u)[:, 0]
+    return GradEstimate(g=(g / n1).reshape(x.shape), oracle_calls=2 * n1)
 
 
 def so_hessian(p: StochasticProblem, x: np.ndarray, n2: int, stream: SeedStream) -> HessEstimate:
@@ -104,33 +105,21 @@ def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: 
     symmetrize explicitly because floating-point accumulation is not.  A
     (k, d) ``x`` with a block of k streams is run as in ``zo_gradient``.
     """
-    if stream.is_block:
-        return HessEstimate(_run_by_run(zo_hessian, p, x, nu, n2, stream, "H"), 3 * n2)
+    x = np.asarray(x, dtype=np.float64)
     d = p.meta.dim
-    outer = np.zeros((d, d))
-    curv_sum = 0.0
-    blocks = _direction_blocks(p, x, nu, n2, stream.child("xih"), stream.child("uh").rng(),
-                               central=True)
-    weighted = np.empty((min(n2, _block_rows(d)), d))  # h_i u_i of one block
+    k = x.size // d
+    outer = np.zeros((k, d, d))
+    curv_sum = np.zeros(k)
+    blocks = _direction_blocks(p, x, nu, n2, stream.child("xih"), stream.child("uh"), central=True)
+    weighted = np.empty(k * min(n2, _block_rows(d)) * d)  # h_i u_i of one block
     for u, diff in blocks:
         curv = diff / (2.0 * nu * nu)
-        w = np.multiply(u, curv[:, None], out=weighted[:len(u)])
-        outer += w.T @ u
-        curv_sum += curv.sum()
-    h = outer / n2 - (curv_sum / n2) * np.eye(d)
-    return HessEstimate(H=0.5 * (h + h.T), oracle_calls=3 * n2)
-
-
-def _run_by_run(estimator, p, x, nu, n, stream, field) -> np.ndarray:
-    """The stacked ``field`` of a zeroth-order estimator run on each of k runs.
-
-    Each run draws its directions from its own generator and queries its
-    own blocks: the saddle's values of an (m, d) batch come from one BLAS
-    matrix-vector product, whose rounding depends on a row's position in
-    the batch, so stacking the runs' blocks would change their estimates.
-    """
-    return np.stack([getattr(estimator(p, row, nu, n, node), field)
-                     for row, node in zip(x, stream.nodes())])
+        w = np.multiply(u, curv[:, :, None], out=weighted[:u.size].reshape(u.shape))
+        outer += np.swapaxes(w, 1, 2) @ u
+        curv_sum += curv.sum(axis=1)
+    h = outer / n2 - (curv_sum / n2)[:, None, None] * np.eye(d)
+    return HessEstimate(H=(0.5 * (h + np.swapaxes(h, 1, 2))).reshape(x.shape[:-1] + (d, d)),
+                        oracle_calls=3 * n2)
 
 
 def _block_rows(d: int) -> int:
@@ -138,19 +127,22 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * d))
 
 
-def _direction_blocks(p, x, nu, n, xi_stream, rng, central):
-    """Stream n Gaussian directions and their value differences, block by block.
+def _direction_blocks(p, x, nu, n, xi_stream, u_stream, central):
+    """Stream n Gaussian directions per run and their value differences, block by block.
 
-    Yields ``(u, diff)`` for consecutive blocks of at most ``_block_rows(d)``
-    directions, with ``diff_i = F(x + nu u_i) - F(x)`` (forward) or
-    ``F(x + nu u_i) + F(x - nu u_i) - 2 F(x)`` (central), every query of
-    direction i at noise seed ``xi_i``.  Block seeds are taken from
-    ``xi_stream`` by index and directions are drawn from ``rng`` in order, so
-    the blocks concatenate to the one-shot ``xi_stream.seeds(n)`` and
-    ``rng.standard_normal((n, d))``; no array grows with n.  Every block is
-    drawn into the same buffers, so a yielded ``u`` is valid until the next
-    block is drawn.  A bad ``nu`` or ``n`` raises ``ConfigurationError``
-    before any oracle call.
+    ``x`` holds the (k, d) iterates of k runs (or one run's (d,) point) and
+    ``xi_stream``, ``u_stream`` their noise-seed and direction streams.
+    Yields ``(u, diff)`` of shapes (k, m, d) and (k, m) for consecutive
+    blocks of m <= ``_block_rows(d)`` directions, with ``diff_i = F(x + nu
+    u_i) - F(x)`` (forward) or ``F(x + nu u_i) + F(x - nu u_i) - 2 F(x)``
+    (central), every query of direction i at noise seed ``xi_i``; each
+    query is one oracle call for all k runs.  Block seeds are taken by
+    index and each run draws its directions in order from its own
+    ``u_stream`` generator, so a run's blocks concatenate to the one-shot
+    ``seeds(n)`` and ``standard_normal((n, d))``; no array grows with n.
+    Every block is drawn into the same buffers, so a yielded ``u`` is valid
+    until the next block is drawn.  A bad ``nu`` or ``n`` raises
+    ``ConfigurationError`` before any oracle call.
     """
     if not nu > 0:
         raise ConfigurationError(f"smoothing radius nu must be positive, got {nu}")
@@ -159,22 +151,27 @@ def _direction_blocks(p, x, nu, n, xi_stream, rng, central):
                                  "differences this small lose all precision")
     if n < 1:
         raise ConfigurationError("batch sizes n1, n2 must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    d = p.meta.dim
+    rngs = [node.rng() for node in u_stream.nodes()]
+    k, d = len(rngs), p.meta.dim
+    x = np.asarray(x, dtype=np.float64).reshape(k, 1, d)
     rows = _block_rows(d)
-    u_buf, step_buf, pts_buf = np.empty((3, min(rows, n), d))
+    u_buf, step_buf, pts_buf = np.empty((3, k * min(rows, n) * d))
     for start in range(0, n, rows):
-        seeds = xi_stream.seeds(min(rows, n - start), start)
-        m = len(seeds)
-        u = rng.standard_normal(out=u_buf[:m])
-        step = np.multiply(u, nu, out=step_buf[:m])
-        f_plus = p.sample_value_batch(np.add(x, step, out=pts_buf[:m]), seeds)
-        f_base = p.sample_value_batch(x, seeds)
+        m = min(rows, n - start)
+        seeds = xi_stream.seeds(m, start).reshape(-1)
+        u = u_buf[:k * m * d].reshape(k, m, d)
+        for rng, run_u in zip(rngs, u):
+            rng.standard_normal(out=run_u)
+        step = np.multiply(u, nu, out=step_buf[:u.size].reshape(u.shape))
+        pts = pts_buf[:u.size].reshape(u.shape)
+        f_plus = p.sample_value_batch(np.add(x, step, out=pts).reshape(-1, d), seeds)
+        f_base = p.sample_value_batch(x[:, 0], seeds)
         if central:
-            f_minus = p.sample_value_batch(np.subtract(x, step, out=pts_buf[:m]), seeds)
-            yield u, f_plus + f_minus - 2.0 * f_base
+            f_minus = p.sample_value_batch(np.subtract(x, step, out=pts).reshape(-1, d), seeds)
+            diff = f_plus + f_minus - 2.0 * f_base
         else:
-            yield u, f_plus - f_base
+            diff = f_plus - f_base
+        yield u, diff.reshape(k, m)
 
 
 @dataclass(frozen=True)
@@ -193,14 +190,15 @@ def estimate_sgc_rho(
 ) -> RhoEstimate:
     """max over points of  mean ||grad F(x, xi)||^2 / ||grad f(x)||^2.
 
-    Requires every point to have a nonvanishing true gradient (the ratio is
-    undefined otherwise) and enough trials for a meaningful mean.
+    Requires at least one point, every point to have a nonvanishing true
+    gradient (the ratio is undefined otherwise) and enough trials for a
+    meaningful mean.
     """
     if trials < 1_000:
         raise ConfigurationError(f"need trials >= 1000, got {trials}")
     if not p.has_grad_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no gradient oracle")
-    best = RhoEstimate(-np.inf, 0.0)
+    best = None
     for k, x in enumerate(points):
         x = np.asarray(x, dtype=np.float64)
         eg = p.exact_grad(x)
@@ -216,8 +214,10 @@ def estimate_sgc_rho(
         sq = np.einsum("nd,nd->n", grads, grads) / denom
         ratio = float(sq.mean())
         se = float(sq.std(ddof=1) / np.sqrt(trials))
-        if ratio > best.rho_hat:
+        if best is None or ratio > best.rho_hat:
             best = RhoEstimate(ratio, se)
+    if best is None:
+        raise ConfigurationError("estimate_sgc_rho needs at least one point")
     return best
 
 
@@ -230,18 +230,13 @@ def grad_minibatch_trials(
 ) -> np.ndarray:
     """(trials, d) minibatch gradient means for Monte-Carlo moment checks.
 
-    Trial ``k`` equals ``fo_gradient(p, x, n1, stream.child("trial", k)).g``
-    but all trials share one vectorized oracle call.
+    Trial ``k`` is ``fo_gradient(p, x, n1, stream.child("trial", k)).g``;
+    all trials share one oracle call, as the runs of a group do.
     """
-    if not p.has_grad_oracle:
-        raise CapabilityError(f"problem {p.name!r} exposes no gradient oracle")
-    x = np.asarray(x, dtype=np.float64)
-    trial_states = fold_label_states(
-        fold_int_states(stream.child("trial").state, np.arange(trials)), "xi"
-    )
-    seeds = seed_blocks(trial_states, n1).reshape(-1)
-    grads = p.sample_grad_batch(x, seeds)
-    return grads.reshape(trials, n1, -1).mean(axis=1)
+    if trials < 1:
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
+    trial_streams = SeedStream.block(fold_int_states(stream.child("trial").state, np.arange(trials)))
+    return fo_gradient(p, x, n1, trial_streams).g
 
 
 def hess_minibatch_trials(
@@ -253,6 +248,9 @@ def hess_minibatch_trials(
 ) -> np.ndarray:
     """(trials, d, d) minibatch Hessian means for Monte-Carlo moment checks.
 
-    Trial ``k`` is ``so_hessian(p, x, n2, stream.child("trial", k)).H``.
+    Trial ``k`` is ``so_hessian(p, x, n2, stream.child("trial", k)).H``, one
+    call per trial: a block of all trials would hold trials * n2 Hessians.
     """
+    if trials < 1:
+        raise ConfigurationError(f"need trials >= 1, got {trials}")
     return np.stack([so_hessian(p, x, n2, stream.child("trial", k)).H for k in range(trials)])

@@ -92,12 +92,9 @@ class StochasticProblem:
     ``(k, d)`` with k dividing n, or a single ``(d,)`` point (k = 1): point
     j serves the n/k consecutive seeds from j n/k on, so one call serves k
     runs that each draw n/k samples at their own iterate.  They are pure:
-    the same point and seed always reproduce the same sample.  Rounding may
-    depend on the rest of the call: the saddle's values of n distinct
-    points come from one matrix-vector product, so a row's last bit can
-    change with its position.  A point that serves several seeds gives the
-    values of its own call, and gradients and Hessians never depend on the
-    other rows.
+    the same point and seed always reproduce the same sample, bit for bit,
+    whatever else the call holds, so row i of any batch equals its one-row
+    call.
     """
 
     meta: ProblemMetadata
@@ -230,16 +227,17 @@ def make_multiplicative_saddle(
     a_diag = np.concatenate([-np.ones(neg_count), np.ones(d - neg_count)])
     q = float(quartic_coeff)
 
-    def f_rows(pts: np.ndarray, each: bool = False) -> np.ndarray:
-        """f at each row.  An (n, d) matrix-vector product rounds a row by
-        its position in the batch; with ``each``, stacked 1 x d products
-        round every row as a batch of that row alone does."""
+    def f_rows(pts: np.ndarray) -> np.ndarray:
+        """f at each row: 0.5 ||x||^2 - sum_{i < neg_count} x_i^2 + q ||x||^4,
+        every term a reduction within its own row, so no row's bits depend on
+        the others (a matrix-vector product with ``a_diag`` would round a row
+        by its position in the batch)."""
         sq = pts * pts  # the one (n, d) temporary
-        quartic = q * np.square(sq.sum(axis=1)) if q else None
-        sq *= 0.5
-        val = (sq[:, None, :] @ a_diag[:, None])[:, 0, 0] if each else sq @ a_diag
+        nrm2 = sq.sum(axis=1)
+        val = 0.5 * nrm2
+        val -= sq[:, :neg_count].sum(axis=1)
         if q:
-            val += quartic
+            val += q * np.square(nrm2)
         return val
 
     def grad_rows(pts: np.ndarray) -> np.ndarray:
@@ -251,31 +249,22 @@ def make_multiplicative_saddle(
     a_mat = np.diag(a_diag)
     eye = np.eye(d)
 
-    def hess_at(x: np.ndarray) -> np.ndarray:
-        if not q:
-            return a_mat.copy()
-        nrm2 = float(x @ x)
-        return a_mat + (4.0 * q * nrm2 * eye + 8.0 * q * np.outer(x, x))
-
     def hess_rows(pts: np.ndarray) -> np.ndarray:
-        """``hess_at`` of each row, bit for bit, without a loop over rows."""
+        """The Hessian at each row, without a loop over rows."""
         if not q:
             return np.repeat(a_mat[None], len(pts), axis=0)
-        # stacked 1 x d by d x 1 products: each is x @ x, bit for bit
+        # stacked 1 x d by d x 1 products: each row's ||x||^2 from its own product
         nrm2 = pts[:, None, :] @ pts[:, :, None]
         return a_mat + ((4.0 * q) * nrm2 * eye + (8.0 * q) * (pts[:, :, None] * pts[:, None, :]))
 
     # each distinct point is evaluated once and scaled by the xi of each of
-    # its seeds: gradients and Hessians equal those of an (n, d) batch of
-    # copies bit for bit, and values those of the point's own call
+    # its seeds, the samples of an (n, d) batch of copies bit for bit
     def scaled(rows, seeds):
         xi = two_point_multiplier(seeds, rho).reshape((len(rows), -1) + (1,) * (rows.ndim - 1))
         return (xi * rows[:, None]).reshape((len(seeds),) + rows.shape[1:])
 
     def value_batch(points, seeds):
-        pts = _points(points, len(seeds), d)
-        # a point that serves several seeds is evaluated as a call of its own
-        return scaled(f_rows(pts, each=len(pts) < len(seeds)), seeds)
+        return scaled(f_rows(_points(points, len(seeds), d)), seeds)
 
     def grad_batch(points, seeds):
         return scaled(grad_rows(_points(points, len(seeds), d)), seeds)
@@ -283,11 +272,11 @@ def make_multiplicative_saddle(
     def hess_batch(points, seeds):
         return scaled(hess_rows(_points(points, len(seeds), d)), seeds)
 
-    # each row of a (k, d) stack rounds as its one-point call does: values
-    # through stacked 1 x d products, Hessians through hess_rows (= hess_at)
+    # the exact oracles share the sampled ones' row functions: a (d,) point is
+    # row 0 of its one-row stack, so row i of a (k, d) stack is its call
     def exact_value(x):
         x = np.asarray(x, dtype=np.float64)
-        return float(f_rows(x[None, :])[0]) if x.ndim == 1 else f_rows(x, each=True)
+        return float(f_rows(x[None, :])[0]) if x.ndim == 1 else f_rows(x)
 
     def exact_grad(x):
         x = np.asarray(x, dtype=np.float64)
@@ -295,7 +284,7 @@ def make_multiplicative_saddle(
 
     def exact_hess(x):
         x = np.asarray(x, dtype=np.float64)
-        return hess_at(x) if x.ndim == 1 else hess_rows(x)
+        return hess_rows(x[None, :])[0] if x.ndim == 1 else hess_rows(x)
 
     if q > 0:
         f_star = -1.0 / (16.0 * q)

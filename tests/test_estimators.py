@@ -264,6 +264,23 @@ def test_rho_estimate_preconditions(quad_saddle_2d):
         estimate_sgc_rho(quad_saddle_2d, [np.ones(2)], 999, SeedStream(0))
 
 
+def test_rho_estimate_rejects_no_points(quad_saddle_2d):
+    with pytest.raises(ConfigurationError, match="at least one point"):
+        estimate_sgc_rho(quad_saddle_2d, [], 1_000, SeedStream(0))
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_grad_trials_reject_no_trials(quad_saddle_2d, trials):
+    with pytest.raises(ConfigurationError, match="trials >= 1"):
+        grad_minibatch_trials(quad_saddle_2d, np.ones(2), 4, trials, SeedStream(0))
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_hess_trials_reject_no_trials(quad_saddle_2d, trials):
+    with pytest.raises(ConfigurationError, match="trials >= 1"):
+        hess_minibatch_trials(quad_saddle_2d, np.ones(2), 4, trials, SeedStream(0))
+
+
 # ---------------------------------------------------------------------------
 # oracle-call accounting and Gaussian moments
 
@@ -350,19 +367,14 @@ def test_streamed_estimators_match_one_block(offset):
 
 
 def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
-    # the (n2, d) direction array alone would take 84 MB
-    tracemalloc.start()
-    try:
-        zo_hessian(sgc_saddle_10d, 0.1 * np.ones(10), 1e-3, 2**20, SeedStream(4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
-
-
-def test_single_point_value_batch_matches_rows(sgc_saddle_10d):
-    x = np.linspace(-0.3, 0.5, 10)
-    seeds = SeedStream(8).seeds(257)
-    rows = [sgc_saddle_10d.sample_value_batch(x[None, :], seeds[i:i + 1])[0]
-            for i in range(len(seeds))]
-    assert np.array_equal(sgc_saddle_10d.sample_value_batch(x, seeds), np.array(rows))
+    # the (n2, d) direction array of one run alone would take 84 MB; a group
+    # of k runs holds the block buffers of each run, so its bound is k times one's
+    for point, stream in ((0.1 * np.ones(10), SeedStream(4)),
+                          (0.1 * np.ones((3, 10)), SeedStream.block([4, 5, 6]))):
+        tracemalloc.start()
+        try:
+            zo_hessian(sgc_saddle_10d, point, 1e-3, 2**20, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(stream.nodes()) * 32e6

@@ -331,20 +331,40 @@ def test_k_points_serve_consecutive_seeds(name):
         def own_calls(oracle):
             return np.concatenate([oracle(x, s) for x, s in zip(pts, seeds.reshape(k, -1))])
 
-        for oracle in (p.sample_grad_batch, p.sample_hess_batch):
+        for oracle in (p.sample_value_batch, p.sample_grad_batch, p.sample_hess_batch):
             assert np.array_equal(oracle(pts, seeds), oracle(expanded, seeds))
             assert np.array_equal(oracle(pts, seeds), own_calls(oracle))
         if name == "additive":  # xi = 1: the vectorised Hessians are the exact ones
             exact = np.repeat([p.exact_hess(x) for x in pts], n // k, axis=0)
             assert np.array_equal(p.sample_hess_batch(pts, seeds), exact)
-        values = p.sample_value_batch(pts, seeds)
-        if name == "phase_retrieval" or k == n:
-            assert np.array_equal(values, p.sample_value_batch(expanded, seeds))
-        if k < n:
-            # the saddle's values of n distinct points come from one matrix-vector
-            # product, which rounds a row by its position in the batch; a shared
-            # point's values are those of its own call
-            assert np.array_equal(values, own_calls(p.sample_value_batch))
+
+
+_ROW_PROBLEMS = {  # d = 10, where a matrix-vector product over a batch rounds by position
+    "saddle": make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.008),
+    "saddle_neg9": make_multiplicative_saddle(d=12, neg_count=9, rho=3.0, quartic_coeff=0.05),
+    "phase_retrieval": make_phase_retrieval(d=10, m=64, planted_seed=3),
+    "additive": make_additive_noise_variant(
+        make_multiplicative_saddle(d=10, neg_count=1, rho=1.0, quartic_coeff=0.008), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_PROBLEMS))
+def test_every_row_equals_its_one_row_call(name):
+    # the sampled oracles are pure in (x, seed): no row's bits depend on the
+    # rest of the batch, including a single point that serves every seed
+    p = _ROW_PROBLEMS[name]
+    d = p.meta.dim
+    rng = np.random.default_rng(11)
+    batches = [(rng.uniform(-1.5, 1.5, (n, d)), SeedStream(n).seeds(n))
+               for n in rng.integers(1, 40, 30).tolist()]
+    batches.append((np.linspace(-0.3, 0.5, d), SeedStream(8).seeds(257)))
+    for pts, seeds in batches:
+        rows = np.broadcast_to(pts, (len(seeds), d))
+        for oracle in (p.sample_value_batch, p.sample_grad_batch, p.sample_hess_batch):
+            batch = oracle(pts, seeds)
+            for i, x in enumerate(rows):
+                assert np.array_equal(batch[i], oracle(x[None, :], seeds[i:i + 1])[0]), (
+                    f"{oracle.__name__} row {i} of {len(seeds)}")
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))
