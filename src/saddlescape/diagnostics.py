@@ -107,14 +107,15 @@ def min_eigenvalue(H: np.ndarray):
         raise ConfigurationError(f"expected a square matrix, got shape {H.shape}")
     stack = H if H.ndim == 3 else H[None]
     k, d = stack.shape[:2]
-    if not np.isfinite(stack).all():
-        raise NumericalError("matrix has non-finite entries")
     scale = np.abs(stack).reshape(k, -1).max(axis=1)
+    if not math.isfinite(scale.max()):  # non-finite exactly when some entry is
+        raise NumericalError("matrix has non-finite entries")
     # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
-    if ((stack - stack.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
-            > 1e-10 * np.maximum(scale, 1.0)).any():
+    asym = (stack - stack.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
+    if (asym > 1e-10 * np.maximum(scale, 1.0)).any():
         raise ConfigurationError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (stack + stack.transpose(0, 2, 1))
+    # an exactly symmetric stack is its own symmetrisation, bit for bit
+    sym = 0.5 * (stack + stack.transpose(0, 2, 1)) if asym.any() else stack
     if d <= DENSE_EIG_LIMIT:
         w, v = np.linalg.eigh(sym)
         lam, vec = w[:, 0], v[:, :, 0].copy()
@@ -129,11 +130,11 @@ def min_eigenvalue(H: np.ndarray):
             lam[i], vec[i] = w[0], v[:, 0]
             # ||H||_2 is the largest |eigenvalue|: one more Lanczos run, not an SVD
             norm[i] = abs(eigsh(S, k=1, which="LM", v0=v0, tol=1e-12, return_eigenvectors=False)[0])
-    # stacked 1 x d by d x 1 products: each is v @ v, as np.linalg.norm(v) rounds
-    vec /= np.sqrt(vec[:, None, :] @ vec[:, :, None])[:, 0]
+    # one dot per row: v @ v, as np.linalg.norm(v) rounds
+    vec /= np.sqrt(np.vecdot(vec, vec))[:, None]
     r = (stack @ vec[:, :, None])[:, :, 0]
     r -= lam[:, None] * vec
-    resid = np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    resid = np.sqrt(np.vecdot(r, r))
     over = resid > 1e-8 * np.maximum(norm, 1e-300)
     if over.any():
         raise NumericalError(f"eigenpair residual {resid[over.argmax()]:.3e} exceeds 1e-8 * ||H||")

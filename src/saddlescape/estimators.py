@@ -75,6 +75,7 @@ def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream:
     the rows of ``g``; each run draws its own directions, and each value
     query serves all k runs (see ``_direction_blocks``).
     """
+    _check_zo(nu, n1)
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros((x.size // p.meta.dim, p.meta.dim))
     blocks = _direction_blocks(p, x, nu, n1, stream.child("xi"), stream.child("u"), central=False)
@@ -105,6 +106,7 @@ def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: 
     symmetrize explicitly because floating-point accumulation is not.  A
     (k, d) ``x`` with a block of k streams is run as in ``zo_gradient``.
     """
+    _check_zo(nu, n2)
     x = np.asarray(x, dtype=np.float64)
     d = p.meta.dim
     k = x.size // d
@@ -127,6 +129,17 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * d))
 
 
+def _check_zo(nu, n) -> None:
+    """Reject a bad smoothing radius or batch size before any allocation or oracle call."""
+    if not nu > 0:
+        raise ConfigurationError(f"smoothing radius nu must be positive, got {nu}")
+    if nu < NU_FLOOR:
+        raise ConfigurationError(f"nu={nu} is below the cancellation floor {NU_FLOOR}; "
+                                 "differences this small lose all precision")
+    if n < 1:
+        raise ConfigurationError("batch sizes n1, n2 must be >= 1")
+
+
 def _direction_blocks(p, x, nu, n, xi_stream, u_stream, central):
     """Stream n Gaussian directions per run and their value differences, block by block.
 
@@ -141,16 +154,10 @@ def _direction_blocks(p, x, nu, n, xi_stream, u_stream, central):
     ``u_stream`` generator, so a run's blocks concatenate to the one-shot
     ``seeds(n)`` and ``standard_normal((n, d))``; no array grows with n.
     Every block is drawn into the same buffers, so a yielded ``u`` is valid
-    until the next block is drawn.  A bad ``nu`` or ``n`` raises
-    ``ConfigurationError`` before any oracle call.
+    until the next block is drawn.  The callers check ``nu`` and ``n`` with
+    ``_check_zo`` first.  The 2 or 3 queries of a block pass the same seeds
+    array, which lets an oracle hash those seeds once.
     """
-    if not nu > 0:
-        raise ConfigurationError(f"smoothing radius nu must be positive, got {nu}")
-    if nu < NU_FLOOR:
-        raise ConfigurationError(f"nu={nu} is below the cancellation floor {NU_FLOOR}; "
-                                 "differences this small lose all precision")
-    if n < 1:
-        raise ConfigurationError("batch sizes n1, n2 must be >= 1")
     rngs = [node.rng() for node in u_stream.nodes()]
     k, d = len(rngs), p.meta.dim
     x = np.asarray(x, dtype=np.float64).reshape(k, 1, d)

@@ -228,14 +228,16 @@ def make_multiplicative_saddle(
     q = float(quartic_coeff)
 
     def f_rows(pts: np.ndarray) -> np.ndarray:
-        """f at each row: 0.5 ||x||^2 - sum_{i < neg_count} x_i^2 + q ||x||^4,
-        every term a reduction within its own row, so no row's bits depend on
-        the others (a matrix-vector product with ``a_diag`` would round a row
-        by its position in the batch)."""
-        sq = pts * pts  # the one (n, d) temporary
-        nrm2 = sq.sum(axis=1)
+        """f at each row: 0.5 ||x||^2 - sum_{i < neg_count} x_i^2 + q ||x||^4.
+
+        Each squared norm is one ``vecdot`` (a dot per row, the bits of the
+        one-point ``x @ x``), so no row's bits depend on the others; a
+        matrix-vector product with ``a_diag`` would round a row by its
+        position in the batch."""
+        nrm2 = np.vecdot(pts, pts)
+        neg = pts[:, :neg_count]
         val = 0.5 * nrm2
-        val -= sq[:, :neg_count].sum(axis=1)
+        val -= np.vecdot(neg, neg)
         if q:
             val += q * np.square(nrm2)
         return val
@@ -253,24 +255,36 @@ def make_multiplicative_saddle(
         """The Hessian at each row, without a loop over rows."""
         if not q:
             return np.repeat(a_mat[None], len(pts), axis=0)
-        # stacked 1 x d by d x 1 products: each row's ||x||^2 from its own product
-        nrm2 = pts[:, None, :] @ pts[:, :, None]
+        nrm2 = np.vecdot(pts, pts)[:, None, None]
         return a_mat + ((4.0 * q) * nrm2 * eye + (8.0 * q) * (pts[:, :, None] * pts[:, None, :]))
 
     # each distinct point is evaluated once and scaled by the xi of each of
     # its seeds, the samples of an (n, d) batch of copies bit for bit
-    def scaled(rows, seeds):
-        xi = two_point_multiplier(seeds, rho).reshape((len(rows), -1) + (1,) * (rows.ndim - 1))
-        return (xi * rows[:, None]).reshape((len(seeds),) + rows.shape[1:])
+    def scaled(rows, xi):
+        xi_rows = xi.reshape((len(rows), -1) + (1,) * (rows.ndim - 1))
+        return (xi_rows * rows[:, None]).reshape((len(xi),) + rows.shape[1:])
+
+    # (a copy of the last value call's seeds, their multipliers): the x,
+    # x + nu u and x - nu u queries of a zeroth-order block pass one seeds
+    # array, so the block hashes it once.  Reuse needs seeds equal element for
+    # element, so the oracle stays a pure function of (x, seed).  The gradient
+    # and Hessian oracles keep no memo: their batches reach 10^6 seeds.
+    value_memo = (None, None)
 
     def value_batch(points, seeds):
-        return scaled(f_rows(_points(points, len(seeds), d)), seeds)
+        nonlocal value_memo
+        rows = f_rows(_points(points, len(seeds), d))
+        seen, xi = value_memo
+        if seen is None or not np.array_equal(seeds, seen):
+            xi = two_point_multiplier(seeds, rho)
+            value_memo = (np.array(seeds), xi)
+        return scaled(rows, xi)
 
     def grad_batch(points, seeds):
-        return scaled(grad_rows(_points(points, len(seeds), d)), seeds)
+        return scaled(grad_rows(_points(points, len(seeds), d)), two_point_multiplier(seeds, rho))
 
     def hess_batch(points, seeds):
-        return scaled(hess_rows(_points(points, len(seeds), d)), seeds)
+        return scaled(hess_rows(_points(points, len(seeds), d)), two_point_multiplier(seeds, rho))
 
     # the exact oracles share the sampled ones' row functions: a (d,) point is
     # row 0 of its one-row stack, so row i of a (k, d) stack is its call

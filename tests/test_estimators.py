@@ -34,6 +34,17 @@ def test_zo_config_validation():
     assert counter.total == 0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_zo_estimators_reject_no_directions(n):
+    # zo_hessian sizes its block buffer from n2; the check must come first
+    p, counter = counting_problem(
+        make_multiplicative_saddle(d=3, neg_count=1, rho=2.0, quartic_coeff=0.0))
+    for estimator in (zo_gradient, zo_hessian):
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            estimator(p, np.zeros(3), 0.1, n, SeedStream(0))
+    assert counter.total == 0
+
+
 # ---------------------------------------------------------------------------
 # first-order gradient
 

@@ -229,10 +229,10 @@ FORMATS = {
 # epsilon = 0.2
 # nu = 5.802252518881185e-05
 """ + _SCRN_TAIL.format(theorem_T=88, calls=50, r_lines="""\
-# r_grad_norm = 21.573528009506788
-# r_lambda_min = 1.0515913228400326
+# r_grad_norm = 21.573528009506834
+# r_lambda_min = 1.051591322840035
 # r_epsilon = 0.2
-# r_score = 4.644731209608021"""), "0.2,scrn,zeroth_order,1,,0.0,0.0,50"),
+# r_score = 4.644731209608025"""), "0.2,scrn,zeroth_order,1,,0.0,0.0,50"),
 }
 
 

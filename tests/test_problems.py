@@ -345,6 +345,10 @@ _ROW_PROBLEMS = {  # d = 10, where a matrix-vector product over a batch rounds b
     "phase_retrieval": make_phase_retrieval(d=10, m=64, planted_seed=3),
     "additive": make_additive_noise_variant(
         make_multiplicative_saddle(d=10, neg_count=1, rho=1.0, quartic_coeff=0.008), 0.5),
+    # d >= 64, where a BLAS dot runs its unrolled kernel and not only its scalar tail
+    "saddle_d67": make_multiplicative_saddle(d=67, neg_count=33, rho=2.0, quartic_coeff=0.004),
+    "additive_d67": make_additive_noise_variant(
+        make_multiplicative_saddle(d=67, neg_count=33, rho=2.0, quartic_coeff=0.004), 0.5),
 }
 
 
@@ -365,6 +369,30 @@ def test_every_row_equals_its_one_row_call(name):
             for i, x in enumerate(rows):
                 assert np.array_equal(batch[i], oracle(x[None, :], seeds[i:i + 1])[0]), (
                     f"{oracle.__name__} row {i} of {len(seeds)}")
+
+
+def test_value_oracle_reuse_of_multipliers_is_pure():
+    # the saddle's value oracle reuses its last call's multipliers only for
+    # seeds equal element for element; every call must match a fresh problem
+    def make():
+        return make_multiplicative_saddle(d=10, neg_count=2, rho=4.0, quartic_coeff=0.01)
+
+    p = make()
+    rng = np.random.default_rng(5)
+    seeds, other = SeedStream(21).seeds(64), SeedStream(22).seeds(64)
+    mutable = seeds.copy()
+    calls = [seeds, seeds.copy(), other, mutable, "mutate", mutable, seeds.copy()]
+    for call in calls:
+        if isinstance(call, str):  # in place, after the oracle has seen this array
+            mutable[::2] = other[::2]
+            continue
+        for points in (rng.uniform(-1, 1, (64, 10)), rng.uniform(-1, 1, (4, 10))):
+            got = p.sample_value_batch(points, call)
+            assert np.array_equal(got, make().sample_value_batch(points, call.copy()))
+    # the mutated seeds changed some multiplier, so a stale reuse would show
+    base = np.ones(10)
+    assert not np.array_equal(make().sample_value_batch(base, seeds),
+                              make().sample_value_batch(base, mutable))
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))
