@@ -77,6 +77,24 @@ def test_min_eigenvalue_rejects_asymmetry():
         min_eigenvalue(np.stack([np.eye(2), H, np.eye(2)]))
 
 
+def test_min_eigenvalue_symmetrises_a_matrix_asymmetric_within_tolerance():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6))
+    S = 0.5 * (a + a.T)
+    H = S.copy()
+    H[1, 4] += 1e-14  # asymmetric, but far inside the 1e-10 tolerance
+    w, v = np.linalg.eigh(0.5 * (H + H.T))
+    ref = v[:, 0] / np.linalg.norm(v[:, 0])
+    lam, vec = min_eigenvalue(H)
+    assert lam == w[0] and np.array_equal(vec, ref)
+    # inside a stack with exactly symmetric matrices, each keeps its own call's pair
+    lams, vecs = min_eigenvalue(np.stack([S, H, np.eye(6)]))
+    for i, M in enumerate((S, H, np.eye(6))):
+        lam_i, vec_i = min_eigenvalue(M)
+        assert lams[i] == lam_i and np.array_equal(vecs[i], vec_i)
+    assert lams[1] == w[0] and np.array_equal(vecs[1], ref)
+
+
 def test_min_eigenvalue_rejects_non_finite_entries():
     H = np.diag([1.0, np.nan])
     for matrices in (H, np.stack([np.eye(2), H])):

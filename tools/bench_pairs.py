@@ -4,18 +4,20 @@
         --claim scrn_zo.wall_s --holdout-seed 7 --out BENCH_17.json
 
 ``--parent`` and ``--change`` are two source checkouts.  Each pair runs
-``perfbench/run.py --workload all`` once in each checkout, then the tier-1
-suite once in each, in the same order; the parent goes first in odd pairs,
-the change in even pairs.  Runs happen one at a time.  The output holds, for
-every end-to-end metric of every workload and for the tier-1 wall time, both
-sides' medians and quartiles, the pairs the change won (ties count for
-neither) and the median change in percent, followed by every raw run.
+``perfbench/run.py --workload all`` (master seed 0, 25 s) once in each
+checkout, then the tier-1 suite once in each, in the same order; the parent
+goes first in odd pairs, the change in even pairs.  Runs happen one at a
+time.  The output holds, for every end-to-end metric of every workload and
+for the tier-1 wall time, both sides' medians and quartiles, the pairs the
+change won (ties count for neither) and the median change in percent,
+followed by every raw run.  Its ``change`` and ``notes`` fields, and the
+claim's ``target``, are left empty to be written by hand.
 
 ``--claim WORKLOAD.METRIC`` adds a ``claimed`` entry, which says whether the
 change won at least nine pairs in ten and whether its median gap exceeds the
-parent's quartile distance.  ``--holdout-seed`` then reruns that metric over
-``--holdout-pairs`` benchmark-only pairs at a master seed not used while the
-change was written.
+parent's quartile distance.  ``--holdout-seed`` then reruns the benchmark
+over three more pairs, without tier-1, at a master seed not used while the
+change was written, and reports the claimed metric there.
 
 Standard library only; numpy and saddlescape are imported by the measured
 processes alone.
@@ -27,13 +29,15 @@ import argparse
 import json
 import os
 import platform
-import runpy
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+SEED = 0
+SECONDS = 25  # the run length BENCHMARK.json gives
+HOLDOUT_PAIRS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIER1_TEXT = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -p no:cacheprovider"
@@ -46,15 +50,15 @@ class PairError(Exception):
     """A run that left no result to record."""
 
 
-def _bench_command(seed: int, seconds: int) -> list:
+def _bench_command(seed: int) -> list:
     return ["perfbench/run.py", "--workload", "all", "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
 
 
-def run_bench(side: Path, seed: int, seconds: int) -> tuple:
+def run_bench(side: Path, seed: int) -> tuple:
     """The JSON result object that ``perfbench/run.py`` prints last, and its
     first workload's ``info`` line (library versions)."""
-    proc = subprocess.run([sys.executable, *_bench_command(seed, seconds)], cwd=side,
+    proc = subprocess.run([sys.executable, *_bench_command(seed)], cwd=side,
                           capture_output=True, text=True, timeout=BENCH_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -72,11 +76,6 @@ def run_tier1(side: Path) -> dict:
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), "result": lines[-1].strip("= ") if lines else "no output"}
-
-
-def _directions(change: Path) -> dict:
-    spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -98,50 +97,48 @@ def compare(parent: list, change: list, better: str) -> dict:
     }
 
 
-def _order(pair: int) -> tuple:
-    return ("parent", "change") if pair % 2 else ("change", "parent")
+def run_pairs(dirs: dict, n_pairs: int, seed: int, tier1: bool) -> tuple:
+    """The benchmark and tier-1 records of every pair, and the change's run info.
 
-
-def run_pairs(args, dirs: dict) -> tuple:
-    """The benchmark and tier-1 records of every pair, and the change's run info."""
+    The parent runs first in odd pairs, the change in even pairs."""
     pairs, tier1_pairs, info = [], [], {}
-    for pair in range(1, args.pairs + 1):
-        order = _order(pair)
+    for pair in range(1, n_pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
         record = {"pair": pair, "first": order[0]}
         for side in order:
-            record[side], side_info = run_bench(dirs[side], args.seed, args.seconds)
+            record[side], side_info = run_bench(dirs[side], seed)
             info = side_info if side == "change" else info
         pairs.append(record)
-        if args.tier1:
-            tier1 = {"pair": pair, "first": order[0]}
-            for side in order:
-                tier1[side] = run_tier1(dirs[side])
-            tier1_pairs.append(tier1)
-        print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
+        if tier1:
+            tier1_pairs.append({"pair": pair, "first": order[0],
+                                **{side: run_tier1(dirs[side]) for side in order}})
+        print(f"seed {seed}: pair {pair}/{n_pairs} done", file=sys.stderr)
     return pairs, tier1_pairs, info
+
+
+def _values(pairs: list, key: str) -> dict:
+    return {side: [p[side]["metrics"][key]["value"] for p in pairs] for side in ("parent", "change")}
 
 
 def summarize(pairs: list, tier1_pairs: list, directions: dict) -> dict:
     summary = {}
     for key in pairs[0]["parent"]["metrics"]:
         workload, metric = key.split(".", 1)
-        values = {side: [p[side]["metrics"][key]["value"] for p in pairs]
-                  for side in ("parent", "change")}
+        values = _values(pairs, key)
         summary.setdefault(workload, {})[metric] = compare(
             values["parent"], values["change"], directions[metric])
-    if tier1_pairs:
-        summary["tier1"] = {"wall_s": compare([p["parent"]["wall_s"] for p in tier1_pairs],
-                                              [p["change"]["wall_s"] for p in tier1_pairs], "lower")}
+    summary["tier1"] = {"wall_s": compare([p["parent"]["wall_s"] for p in tier1_pairs],
+                                          [p["change"]["wall_s"] for p in tier1_pairs], "lower")}
     return summary
 
 
-def claim_entry(summary: dict, claim: str, target: str) -> dict:
+def claim_entry(summary: dict, claim: str) -> dict:
     workload, metric = claim.split(".", 1)
     stats = summary[workload][metric]
     won, n = (int(v) for v in stats["change_better_pairs"].split("/"))
     q1, q3 = stats["parent_q1_q3"]
     return {
-        "workload": workload, "metric": metric, "target": target,
+        "workload": workload, "metric": metric, "target": "",
         **{k: stats[k] for k in ("parent_median", "change_median", "median_change_pct",
                                  "change_better_pairs", "parent_q1_q3")},
         "won_nine_tenths": won * 10 >= 9 * n,
@@ -149,24 +146,19 @@ def claim_entry(summary: dict, claim: str, target: str) -> dict:
     }
 
 
-def run_holdout(args, dirs: dict, directions: dict) -> dict:
-    workload, metric = args.claim.split(".", 1)
-    rows = []
-    for pair in range(1, args.holdout_pairs + 1):
-        order = _order(pair)
-        row = {"pair": pair, "first": order[0]}
-        for side in order:
-            metrics = run_bench(dirs[side], args.holdout_seed, args.seconds)[0]["metrics"]
-            row[side] = round(metrics[args.claim]["value"], 6)
-        rows.append(row)
-    stats = compare([r["parent"] for r in rows], [r["change"] for r in rows], directions[metric])
+def holdout_entry(pairs: list, claim: str, seed: int, better: str) -> dict:
+    """The claimed metric over the holdout pairs."""
+    values = _values(pairs, claim)
+    stats = compare(values["parent"], values["change"], better)
     return {
-        "command": "python3 " + " ".join(_bench_command(args.holdout_seed, args.seconds)),
-        "why": (f"a master seed not used while the change was written; {args.holdout_pairs} "
+        "command": "python3 " + " ".join(_bench_command(seed)),
+        "why": (f"a master seed not used while the change was written; {len(pairs)} "
                 "alternating pairs, parent first in odd pairs"),
         **{k: stats[k] for k in ("parent_median", "change_median", "median_change_pct",
                                  "change_better_pairs")},
-        "pairs": rows,
+        "pairs": [{"pair": p["pair"], "first": p["first"],
+                   **{side: round(values[side][i], 6) for side in ("parent", "change")}}
+                  for i, p in enumerate(pairs)],
     }
 
 
@@ -175,20 +167,12 @@ def parse_args(argv=None):
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--tier1", type=int, choices=(0, 1), default=1,
-                        help="run the tier-1 suite once per side in each pair")
     parser.add_argument("--claim", help="WORKLOAD.METRIC the change claims a gain on")
-    parser.add_argument("--target", default="", help="the claim as the change states it")
     parser.add_argument("--holdout-seed", type=int, help="master seed for the claim's holdout pairs")
-    parser.add_argument("--holdout-pairs", type=int, default=3)
-    parser.add_argument("--summary", default="", help="one line: what the change does")
-    parser.add_argument("--notes", default="")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.holdout_pairs < 1:
-        parser.error("--pairs and --holdout-pairs must be >= 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     if args.holdout_seed is not None and not args.claim:
         parser.error("--holdout-seed needs --claim")
     for side in (args.parent, args.change):
@@ -200,34 +184,37 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    directions = _directions(dirs["change"])
+    spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     if args.claim:
         workload, _, metric = args.claim.partition(".")
-        workloads = runpy.run_path(str(dirs["change"] / "perfbench" / "workloads.py"))["WORKLOADS"]
-        if workload not in workloads or metric not in directions:
+        if workload not in {w["name"] for w in spec["workloads"]} or metric not in directions:
             print(f"error: --claim names no workload's end-to-end metric: {args.claim}",
                   file=sys.stderr)
             return 2
     try:
-        pairs, tier1_pairs, info = run_pairs(args, dirs)
+        pairs, tier1_pairs, info = run_pairs(dirs, args.pairs, SEED, tier1=True)
         summary = summarize(pairs, tier1_pairs, directions)
-        holdout = run_holdout(args, dirs, directions) if args.holdout_seed is not None else None
+        holdout = None
+        if args.holdout_seed is not None:
+            holdout_pairs = run_pairs(dirs, HOLDOUT_PAIRS, args.holdout_seed, tier1=False)[0]
+            holdout = holdout_entry(holdout_pairs, args.claim, args.holdout_seed, directions[metric])
     except (PairError, subprocess.TimeoutExpired) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out = {
-        "change": args.summary,
-        "command": "python3 " + " ".join(_bench_command(args.seed, args.seconds)),
-        "tier1_command": TIER1_TEXT if args.tier1 else None,
+        "change": "",
+        "command": "python3 " + " ".join(_bench_command(SEED)),
+        "tier1_command": TIER1_TEXT,
         "host": (f"{os.cpu_count()}-vCPU {platform.system()}, one BLAS thread, "
                  f"numpy {info.get('numpy')}, scipy {info.get('scipy')}, "
                  f"python {platform.python_version()}; parent and change from separate "
                  "checkouts of the same machine, run one at a time"),
         "protocol": (f"{args.pairs} pairs; parent runs first in odd pairs, change first in even "
-                     "pairs; in each pair both benchmark runs come first"
-                     + (", then one tier-1 run per side in the same order" if args.tier1 else "")),
-        "notes": args.notes,
-        "claimed": claim_entry(summary, args.claim, args.target) if args.claim else None,
+                     "pairs; in each pair both benchmark runs come first, then one tier-1 run "
+                     "per side in the same order"),
+        "notes": "",
+        "claimed": claim_entry(summary, args.claim) if args.claim else None,
         "summary": summary,
         "tier1_pairs": tier1_pairs,
         "pairs": pairs,
