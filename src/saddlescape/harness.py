@@ -181,38 +181,41 @@ def _x0(spec: ExperimentSpec, dim: int, stream: SeedStream) -> np.ndarray:
 
 
 def run_cell(spec: ExperimentSpec, epsilon: float, seed: int, master_seed: int = 0) -> RunTrace:
-    """Run one (epsilon, seed) cell of an experiment: the group of that seed alone."""
-    (outcome,) = _run_group(spec, epsilon, [seed], master_seed)
+    """Run one (epsilon, seed) cell of an experiment: the group of that cell alone."""
+    (outcome,) = _run_group(spec, [(epsilon, seed)], master_seed)
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
 
 
-def _run_group(spec: ExperimentSpec, epsilon: float, seeds: Sequence[int],
-               master_seed: int = 0) -> list:
-    """Run the cells (epsilon, seed) of ``seeds`` in lockstep.
+def _run_group(spec: ExperimentSpec, cells: Sequence[tuple], master_seed: int = 0) -> list:
+    """Run the (epsilon, seed) ``cells`` of the spec's arm in lockstep.
 
-    Returns one outcome per seed: its RunTrace, or the NumericalError that
-    ended it (``psgd.run_steps``).  Each outcome is the one the cell gives
-    on its own.
+    Each cell runs its own epsilon's schedule, cut at ``max_steps``, from
+    its seed's run stream (``psgd.run_steps``).  Returns one outcome per
+    cell: its RunTrace, or the NumericalError that ended it.  Each outcome
+    is the one the cell gives on its own.
     """
     p = problem_from_config(dict(spec.problem))
-    cfg = _schedule(spec, p, epsilon)
-    theorem_T = cfg.T
-    run_T = min(theorem_T, spec.max_steps)
-    cfg = dataclasses.replace(cfg, T=max(run_T, 1))
-    run_seeds = [int(SeedStream(master_seed, "cell", seed).state) for seed in seeds]
+    schedules = {}  # epsilon -> (theorem T, the config that runs)
+    for epsilon, _ in cells:
+        if epsilon not in schedules:
+            cfg = _schedule(spec, p, epsilon)
+            run_T = max(min(cfg.T, spec.max_steps), 1)
+            schedules[epsilon] = cfg.T, dataclasses.replace(cfg, T=run_T)
+    cfgs = [schedules[epsilon][1] for epsilon, _ in cells]
+    run_seeds = [int(SeedStream(master_seed, "cell", seed).state) for _, seed in cells]
     x0 = [_x0(spec, p.meta.dim, SeedStream(run_seed)) for run_seed in run_seeds]
     if spec.algorithm == "scrn":
-        outcomes = _scrn.run_scrn(p, x0, cfg, certify_every=spec.certify_every, seed=run_seeds)
+        outcomes = _scrn.run_scrn(p, x0, cfgs, certify_every=spec.certify_every, seed=run_seeds)
     elif spec.stop_after_certified:
-        outcomes = _run_psgd_stopping(p, x0, cfg, spec.certify_every, run_seeds)
+        outcomes = _run_psgd_stopping(p, x0, cfgs, spec.certify_every, run_seeds)
     else:
-        outcomes = _psgd.run_psgd(p, x0, cfg, certify_every=spec.certify_every, seed=run_seeds)
-    for seed, trace in zip(seeds, outcomes):
+        outcomes = _psgd.run_psgd(p, x0, cfgs, certify_every=spec.certify_every, seed=run_seeds)
+    for (epsilon, seed), trace in zip(cells, outcomes):
         if isinstance(trace, RunTrace):
             trace.config_echo += (
-                f"\ntheorem_T = {theorem_T}\nsgc_arm = {spec.sgc_arm}"
+                f"\ntheorem_T = {schedules[epsilon][0]}\nsgc_arm = {spec.sgc_arm}"
                 f"\nuser_seed = {seed}\nmaster_seed = {master_seed}"
                 f"\nburn_in = {float(spec.burn_in)!r}"
             )
@@ -221,10 +224,10 @@ def _run_group(spec: ExperimentSpec, epsilon: float, seeds: Sequence[int],
 
 # _run_group could call run_psgd directly; this wrapper remains because the
 # benchmark's tracer times the stopping run loop under its name
-def _run_psgd_stopping(p, x0, cfg: PsgdConfig, certify_every: int, seeds) -> list:
-    """run_psgd on a group of seeds, each run ending at its first certified
-    checkpoint (complexity sweeps)."""
-    return _psgd.run_psgd(p, x0, cfg, certify_every=certify_every, seed=seeds,
+def _run_psgd_stopping(p, x0, cfgs: Sequence[PsgdConfig], certify_every: int, seeds) -> list:
+    """run_psgd on a group of seeds with one config each, each run ending at
+    its first certified checkpoint (complexity sweeps)."""
+    return _psgd.run_psgd(p, x0, cfgs, certify_every=certify_every, seed=seeds,
                           stop_after_certified=True)
 
 
@@ -284,27 +287,25 @@ def run_experiment(
 ) -> List[SummaryRow]:
     """Execute all (epsilon, seed) cells; write traces, summary, and plot.
 
-    The seeds of each epsilon run as one group, in lockstep
-    (``psgd.run_steps``), and the groups one after another in this process;
-    every trace is the one its cell gives on its own (``run_cell``).
-    ``workers`` must be 1: the keyword remains for the benchmark worker,
-    which passes it.  Cell failures are recorded in cells.txt and excluded
-    from the summary; only I/O failures abort the whole experiment, and
-    EvaluationError is raised when no cell succeeds.  Returns the summary
-    rows sorted by (arm, epsilon descending).
+    All cells of the arm, every epsilon and seed, run as one group in
+    lockstep in this process (``psgd.run_steps``); every trace is the one
+    its cell gives on its own (``run_cell``).  ``workers`` must be 1: the
+    keyword remains for the benchmark worker, which passes it.  Cell
+    failures are recorded in cells.txt and excluded from the summary; an
+    error that escapes the group fails each of its cells.  Only I/O failures
+    abort the whole experiment, and EvaluationError is raised when no cell
+    succeeds.  Returns the summary rows sorted by (arm, epsilon descending).
     """
     if workers != 1:
         raise ConfigurationError(f"workers must be 1, got {workers}")
     out = Path(os.environ.get(OUT_DIR_ENV) or out_dir or spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results = []
-    for eps in spec.epsilon_grid:
-        try:
-            outcomes = _run_group(spec, eps, spec.seeds, master_seed=master_seed)
-        except (NumericalError, ConfigurationError) as err:
-            outcomes = [err] * len(spec.seeds)
-        results += [((eps, seed), outcome) for seed, outcome in zip(spec.seeds, outcomes)]
+    cells = [(eps, seed) for eps in spec.epsilon_grid for seed in spec.seeds]
+    try:
+        outcomes = _run_group(spec, cells, master_seed=master_seed)
+    except (NumericalError, ConfigurationError) as err:
+        outcomes = [err] * len(cells)
 
     # an earlier run's traces would join the summary, and its summary and
     # plot would outlive a run in which no cell succeeds
@@ -312,7 +313,7 @@ def run_experiment(
         stale.unlink(missing_ok=True)
     traces = []
     with open(out / "cells.txt", "w", encoding="utf-8") as fh:
-        for (eps, seed), outcome in results:
+        for (eps, seed), outcome in zip(cells, outcomes):
             ok = isinstance(outcome, RunTrace)
             fh.write(f"eps={eps:g} seed={seed} {'ok' if ok else f'failed: {outcome}'}\n")
             if ok:
@@ -614,7 +615,8 @@ def tune_constants(
     for cand in candidates:
         try:
             # a candidate whose schedule is undefined fails when its spec is built
-            outcomes = _run_group(dataclasses.replace(spec, **cand), eps, tune_seeds)
+            outcomes = _run_group(dataclasses.replace(spec, **cand),
+                                  [(eps, seed) for seed in tune_seeds])
         except (NumericalError, ConfigurationError):
             outcomes = [None] * len(tune_seeds)
         hits = [o.first_certified_calls() if isinstance(o, RunTrace) else None for o in outcomes]

@@ -8,11 +8,12 @@ constants stay valid.
 
 The theta of step t is ``r * standard_normals(s_t, d)``, with ``s_t`` the
 state of the step stream's ``child("theta")``; ``run_psgd`` draws the rows
-of ``_THETA_CHUNK`` steps of all the seeds it runs per call, with the same
-bits as one call a step and seed.
+of ``_THETA_CHUNK`` steps of all the seeds of a config per call, with the
+same bits as one call a step and seed.
 
 ``run_steps`` is the one run loop, of PSGD and of cubic Newton: it advances
-the seeds of a group in lockstep, and a single seed is the group of one.
+the runs of a group in lockstep, each under its own config, and a single
+seed is the group of one.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -125,31 +126,34 @@ def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
     return theta
 
 
-def _step_states(seeds: Sequence[int], algorithm: str) -> np.ndarray:
-    """The states of the ``child("step")`` of the run streams of ``seeds``."""
-    return SeedStream.block([SeedStream(s, algorithm).state for s in seeds]).child("step").state
+def _step_states(seeds: Sequence[int], cfgs: Sequence) -> np.ndarray:
+    """The states of the ``child("step")`` of the run streams of ``seeds``,
+    under the algorithm of each run's config."""
+    return SeedStream.block([SeedStream(s, cfg.algorithm).state
+                             for s, cfg in zip(seeds, cfgs)]).child("step").state
 
 
 def _perturbations(step_states: np.ndarray, dim: int, r: float, T: int) -> Callable:
     """``theta(t, rows)``: the (len(rows), dim) theta of step t for the runs
-    ``rows`` of a group whose ``child("step")`` states are ``step_states``.
+    ``rows`` (ascending) of a group whose ``child("step")`` states are
+    ``step_states``.
 
     One call of the module-level ``draw_perturbation``, which the
     benchmark's tracer patches to time the draws, covers ``_THETA_CHUNK``
-    steps of the runs that are active at the chunk's first step.
+    steps of the runs that are active at the chunk's first step; a run
+    that leaves later in the chunk leaves its rows unread.
     """
-    chunk = [0, 0, None]  # first step, end, (steps, runs, dim) theta
+    chunk = [0, 0, None, None]  # first step, end, runs drawn, (steps, runs, dim) theta
 
     def theta(t: int, rows: np.ndarray) -> np.ndarray:
-        start, stop, draws = chunk
+        start, stop, drawn, draws = chunk
         if t >= stop:
-            start, stop = t, min(t + _THETA_CHUNK, T + 1)
+            start, stop, drawn = t, min(t + _THETA_CHUNK, T + 1), rows
             states = fold_int_states(step_states[rows], np.arange(start, stop)[:, None])
-            draws = np.empty((stop - start, len(step_states), dim))
-            draws[:, rows] = draw_perturbation(states.reshape(-1), dim, r).reshape(
+            draws = draw_perturbation(states.reshape(-1), dim, r).reshape(
                 stop - start, len(rows), dim)
-            chunk[:] = start, stop, draws
-        return draws[t - start, rows]
+            chunk[:] = start, stop, drawn, draws
+        return draws[t - start, np.searchsorted(drawn, rows)]
 
     return theta
 
@@ -203,17 +207,22 @@ def psgd_step(
     return x_new, est.oracle_calls
 
 
-def _per_seed(run: Callable, x0, seed):
-    """``run(x0s, seeds)`` on one seed or on a sequence of seeds.
+def _per_seed(run: Callable, x0, cfg, seed):
+    """``run(x0s, cfgs, seeds)`` on one seed or on a sequence of seeds.
 
-    For one seed, ``x0`` is its start point and the result its RunTrace;
-    the NumericalError that ended the run is raised.  For a sequence of S
-    seeds, ``x0`` holds their S start points and the result is the list of
-    outcomes of ``run_steps``.
+    For one seed, ``x0`` is its start point, ``cfg`` its config and the
+    result its RunTrace; the NumericalError that ended the run is raised.
+    For a sequence of S seeds, ``x0`` holds their S start points, ``cfg`` is
+    one config for all of them or a sequence of S configs, one per seed, and
+    the result is the list of outcomes of ``run_steps``.
     """
     if np.ndim(seed):
-        return run(x0, [int(s) for s in seed])
-    (outcome,) = run([x0], [int(seed)])
+        seeds = [int(s) for s in seed]
+        cfgs = list(cfg) if isinstance(cfg, Sequence) else [cfg] * len(seeds)
+        if len(cfgs) != len(seeds):
+            raise ConfigurationError(f"need one config per seed, got {len(cfgs)} for {len(seeds)}")
+        return run(x0, cfgs, seeds)
+    (outcome,) = run([x0], [cfg], [int(seed)])
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
@@ -230,18 +239,20 @@ def run_psgd(
     """Run T perturbed steps with certification rows (see ``run_steps``).
 
     ``seed`` is one run seed, or a sequence of seeds run in lockstep with
-    their start points ``x0`` (see ``_per_seed``).
+    their start points ``x0`` and one config ``cfg`` for all, or one per
+    seed (see ``_per_seed``).
     """
-    def run(x0s, seeds):
-        theta = _perturbations(_step_states(seeds, cfg.algorithm), p.meta.dim, cfg.r, cfg.T)
+    def run(x0s, cfgs, seeds):
+        step_states = _step_states(seeds, cfgs)
+        thetas = {c: _perturbations(step_states, p.meta.dim, c.r, c.T) for c in cfgs}
 
-        def step(t, rows, x, stream, faults):
-            return (*psgd_step(p, x, cfg, stream, theta(t, rows), faults), None)
+        def step(c, t, rows, x, stream, faults):
+            return (*psgd_step(p, x, c, stream, thetas[c](t, rows), faults), None)
 
-        return run_steps(p, x0s, cfg, step, seeds, certify_every=certify_every,
+        return run_steps(p, x0s, cfgs, step, seeds, certify_every=certify_every,
                          stop_after_certified=stop_after_certified)
 
-    return _per_seed(run, x0, seed)
+    return _per_seed(run, x0, cfg, seed)
 
 
 def _config_echo(cfg) -> str:
@@ -255,9 +266,10 @@ def _config_echo(cfg) -> str:
 
 # lives here, with run_steps, rather than in diagnostics: the benchmark's
 # tracer patches certify in psgd, scrn and harness, not in diagnostics
-def _certify_points(p: StochasticProblem, xs: np.ndarray, epsilon: float) -> list:
-    """One outcome per row of the (k, d) points ``xs``: its SospCertificate,
-    or the NumericalError that its own ``certify`` call raises.
+def _certify_points(p: StochasticProblem, xs: np.ndarray, epsilons: Sequence[float]) -> list:
+    """One outcome per row of the (k, d) points ``xs``: its SospCertificate
+    against its own entry of ``epsilons``, or the NumericalError that its own
+    ``certify`` call raises.
 
     One call of each exact oracle and of ``min_eigenvalue`` (looked up in
     ``diagnostics`` at call time, where the benchmark's tracer times it)
@@ -270,52 +282,56 @@ def _certify_points(p: StochasticProblem, xs: np.ndarray, epsilon: float) -> lis
         lams, _ = diagnostics.min_eigenvalue(p.exact_hess(xs))
     except NumericalError:
         outcomes = []
-        for x in xs:
+        for x, epsilon in zip(xs, epsilons):
             try:
                 outcomes.append(certify(p, x, epsilon))
             except NumericalError as err:
                 outcomes.append(err)
         return outcomes
-    return [certify(p, x, epsilon, grad=g, lambda_min=lam) for x, g, lam in zip(xs, grads, lams)]
+    return [certify(p, x, epsilon, grad=g, lambda_min=lam)
+            for x, epsilon, g, lam in zip(xs, epsilons, grads, lams)]
 
 
 def run_steps(
     p: StochasticProblem,
     x0s,
-    cfg,
+    cfgs: Sequence,
     step: Callable,
     seeds: Sequence[int],
     certify_every: int = 1,
     stop_after_certified: bool = False,
     r_indices: Optional[Sequence[int]] = None,
 ) -> list:
-    """The run loop of PSGD and cubic Newton: S runs of T steps in lockstep,
-    with certification rows.
+    """The run loop of PSGD and cubic Newton: S runs in lockstep, each of its
+    own config's T steps, with certification rows.
 
-    Run i starts at ``x0s[i]`` with the run stream of ``seeds[i]``.  At
-    t = 1, 2, ... the loop calls ``step(t, rows, x, stream, faults)`` once
-    for the runs ``rows`` (an index array) that are still active: ``x`` is
-    their (k, d) iterates and ``stream`` the block of their step streams
-    ``child("step", t)``.  The step returns ``(x_new, oracle_calls, sols)``,
-    with the calls of one run's step and ``sols`` None or the list of the
-    k cubic steps' ``CubicSolution``, whose radius and model decrease the
-    rows record.  The step does the sampling, the estimators and the update
+    Run i starts at ``x0s[i]`` with config ``cfgs[i]`` and the run stream of
+    ``seeds[i]``.  At t = 1, 2, ... the loop calls ``step(cfg, t, rows, x,
+    stream, faults)`` once for each distinct config ``cfg`` among the runs
+    that are still active, for its runs ``rows`` (an ascending index array):
+    ``x`` is their (k, d) iterates and ``stream`` the block of their step
+    streams ``child("step", t)``.  The step returns ``(x_new, oracle_calls,
+    sols)``, with the calls of one run's step and ``sols`` None or the list
+    of the k cubic steps' ``CubicSolution``, whose radius and model decrease
+    the rows record.  The step does the sampling, the estimators and the update
     once for all k runs; a run whose step fails goes into the ``faults``
     dict under its position in ``rows``, with its ``NumericalError``.
 
     Rows are certified on exact oracles, never charged to the budget, at
-    t = 0, every ``certify_every`` steps and at step T.  The active runs of
-    a checkpoint are certified together (``_certify_points``): the exact
-    oracles take their (k, d) stack of iterates and ``min_eigenvalue`` the
-    (k, d, d) Hessians, once per checkpoint.  The per-row ``certify`` call,
-    like the cubic solve and the clamp to the box, stays one call per run:
-    the benchmark's tracer counts those calls by patching them, so they
-    stay per run until the program counts them itself.
+    t = 0, every ``certify_every`` steps and at the run's own T, against the
+    run's own epsilon.  All runs due at a step are certified together
+    (``_certify_points``), whatever their configs: the exact oracles take
+    their (k, d) stack of iterates and ``min_eigenvalue`` the (k, d, d)
+    Hessians, once per step.  The per-row ``certify`` call, like the cubic
+    solve and the clamp to the box, stays one call per run: the benchmark's
+    tracer counts those calls by patching them, so they stay per run until
+    the program counts them itself.
     ``stop_after_certified`` ends a run at its first certified row (a pure
     function of its trajectory, so traces stay byte-reproducible);
     ``r_indices[i]`` keeps that step's iterate and budget of run i, and the
     iterates of all finished runs are certified together at the end.  A run
-    that stops or fails leaves the active set and draws no more samples.
+    that ends, stops or fails leaves the active set and draws no more
+    samples.
 
     Returns one outcome per run, in order: its RunTrace, or the
     NumericalError that ended it, carrying the step index and the partial
@@ -325,65 +341,83 @@ def run_steps(
     if certify_every < 1:
         raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
     x = np.stack([as_point(x0, p.meta.dim) for x0 in x0s])
-    echo = _config_echo(cfg)
-    traces = [RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=echo) for seed in seeds]
+    distinct = list(dict.fromkeys(cfgs))  # one step call per distinct config and step
+    kind = [distinct.index(cfg) for cfg in cfgs]
+    echoes = [_config_echo(cfg) for cfg in distinct]
+    traces = [RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=echoes[k])
+              for seed, cfg, k in zip(seeds, cfgs, kind)]
     outcomes: list = list(traces)
     calls = [0] * len(traces)
+    ends = [cfg.T for cfg in cfgs]
     at_r: list = [None] * len(traces)
-    step_states = _step_states(seeds, cfg.algorithm)
+    step_states = _step_states(seeds, cfgs)
 
     def fail(i: int, t: int, err: NumericalError, charged: int) -> None:
         err.iterate, err.trace = t, traces[i]
         traces[i].total_oracle_calls = charged
         outcomes[i] = err
 
-    def record(runs: list, t: int, sols: list) -> list:
-        """Certify row t of ``runs``, whose steps gave ``sols``; returns the
-        runs that stay active."""
+    def record(runs: list, t: int, sols: dict) -> set:
+        """Certify row t of ``runs``, whose steps gave ``sols`` (by run);
+        returns the runs that leave the group: those whose certification
+        fails and, with ``stop_after_certified``, those certified."""
+        left: set = set()
         if not runs:
-            return runs
+            return left
         xs = x[runs]
         values = p.exact_value(xs)
-        still = []
-        for i, f, cert, sol in zip(runs, values.tolist(), _certify_points(p, xs, cfg.epsilon), sols):
+        certs = _certify_points(p, xs, [cfgs[i].epsilon for i in runs])
+        for i, f, cert in zip(runs, values.tolist(), certs):
             if isinstance(cert, NumericalError):
                 fail(i, t, cert, calls[i])
+                left.add(i)
                 continue
+            sol = sols.get(i)
             traces[i].append(TraceRow(
                 t, f, cert.grad_norm, cert.lambda_min, calls[i], cert.certified,
                 *((None, None) if sol is None else (sol.radius, sol.model_decrease)),
             ))
-            if not (stop_after_certified and cert.certified):
-                still.append(i)
-        return still
+            if stop_after_certified and cert.certified:
+                left.add(i)
+        return left
 
-    active = record(list(range(len(traces))), 0, [None] * len(traces))
-    rows: list = []
-    for t in range(1, cfg.T + 1):
+    left = record(list(range(len(traces))), 0, {})
+    active = [i for i in range(len(traces)) if i not in left and ends[i] > 0]
+    blocks: dict = {}  # config index -> (its active runs, their rows, their step streams)
+    for t in range(1, max(ends) + 1):
         if not active:
             break
-        if len(rows) != len(active):  # the active set only shrinks
-            rows = np.array(active)
-            steps = SeedStream.block(step_states[rows])
-        faults: dict = {}
-        x_new, step_calls, sols = step(t, rows, x[rows], steps.child(t), faults)
-        x[rows] = x_new
-        stepped, stepped_sols = [], []
-        for j, i in enumerate(active):
-            if j in faults:
-                fail(i, t, faults[j], calls[i] + step_calls)
+        stepped, sols_of = [], {}
+        for k, cfg in enumerate(distinct):
+            runs = [i for i in active if kind[i] == k]
+            if not runs:
                 continue
-            calls[i] += step_calls
-            if r_indices is not None and t == r_indices[i]:
-                at_r[i] = (x[i].copy(), calls[i])
-            stepped.append(i)
-            stepped_sols.append(None if sols is None else sols[j])
-        active = record(stepped, t, stepped_sols) if t % certify_every == 0 or t == cfg.T else stepped
+            if k not in blocks or blocks[k][0] != runs:  # a config's active set only shrinks
+                rows = np.array(runs)
+                blocks[k] = runs, rows, SeedStream.block(step_states[rows])
+            _, rows, steps = blocks[k]
+            faults: dict = {}
+            x_new, step_calls, sols = step(cfg, t, rows, x[rows], steps.child(t), faults)
+            x[rows] = x_new
+            for j, i in enumerate(runs):
+                if j in faults:
+                    fail(i, t, faults[j], calls[i] + step_calls)
+                    continue
+                calls[i] += step_calls
+                if r_indices is not None and t == r_indices[i]:
+                    at_r[i] = (x[i].copy(), calls[i])
+                stepped.append(i)
+                if sols is not None:
+                    sols_of[i] = sols[j]
+        due = stepped if t % certify_every == 0 else [i for i in stepped if ends[i] == t]
+        left = record(due, t, sols_of)
+        active = [i for i in stepped if i not in left and ends[i] > t]
     finished = [i for i, trace in enumerate(traces) if outcomes[i] is trace]
     for i in finished:
         traces[i].total_oracle_calls = calls[i]
     if r_indices is not None and finished:
-        certs = _certify_points(p, np.stack([at_r[i][0] for i in finished]), cfg.epsilon)
+        certs = _certify_points(p, np.stack([at_r[i][0] for i in finished]),
+                                [cfgs[i].epsilon for i in finished])
         for i, cert in zip(finished, certs):
             trace = traces[i]
             trace.r_index, trace.r_oracle_calls = r_indices[i], at_r[i][1]

@@ -388,19 +388,21 @@ def run_scrn(
     ``R ~ U{1..T}`` with its certificate and the budget consumed through it:
     that random iterate is the object of the method's in-expectation
     guarantee.  ``seed`` is one run seed, or a sequence of seeds run in
-    lockstep with their start points ``x1`` (see ``psgd._per_seed``).  See
-    ``psgd.run_steps`` for the checkpoints and failures.
+    lockstep with their start points ``x1`` and one config ``cfg`` for all,
+    or one per seed, each run drawing R from its own T (see
+    ``psgd._per_seed``).  See ``psgd.run_steps`` for the checkpoints and
+    failures.
     """
-    def run(x1s, seeds):
-        r_indices = [int(SeedStream(s, cfg.algorithm).child("random_iterate").rng()
-                         .integers(1, cfg.T + 1)) for s in seeds]
+    def run(x1s, cfgs, seeds):
+        r_indices = [int(SeedStream(s, c.algorithm).child("random_iterate").rng()
+                         .integers(1, c.T + 1)) for s, c in zip(seeds, cfgs)]
         return run_steps(
-            p, x1s, cfg,
-            lambda t, rows, x, stream, faults: _estimate_step(p, x, cfg, stream, faults),
+            p, x1s, cfgs,
+            lambda c, t, rows, x, stream, faults: _estimate_step(p, x, c, stream, faults),
             seeds, certify_every=certify_every, r_indices=r_indices,
         )
 
-    return _per_seed(run, x1, seed)
+    return _per_seed(run, x1, cfg, seed)
 
 
 def check_mu(mu) -> None:

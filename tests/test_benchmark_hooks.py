@@ -81,7 +81,7 @@ def test_tracer_sees_a_group_certified_together(monkeypatch):
     for spec, r_certificates in ((psgd_spec, 0), (scrn_spec, len(seeds))):
         tracer = tracing.Tracer()
         with tracer.installed():
-            traces = harness._run_group(spec, 0.2, seeds)
+            traces = harness._run_group(spec, [(0.2, seed) for seed in seeds])
         rows = [row.t for trace in traces for row in trace.rows]
         assert sum(trace.r_certificate is not None for trace in traces) == r_certificates
         # one certify call per seed and row, and per random iterate
@@ -91,3 +91,35 @@ def test_tracer_sees_a_group_certified_together(monkeypatch):
         checkpoints = len(set(rows)) + (r_certificates > 0)
         assert tracer.calls["diagnostics.min_eigenvalue"] == checkpoints < len(rows)
         assert tracer.calls["problems.exact_hess"] == checkpoints
+
+
+def test_tracer_sees_an_arm_stepped_and_certified_together(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from workloads import EPS_GRID, WORKLOADS
+
+    # PSGD cells stop at their first certified rows, SCRN cells run their own
+    # theorem_T (100 and 282) or max_steps (300)
+    for name, max_steps, step_span, r_certificates in (
+            ("psgd_sgc", 2000, "psgd.psgd_step", 0), ("scrn_ho", 300, "scrn._estimate_step", 1)):
+        spec = harness.ExperimentSpec(**dict(WORKLOADS[name], seeds=(0, 1), max_steps=max_steps))
+        assert spec.epsilon_grid == EPS_GRID
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            harness.run_experiment(spec, out_dir=tmp_path / name)
+        traces = [harness.read_trace(f) for f in (tmp_path / name).glob(harness.TRACE_GLOB)]
+        assert len(traces) == len(EPS_GRID) * 2
+        last_step = {}  # epsilon -> last step of its config's runs
+        checkpoints_by_eps = {}
+        for trace in traces:
+            eps = trace.echo("epsilon")
+            last_step[eps] = max(last_step.get(eps, 0), trace.rows[-1].t)
+            checkpoints_by_eps.setdefault(eps, set()).update(row.t for row in trace.rows)
+        # one step call per step and config, for the runs of that config
+        assert tracer.calls[step_span] == sum(last_step.values())
+        # one stacked exact-Hessian pass and min_eigenvalue call per distinct
+        # checkpoint step of the arm, and one for the random iterates
+        checkpoints = len(set().union(*checkpoints_by_eps.values())) + r_certificates
+        assert tracer.calls["diagnostics.min_eigenvalue"] == checkpoints
+        assert tracer.calls["problems.exact_hess"] == checkpoints
+        assert checkpoints < sum(map(len, checkpoints_by_eps.values()))

@@ -1,9 +1,10 @@
-"""The seeds of an epsilon group run in lockstep and give their own runs.
+"""The cells of an arm run in lockstep and give their own runs.
 
-``run_experiment`` advances all seeds of an epsilon as one group through
-``psgd.run_steps``; ``run_cell`` is the group of one seed.  Every trace of a
-group must be byte-identical to the seed's own run, and a seed that stops
-or fails must leave the group without touching the others.
+``run_experiment`` advances every (epsilon, seed) cell of an arm as one
+group through ``psgd.run_steps``, each under its own epsilon's config;
+``run_cell`` is the group of one cell.  Every trace of a group must be
+byte-identical to the cell's own run, and a cell that ends, stops or fails
+must leave the group without touching the others.
 """
 
 import dataclasses
@@ -36,6 +37,10 @@ ARMS = {
     "scrn_higher_order": dict(
         problem=SADDLE, algorithm="scrn", mode="higher_order", sgc_arm=True,
         epsilon_grid=(0.2, 0.1), seeds=range(3), max_steps=60, x0_offset=0.3),
+    # the cells run their own theorem_T, 100 and 282 steps
+    "scrn_run_lengths": dict(
+        problem=SADDLE, algorithm="scrn", mode="higher_order", sgc_arm=True,
+        epsilon_grid=(0.2, 0.1), seeds=range(2), max_steps=300),
     "scrn_zeroth_order": dict(
         problem=SMALL_SADDLE, algorithm="scrn", mode="zeroth_order", sgc_arm=True,
         epsilon_grid=(0.2,), seeds=range(3), max_steps=3, mu=(1.0, 1.0, 1e-4, 1.0, 1.0)),
@@ -51,7 +56,7 @@ def test_group_traces_are_the_one_seed_traces(tmp_path, arm):
     spec = ExperimentSpec(**ARMS[arm])
     run_experiment(spec, out_dir=tmp_path, master_seed=3)
     assert (tmp_path / "cells.txt").read_text().count(" ok\n") == len(spec.epsilon_grid) * len(spec.seeds)
-    last_rows = set()
+    last_rows, run_lengths = set(), set()
     for eps in spec.epsilon_grid:
         for seed in spec.seeds:
             name = harness._trace_filename(spec, eps, seed)
@@ -63,8 +68,14 @@ def test_group_traces_are_the_one_seed_traces(tmp_path, arm):
             assert (grouped.r_index, grouped.r_oracle_calls, grouped.r_certificate) == (
                 own.r_index, own.r_oracle_calls, own.r_certificate)
             last_rows.add(own.rows[-1].t)
+            run_T = int(own.echo("T"))
+            run_lengths.add(run_T)
+            if own.r_index is not None:
+                assert 1 <= own.r_index <= run_T
     if spec.stop_after_certified:
         assert len(last_rows) > 1  # the seeds left the group at different steps
+    if arm == "scrn_run_lengths":
+        assert run_lengths == {100, 282} and last_rows == run_lengths
 
 
 def _nan_gradients_beyond(p, limit):
@@ -90,11 +101,25 @@ def _nan_hessians_beyond(p, limit):
 
 
 # a step fails on NaN sampled gradients, a certification on NaN exact Hessians
-@pytest.mark.parametrize("fault, message", [
+FAULTS = pytest.mark.parametrize("fault, message", [
     (_nan_gradients_beyond, "update produced non-finite entries"),
     (_nan_hessians_beyond, "matrix has non-finite entries"),
 ], ids=["sampled_gradients", "exact_hessians"])
+
+
+@FAULTS
 def test_failed_seed_leaves_the_group_alone(tmp_path, monkeypatch, fault, message):
+    _check_failed_cell_leaves_the_group_alone(tmp_path, monkeypatch, fault, message, (0.2,))
+
+
+@FAULTS
+def test_failed_cell_leaves_a_mixed_epsilon_group_alone(tmp_path, monkeypatch, fault, message):
+    _check_failed_cell_leaves_the_group_alone(tmp_path, monkeypatch, fault, message, (0.2, 0.1))
+
+
+def _check_failed_cell_leaves_the_group_alone(tmp_path, monkeypatch, fault, message, grid):
+    """One cell of the grid's group fails; every other cell, of every
+    epsilon, gives its own run's trace."""
     counters = []
 
     def faulty(config):
@@ -105,28 +130,29 @@ def test_failed_seed_leaves_the_group_alone(tmp_path, monkeypatch, fault, messag
     build = harness.problem_from_config
     monkeypatch.setattr(harness, "problem_from_config", faulty)
     spec = ExperimentSpec(problem=SADDLE, algorithm="psgd", mode="first_order", sgc_arm=True,
-                          epsilon_grid=(0.2,), seeds=(0, 1, 2), max_steps=150, c=0.01)
+                          epsilon_grid=grid, seeds=(0, 1, 2), max_steps=150, c=0.01)
     run_experiment(spec, out_dir=tmp_path)
     group_drawn = counters[-1].total
     group_lines = (tmp_path / "cells.txt").read_text().splitlines()
-    outcomes = harness._run_group(spec, 0.2, spec.seeds)
+    cells = [(eps, seed) for eps in grid for seed in spec.seeds]
+    outcomes = harness._run_group(spec, cells)
     assert counters[-1].total == group_drawn
     failed = [o for o in outcomes if isinstance(o, NumericalError)]
     assert len(failed) == 1 and 1 < failed[0].iterate < 150
     assert str(failed[0]) == message
 
     own_drawn = 0
-    for seed, outcome, line in zip(spec.seeds, outcomes, group_lines):
+    for (eps, seed), outcome, line in zip(cells, outcomes, group_lines):
         try:
-            own = run_cell(spec, 0.2, seed)
+            own = run_cell(spec, eps, seed)
         except NumericalError as err:
-            assert line == f"eps=0.2 seed={seed} failed: {err}"
+            assert line == f"eps={eps:g} seed={seed} failed: {err}"
             assert isinstance(outcome, NumericalError) and str(outcome) == str(err)
             assert outcome.iterate == err.iterate and outcome.trace.rows == err.trace.rows
             assert outcome.trace.total_oracle_calls == err.trace.total_oracle_calls
         else:
-            assert line == f"eps=0.2 seed={seed} ok"
-            name = harness._trace_filename(spec, 0.2, seed)
+            assert line == f"eps={eps:g} seed={seed} ok"
+            name = harness._trace_filename(spec, eps, seed)
             write_trace(own, tmp_path / f"own_{name}")
             assert (tmp_path / name).read_bytes() == (tmp_path / f"own_{name}").read_bytes()
         own_drawn += counters[-1].total

@@ -227,6 +227,21 @@ def test_chunked_run_matches_stepwise_steps(sgc_saddle_10d):
     assert trace.rows == _stepwise_rows(sgc_saddle_10d, x0, czo, seed=6, certify_every=5)
 
 
+def test_one_config_per_seed_matches_stepwise_steps(sgc_saddle_10d):
+    # one seed under two configs, and runs that end inside and after a chunk
+    cfgs = [_fo_config(eta=0.02, r=0.3, n1=4, T=_THETA_CHUNK + 9, eps=0.2),
+            _fo_config(eta=0.05, r=0.1, n1=2, T=20, eps=0.1),
+            _fo_config(eta=0.02, r=0.3, n1=4, T=_THETA_CHUNK + 9, eps=0.2)]
+    seeds = [5, 5, 6]
+    x0 = np.full(10, 0.1)
+    traces = run_psgd(sgc_saddle_10d, [x0] * 3, cfgs, certify_every=4, seed=seeds)
+    for trace, cfg, seed in zip(traces, cfgs, seeds):
+        assert trace.rows == _stepwise_rows(sgc_saddle_10d, x0, cfg, seed=seed, certify_every=4)
+        assert trace.rows[-1].t == cfg.T and trace.echo("epsilon") == repr(cfg.epsilon)
+    with pytest.raises(ConfigurationError, match="one config per seed"):
+        run_psgd(sgc_saddle_10d, [x0] * 3, cfgs[:2], seed=seeds)
+
+
 def test_stop_mid_chunk_matches_stepwise_steps(sgc_saddle_10d):
     cfg = _fo_config(eta=0.1, r=0.05, n1=4, T=300, eps=0.2)
     stopped = run_psgd(sgc_saddle_10d, np.zeros(10), cfg, certify_every=1, seed=0,

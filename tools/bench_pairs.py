@@ -5,12 +5,16 @@
 
 ``--parent`` and ``--change`` are two source checkouts.  Each pair runs
 ``perfbench/run.py --workload all`` (master seed 0, 25 s) once in each
-checkout, then the tier-1 suite once in each, in the same order; the parent
-goes first in odd pairs, the change in even pairs.  Runs happen one at a
-time.  The output holds, for every end-to-end metric of every workload and
-for the tier-1 wall time, both sides' medians and quartiles, the pairs the
-change won (ties count for neither) and the median change in percent,
-followed by every raw run.  Its ``change`` and ``notes`` fields, and the
+checkout, then the tier-1 suite once in each, then the three acceptance
+sweeps once in each, in the same order; the parent goes first in odd pairs,
+the change in even pairs.  Runs happen one at a time.  The acceptance sweeps
+are the specs of ``tests/test_acceptance.py::sweep`` (PSGD strong-growth,
+PSGD additive-noise and SCRN higher-order), each timed around its
+``run_experiment`` call in a child process of the checkout.  The output
+holds, for every end-to-end metric of every workload, for the tier-1 wall
+time and for the wall time of each acceptance sweep, both sides' medians and
+quartiles, the pairs the change won (ties count for neither) and the median
+change in percent, followed by every raw run.  Its ``change`` and ``notes`` fields, and the
 claim's ``target``, are left empty to be written by hand.
 
 ``--claim WORKLOAD.METRIC`` adds a ``claimed`` entry, which says whether the
@@ -44,6 +48,33 @@ TIER1_TEXT = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BENCH_TIMEOUT_S = 1200.0  # four workloads, each cut by run.py at 170 s
 TIER1_TIMEOUT_S = 1800.0
+SWEEP_TIMEOUT_S = 600.0
+
+# The acceptance sweeps of tests/test_acceptance.py::sweep, run in the
+# checkout: problems, grid and tuned c come from that module, and the other
+# keywords are the fixture's.  Prints the wall time of each sweep as JSON.
+SWEEP_PROGRAM = """
+import json, sys, tempfile, time
+sys.path[:0] = ["src", "tests"]
+import test_acceptance as acc
+from saddlescape.harness import ExperimentSpec, run_experiment
+psgd = dict(algorithm="psgd", mode="first_order", seeds=range(5), c=acc.TUNED_C,
+            stop_after_certified=True)
+specs = {
+    "psgd_sgc": dict(psgd, problem=acc.PROBLEM_SGC, sgc_arm=True),
+    "psgd_additive": dict(psgd, problem=acc.PROBLEM_ADD, sgc_arm=False),
+    "scrn_ho": dict(problem=acc.PROBLEM_SGC, algorithm="scrn", mode="higher_order",
+                    sgc_arm=True, seeds=range(10)),
+}
+wall = {}
+for name, kwargs in specs.items():
+    spec = ExperimentSpec(epsilon_grid=acc.EPS_GRID, max_steps=5000, **kwargs)
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        run_experiment(spec, out_dir=out)
+        wall[name] = round(time.perf_counter() - start, 4)
+print(json.dumps(wall))
+"""
 
 
 class PairError(Exception):
@@ -78,6 +109,18 @@ def run_tier1(side: Path) -> dict:
     return {"wall_s": round(wall, 2), "result": lines[-1].strip("= ") if lines else "no output"}
 
 
+def run_sweeps(side: Path) -> dict:
+    """Wall time in seconds of each acceptance sweep's ``run_experiment``."""
+    env = dict(os.environ, **{v: "1" for v in BLAS_VARS})
+    proc = subprocess.run([sys.executable, "-c", SWEEP_PROGRAM], cwd=side, env=env,
+                          capture_output=True, text=True, timeout=SWEEP_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise PairError(f"acceptance sweeps in {side} exited {proc.returncode}: "
+                        f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
 def compare(parent: list, change: list, better: str) -> dict:
     """Medians, inclusive quartiles and pairs won of one metric's paired values."""
     def q1_q3(values):
@@ -98,10 +141,11 @@ def compare(parent: list, change: list, better: str) -> dict:
 
 
 def run_pairs(dirs: dict, n_pairs: int, seed: int, tier1: bool) -> tuple:
-    """The benchmark and tier-1 records of every pair, and the change's run info.
+    """The benchmark, tier-1 and acceptance-sweep records of every pair, and
+    the change's run info.
 
     The parent runs first in odd pairs, the change in even pairs."""
-    pairs, tier1_pairs, info = [], [], {}
+    pairs, tier1_pairs, sweep_pairs, info = [], [], [], {}
     for pair in range(1, n_pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         record = {"pair": pair, "first": order[0]}
@@ -112,15 +156,17 @@ def run_pairs(dirs: dict, n_pairs: int, seed: int, tier1: bool) -> tuple:
         if tier1:
             tier1_pairs.append({"pair": pair, "first": order[0],
                                 **{side: run_tier1(dirs[side]) for side in order}})
+            sweep_pairs.append({"pair": pair, "first": order[0],
+                                **{side: run_sweeps(dirs[side]) for side in order}})
         print(f"seed {seed}: pair {pair}/{n_pairs} done", file=sys.stderr)
-    return pairs, tier1_pairs, info
+    return pairs, tier1_pairs, sweep_pairs, info
 
 
 def _values(pairs: list, key: str) -> dict:
     return {side: [p[side]["metrics"][key]["value"] for p in pairs] for side in ("parent", "change")}
 
 
-def summarize(pairs: list, tier1_pairs: list, directions: dict) -> dict:
+def summarize(pairs: list, tier1_pairs: list, sweep_pairs: list, directions: dict) -> dict:
     summary = {}
     for key in pairs[0]["parent"]["metrics"]:
         workload, metric = key.split(".", 1)
@@ -129,6 +175,10 @@ def summarize(pairs: list, tier1_pairs: list, directions: dict) -> dict:
             values["parent"], values["change"], directions[metric])
     summary["tier1"] = {"wall_s": compare([p["parent"]["wall_s"] for p in tier1_pairs],
                                           [p["change"]["wall_s"] for p in tier1_pairs], "lower")}
+    summary["acceptance_sweeps"] = {
+        name: {"wall_s": compare([p["parent"][name] for p in sweep_pairs],
+                                 [p["change"][name] for p in sweep_pairs], "lower")}
+        for name in sweep_pairs[0]["parent"]}
     return summary
 
 
@@ -193,8 +243,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     try:
-        pairs, tier1_pairs, info = run_pairs(dirs, args.pairs, SEED, tier1=True)
-        summary = summarize(pairs, tier1_pairs, directions)
+        pairs, tier1_pairs, sweep_pairs, info = run_pairs(dirs, args.pairs, SEED, tier1=True)
+        summary = summarize(pairs, tier1_pairs, sweep_pairs, directions)
         holdout = None
         if args.holdout_seed is not None:
             holdout_pairs = run_pairs(dirs, HOLDOUT_PAIRS, args.holdout_seed, tier1=False)[0]
@@ -212,11 +262,14 @@ def main(argv=None) -> int:
                  "checkouts of the same machine, run one at a time"),
         "protocol": (f"{args.pairs} pairs; parent runs first in odd pairs, change first in even "
                      "pairs; in each pair both benchmark runs come first, then one tier-1 run "
-                     "per side in the same order"),
+                     "per side, then one run of the three acceptance sweeps per side, in the "
+                     "same order"),
+        "sweep_command": "python3 -c tools.bench_pairs.SWEEP_PROGRAM (in the checkout, one BLAS thread)",
         "notes": "",
         "claimed": claim_entry(summary, args.claim) if args.claim else None,
         "summary": summary,
         "tier1_pairs": tier1_pairs,
+        "sweep_pairs": sweep_pairs,
         "pairs": pairs,
     }
     if holdout is not None:
