@@ -606,10 +606,17 @@ def tune_constants(
 
     A candidate wins by (certification success over the tuning seeds, then
     lower median first-hit budget).  The caller freezes the winner into the
-    spec before evaluating the full grid.
+    spec before evaluating the full grid.  No tuning seeds, or a candidate
+    key that is no spec field, is rejected before any candidate runs.
     """
     if not candidates:
         raise ConfigurationError("need at least one candidate override")
+    if not tune_seeds:
+        raise ConfigurationError("need at least one tuning seed, got 0")
+    unknown = {key for cand in candidates for key in cand} - {
+        f.name for f in dataclasses.fields(ExperimentSpec)}
+    if unknown:
+        raise ConfigurationError(f"candidates set unknown spec keys: {', '.join(sorted(unknown))}")
     eps = spec.epsilon_grid[0]
     best = None
     for cand in candidates:

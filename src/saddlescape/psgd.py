@@ -13,7 +13,9 @@ same bits as one call a step and seed.
 
 ``run_steps`` is the one run loop, of PSGD and of cubic Newton: it advances
 the runs of a group in lockstep, each under its own config, and a single
-seed is the group of one.
+seed is the group of one.  Both steps, ``psgd_step`` and
+``scrn._estimate_step``, take a group's (k, d) iterates and step streams and
+return ``(x_new, oracle_calls, outcomes)``, one outcome per row.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -158,16 +160,15 @@ def _perturbations(step_states: np.ndarray, dim: int, r: float, T: int) -> Calla
     return theta
 
 
-def _check_rows(x_new: np.ndarray, message: str, faults: Optional[dict]) -> None:
-    """Raise ``NumericalError(message)`` if ``x_new`` has a non-finite entry;
-    with a ``faults`` dict and a (k, d) ``x_new``, record the error there
-    under each row that has one (unless the row has failed already)."""
-    if np.isfinite(x_new).all():
-        return
-    if faults is None or x_new.ndim == 1:
-        raise NumericalError(message)
-    for j in np.flatnonzero(~np.isfinite(x_new).all(axis=-1)).tolist():
-        faults.setdefault(j, NumericalError(message))
+def _check_rows(x_new: np.ndarray, message: str, outcomes: list) -> list:
+    """``outcomes``, with ``NumericalError(message)`` set for each row j of
+    the (k, d) ``x_new`` with a non-finite entry, unless the row has failed
+    already."""
+    if not np.isfinite(x_new).all():
+        for j in np.flatnonzero(~np.isfinite(x_new).all(axis=-1)).tolist():
+            if not isinstance(outcomes[j], NumericalError):
+                outcomes[j] = NumericalError(message)
+    return outcomes
 
 
 def psgd_step(
@@ -176,19 +177,20 @@ def psgd_step(
     cfg: PsgdConfig,
     stream: SeedStream,
     theta: Optional[np.ndarray] = None,
-    faults: Optional[dict] = None,
 ):
-    """One perturbed gradient step; returns (new point, oracle calls).
+    """One perturbed gradient step of k runs; returns (x_new, oracle_calls, outcomes).
 
-    ``x`` is one run's (d,) iterate with its step stream, or the (k, d)
-    iterates of k runs with the block of their step streams; the calls are
-    those of one run, and every row is the one its run alone gives.
-    ``theta`` is the step's perturbation when the caller has drawn it; by
-    default the step draws it from ``stream``, the same rows.  A non-finite
-    update raises ``NumericalError``, or with a ``faults`` dict goes there
-    under its row (see ``run_steps``).
+    ``x`` is the (k, d) iterates of the runs and ``stream`` the block of
+    their step streams; a single run is a group of one.  The calls are
+    those of one run's step, and every row is the one its run alone gives.
+    ``theta`` is the step's (k, d) perturbation when the caller has drawn
+    it; by default the step draws it from the block's states, the same
+    rows.  ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
+    non-finite update (see ``run_steps``).
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ConfigurationError(f"psgd_step takes the (k, d) iterates of a group, got {x.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
     if cfg.mode == ZEROTH_ORDER:
@@ -196,15 +198,14 @@ def psgd_step(
     else:
         est = fo_gradient(p, x, cfg.n1, stream)
     if theta is None:
-        theta = draw_perturbation(np.array(stream.state, dtype=np.uint64).reshape(-1), p.meta.dim,
-                                  cfg.r).reshape(x.shape)
+        theta = draw_perturbation(stream.state, p.meta.dim, cfg.r)
     x_new = x - cfg.eta * (est.g + theta)
-    for row in np.atleast_2d(x_new):  # one clamp per run: the benchmark's tracer counts them
+    for row in x_new:  # one clamp per run: the benchmark's tracer counts them
         clamped = clamp_to_box(row, cfg.box_radius)
         if clamped is not row:
             row[...] = clamped
-    _check_rows(x_new, "update produced non-finite entries", faults)
-    return x_new, est.oracle_calls
+    return x_new, est.oracle_calls, _check_rows(x_new, "update produced non-finite entries",
+                                                [None] * len(x_new))
 
 
 def _per_seed(run: Callable, x0, cfg, seed):
@@ -212,15 +213,17 @@ def _per_seed(run: Callable, x0, cfg, seed):
 
     For one seed, ``x0`` is its start point, ``cfg`` its config and the
     result its RunTrace; the NumericalError that ended the run is raised.
-    For a sequence of S seeds, ``x0`` holds their S start points, ``cfg`` is
-    one config for all of them or a sequence of S configs, one per seed, and
-    the result is the list of outcomes of ``run_steps``.
+    For a sequence of S >= 1 seeds, ``x0`` holds their S start points,
+    ``cfg`` is one config for all of them or a sequence of S configs, one
+    per seed, and the result is the list of outcomes of ``run_steps``.
     """
     if np.ndim(seed):
         seeds = [int(s) for s in seed]
         cfgs = list(cfg) if isinstance(cfg, Sequence) else [cfg] * len(seeds)
-        if len(cfgs) != len(seeds):
-            raise ConfigurationError(f"need one config per seed, got {len(cfgs)} for {len(seeds)}")
+        if not seeds or len(x0) != len(seeds) or len(cfgs) != len(seeds):
+            raise ConfigurationError(
+                f"need at least one seed, and one start point and one config per seed; got "
+                f"{len(x0)} start points and {len(cfgs)} configs for {len(seeds)} seeds")
         return run(x0, cfgs, seeds)
     (outcome,) = run([x0], [cfg], [int(seed)])
     if isinstance(outcome, NumericalError):
@@ -245,11 +248,10 @@ def run_psgd(
     def run(x0s, cfgs, seeds):
         step_states = _step_states(seeds, cfgs)
         thetas = {c: _perturbations(step_states, p.meta.dim, c.r, c.T) for c in cfgs}
-
-        def step(c, t, rows, x, stream, faults):
-            return (*psgd_step(p, x, c, stream, thetas[c](t, rows), faults), None)
-
-        return run_steps(p, x0s, cfgs, step, seeds, certify_every=certify_every,
+        return run_steps(p, x0s, cfgs,
+                         lambda c, t, rows, x, stream: psgd_step(p, x, c, stream,
+                                                                 thetas[c](t, rows)),
+                         seeds, certify_every=certify_every,
                          stop_after_certified=stop_after_certified)
 
     return _per_seed(run, x0, cfg, seed)
@@ -307,15 +309,14 @@ def run_steps(
 
     Run i starts at ``x0s[i]`` with config ``cfgs[i]`` and the run stream of
     ``seeds[i]``.  At t = 1, 2, ... the loop calls ``step(cfg, t, rows, x,
-    stream, faults)`` once for each distinct config ``cfg`` among the runs
-    that are still active, for its runs ``rows`` (an ascending index array):
-    ``x`` is their (k, d) iterates and ``stream`` the block of their step
-    streams ``child("step", t)``.  The step returns ``(x_new, oracle_calls,
-    sols)``, with the calls of one run's step and ``sols`` None or the list
-    of the k cubic steps' ``CubicSolution``, whose radius and model decrease
-    the rows record.  The step does the sampling, the estimators and the update
-    once for all k runs; a run whose step fails goes into the ``faults``
-    dict under its position in ``rows``, with its ``NumericalError``.
+    stream)`` once for each distinct config ``cfg`` among the runs that are
+    still active, for its runs ``rows`` (an ascending index array): ``x`` is
+    their (k, d) iterates and ``stream`` the block of their step streams
+    ``child("step", t)``.  The step does the sampling, the estimators and the
+    update once for all k runs and returns ``(x_new, oracle_calls,
+    outcomes)``, with the calls of one run's step and one outcome per row:
+    None, the row's ``CubicSolution``, whose radius and model decrease its
+    trace rows record, or the ``NumericalError`` that ends its run.
 
     Rows are certified on exact oracles, never charged to the budget, at
     t = 0, every ``certify_every`` steps and at the run's own T, against the
@@ -387,7 +388,7 @@ def run_steps(
     for t in range(1, max(ends) + 1):
         if not active:
             break
-        stepped, sols_of = [], {}
+        stepped: dict = {}  # run -> the outcome of its step t, in step order
         for k, cfg in enumerate(distinct):
             runs = [i for i in active if kind[i] == k]
             if not runs:
@@ -396,21 +397,18 @@ def run_steps(
                 rows = np.array(runs)
                 blocks[k] = runs, rows, SeedStream.block(step_states[rows])
             _, rows, steps = blocks[k]
-            faults: dict = {}
-            x_new, step_calls, sols = step(cfg, t, rows, x[rows], steps.child(t), faults)
+            x_new, step_calls, step_outcomes = step(cfg, t, rows, x[rows], steps.child(t))
             x[rows] = x_new
-            for j, i in enumerate(runs):
-                if j in faults:
-                    fail(i, t, faults[j], calls[i] + step_calls)
+            for i, outcome in zip(runs, step_outcomes):
+                if isinstance(outcome, NumericalError):
+                    fail(i, t, outcome, calls[i] + step_calls)
                     continue
                 calls[i] += step_calls
                 if r_indices is not None and t == r_indices[i]:
                     at_r[i] = (x[i].copy(), calls[i])
-                stepped.append(i)
-                if sols is not None:
-                    sols_of[i] = sols[j]
-        due = stepped if t % certify_every == 0 else [i for i in stepped if ends[i] == t]
-        left = record(due, t, sols_of)
+                stepped[i] = outcome
+        due = list(stepped) if t % certify_every == 0 else [i for i in stepped if ends[i] == t]
+        left = record(due, t, stepped)
         active = [i for i in stepped if i not in left and ends[i] > t]
     finished = [i for i, trace in enumerate(traces) if outcomes[i] is trace]
     for i in finished:

@@ -336,15 +336,15 @@ class ScrnConfig:
         return 2 * self.n1 + 3 * self.n2 if self.mode == ZEROTH_ORDER else self.n1 + self.n2
 
 
-def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream,
-                   faults: Optional[dict] = None):
-    """One cubic-Newton step; returns (new point, oracle calls, CubicSolution).
+def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream):
+    """One cubic-Newton step of k runs; returns (x_new, oracle calls, outcomes).
 
-    As in ``psgd_step``, ``x`` is one run's (d,) iterate with its step
-    stream, or the (k, d) iterates of k runs with the block of their step
-    streams, whose estimates come from one oracle call per estimator; the
-    solution is then a list, one per row, and a failed row's is None.  The
-    cubic solve and the clamp stay one call per run.
+    As in ``psgd_step``, ``x`` is the (k, d) iterates of the runs and
+    ``stream`` the block of their step streams, whose estimates come from
+    one oracle call per estimator.  ``outcomes[j]`` is row j's
+    ``CubicSolution``, or the ``NumericalError`` its cubic solve raised or
+    its non-finite step gave.  The cubic solve and the clamp stay one call
+    per run.
     """
     x = np.asarray(x, dtype=np.float64)
     if cfg.mode == ZEROTH_ORDER:
@@ -353,25 +353,18 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream:
     else:
         grad = fo_gradient(p, x, cfg.n1, stream)
         hess = so_hessian(p, x, cfg.n2, stream)
-    xs, d = np.atleast_2d(x), x.shape[-1]
-    gs, Hs = grad.g.reshape(-1, d), hess.H.reshape(-1, d, d)
-    x_new = np.empty_like(xs)
-    sols = []
-    for j in range(len(xs)):
+    x_new = np.empty_like(x)
+    outcomes = []
+    for j, (g, H) in enumerate(zip(grad.g, hess.H)):
         try:
-            sol = solve_cubic(CubicModel(g=gs[j], H=Hs[j], M=cfg.M))
+            sol = solve_cubic(CubicModel(g=g, H=H, M=cfg.M))
         except NumericalError as err:
-            if faults is None:
-                raise
-            faults[j] = err
-            sols.append(None)
-            x_new[j] = np.nan
-            continue
-        sols.append(sol)
-        x_new[j] = clamp_to_box(xs[j] + sol.h_star, cfg.box_radius)
-    _check_rows(x_new, "cubic step produced non-finite entries", faults)
-    calls = grad.oracle_calls + hess.oracle_calls
-    return (x_new[0], calls, sols[0]) if x.ndim == 1 else (x_new, calls, sols)
+            sol, x_new[j] = err, np.nan
+        else:
+            x_new[j] = clamp_to_box(x[j] + sol.h_star, cfg.box_radius)
+        outcomes.append(sol)
+    return x_new, grad.oracle_calls + hess.oracle_calls, _check_rows(
+        x_new, "cubic step produced non-finite entries", outcomes)
 
 
 def run_scrn(
@@ -398,7 +391,7 @@ def run_scrn(
                          .integers(1, c.T + 1)) for s, c in zip(seeds, cfgs)]
         return run_steps(
             p, x1s, cfgs,
-            lambda c, t, rows, x, stream, faults: _estimate_step(p, x, c, stream, faults),
+            lambda c, t, rows, x, stream: _estimate_step(p, x, c, stream),
             seeds, certify_every=certify_every, r_indices=r_indices,
         )
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from saddlescape import harness
 from saddlescape.diagnostics import sosp_fraction
 from saddlescape.errors import ConfigurationError, EvaluationError
 from saddlescape.harness import (
@@ -446,6 +447,16 @@ def test_tune_constants_scores_an_undefined_schedule_as_a_loss():
     # delta = 0.9 leaves gap/(delta*epsilon) <= 1, so its spec cannot be built
     best = tune_constants(spec, [{"delta": 0.9}, {"delta": 0.1}], tune_seeds=(0,))
     assert best == {"delta": 0.1}
+
+
+def test_tune_constants_rejects_bad_input_before_any_run(monkeypatch):
+    spec = _spec(max_steps=1200)
+    monkeypatch.setattr(harness, "_run_group", None)  # any run would fail with a TypeError
+    with pytest.raises(ConfigurationError, match="at least one tuning seed"):
+        tune_constants(spec, [{"c": 0.01}], tune_seeds=())
+    # a misspelt key is an error, not a losing candidate
+    with pytest.raises(ConfigurationError, match="unknown spec keys: nope"):
+        tune_constants(spec, [{"c": 0.01}, {"nope": 1}], tune_seeds=(0,))
 
 
 def test_master_seed_changes_trajectories(tmp_path):

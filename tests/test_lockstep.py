@@ -4,7 +4,9 @@
 group through ``psgd.run_steps``, each under its own epsilon's config;
 ``run_cell`` is the group of one cell.  Every trace of a group must be
 byte-identical to the cell's own run, and a cell that ends, stops or fails
-must leave the group without touching the others.
+must leave the group without touching the others.  Within one step, both
+step functions return one outcome per row, and a failed row's error stays
+in its own outcome.
 """
 
 import dataclasses
@@ -16,6 +18,10 @@ from conftest import counting_problem
 from saddlescape import harness
 from saddlescape.errors import NumericalError
 from saddlescape.harness import ExperimentSpec, read_trace, run_cell, run_experiment, write_trace
+from saddlescape.problems import problem_from_config
+from saddlescape.psgd import PsgdConfig, psgd_step
+from saddlescape.scrn import CubicSolution, ScrnConfig, _estimate_step
+from saddlescape.seeds import SeedStream
 
 SADDLE = dict(family="multiplicative_saddle", dim=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
 SMALL_SADDLE = dict(SADDLE, dim=4)
@@ -89,6 +95,17 @@ def _nan_gradients_beyond(p, limit):
     return dataclasses.replace(p, sample_grad_batch=grad_batch)
 
 
+def _nan_sampled_hessians_beyond(p, limit):
+    """``p`` whose sampled Hessians are NaN at points with x[0] > limit."""
+    def hess_batch(points, seeds):
+        hess = p.sample_hess_batch(points, seeds)
+        pts = np.atleast_2d(points)
+        hess[np.repeat(pts[:, 0] > limit, len(seeds) // len(pts))] = np.nan
+        return hess
+
+    return dataclasses.replace(p, sample_hess_batch=hess_batch)
+
+
 def _nan_hessians_beyond(p, limit):
     """``p`` whose exact Hessians are NaN at points with x[0] > limit, of a
     (d,) point or of each row of a (k, d) stack."""
@@ -160,3 +177,45 @@ def _check_failed_cell_leaves_the_group_alone(tmp_path, monkeypatch, fault, mess
     charged = sum((o.trace if isinstance(o, NumericalError) else o).total_oracle_calls
                   for o in outcomes)
     assert group_drawn == own_drawn == charged
+
+
+def _psgd_step(p, x, stream):
+    return psgd_step(p, x, PsgdConfig(eta=0.02, r=0.3, n1=4, T=10, box_radius=10.0,
+                                      epsilon=0.1), stream)
+
+
+def _scrn_step(p, x, stream):
+    return _estimate_step(p, x, ScrnConfig(M=5.0, n1=3, n2=3, T=10, box_radius=10.0,
+                                           epsilon=0.1), stream)
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, CubicSolution) and isinstance(b, CubicSolution):
+        return np.array_equal(a.h_star, b.h_star) and (
+            a.model_decrease, a.radius, a.multiplier, a.hard_case) == (
+            b.model_decrease, b.radius, b.multiplier, b.hard_case)
+    return a is None and b is None
+
+
+@pytest.mark.parametrize("step, fault, message", [
+    (_psgd_step, _nan_gradients_beyond, "update produced non-finite entries"),
+    (_scrn_step, _nan_gradients_beyond, "cubic model has non-finite entries"),
+    (_scrn_step, _nan_sampled_hessians_beyond, "cubic model has non-finite entries"),
+], ids=["psgd_sampled_gradients", "scrn_sampled_gradients", "scrn_sampled_hessians"])
+def test_failed_row_of_a_step_leaves_the_other_rows_alone(step, fault, message):
+    """A step returns one outcome per row: the failed row's own
+    NumericalError, and for every other row what its group of one gives."""
+    p = fault(problem_from_config(dict(SADDLE)), 0.5)
+    x = np.full((3, 10), 0.1)
+    x[1, 0] = 0.9
+    x[2] *= -2.0
+    streams = SeedStream.block([SeedStream(seed, "psgd").child("step", 4).state
+                                for seed in range(3)])
+    x_new, calls, outcomes = step(p, x, streams)
+    assert len(outcomes) == 3
+    assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
+    for j in (0, 2):
+        own_x, own_calls, (own,) = step(p, x[j:j + 1], SeedStream.block([streams.state[j]]))
+        assert np.isfinite(own_x).all()
+        assert np.array_equal(x_new[j], own_x[0]) and calls == own_calls
+        assert _same_outcome(outcomes[j], own)

@@ -202,6 +202,14 @@ def _ho_config(M=10.0, n1=1, n2=1, T=5, eps=0.05, box=10.0):
     return ScrnConfig(M=M, n1=n1, n2=n2, T=T, box_radius=box, epsilon=eps)
 
 
+def _one_step(p, x, cfg, stream):
+    """``_estimate_step`` on the group of one run at ``x`` with step stream
+    ``stream``: its new point, oracle calls and cubic solution."""
+    x_new, calls, (sol,) = _estimate_step(p, np.asarray(x)[None], cfg,
+                                          SeedStream.block([stream.state]))
+    return x_new[0], calls, sol
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         _ho_config(M=0.0)
@@ -217,7 +225,7 @@ def test_step_fixed_at_second_order_stationary_point():
     p = make_phase_retrieval(d=4, m=24, planted_seed=3)
     xs = SeedStream(3, "phase_retrieval").child("planted").rng().standard_normal(4)
     xs /= np.linalg.norm(xs)
-    x1, calls, _ = _estimate_step(p, xs, _ho_config(M=5.0, n1=3, n2=3), SeedStream(0))
+    x1, calls, _ = _one_step(p, xs, _ho_config(M=5.0, n1=3, n2=3), SeedStream(0))
     assert np.array_equal(x1, xs)
     assert calls == 6
 
@@ -226,7 +234,7 @@ def test_step_escapes_saddle_with_closed_form_radius():
     # deterministic quadratic saddle at the origin: step radius is 2|lambda_min|/M
     p = make_multiplicative_saddle(d=3, neg_count=1, rho=1.0, quartic_coeff=0.0)
     M = 4.0
-    x1, _, sol = _estimate_step(p, np.zeros(3), _ho_config(M=M), SeedStream(1))
+    x1, _, sol = _one_step(p, np.zeros(3), _ho_config(M=M), SeedStream(1))
     assert sol.hard_case
     assert np.linalg.norm(x1) == pytest.approx(2.0 / M, abs=1e-10)
     assert abs(x1[0]) == pytest.approx(2.0 / M, abs=1e-10)
@@ -235,8 +243,8 @@ def test_step_escapes_saddle_with_closed_form_radius():
 def test_step_bitwise_deterministic(sgc_saddle_10d):
     cfg = _ho_config(M=50.0, n1=4, n2=4)
     x = 0.2 * np.ones(10)
-    a, _, _ = _estimate_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
-    b, _, _ = _estimate_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
+    a, _, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
+    b, _, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
     assert np.all(np.isfinite(a)) and np.array_equal(a, b)
 
 

@@ -9,12 +9,17 @@ checkout, then the tier-1 suite once in each, then the three acceptance
 sweeps once in each, in the same order; the parent goes first in odd pairs,
 the change in even pairs.  Runs happen one at a time.  The acceptance sweeps
 are the specs of ``tests/test_acceptance.py::sweep`` (PSGD strong-growth,
-PSGD additive-noise and SCRN higher-order), each timed around its
-``run_experiment`` call in a child process of the checkout.  The output
-holds, for every end-to-end metric of every workload, for the tier-1 wall
-time and for the wall time of each acceptance sweep, both sides' medians and
-quartiles, the pairs the change won (ties count for neither) and the median
-change in percent, followed by every raw run.  Its ``change`` and ``notes`` fields, and the
+PSGD additive-noise and SCRN higher-order), run in a child process of the
+checkout: each spec runs one untimed warm-up sweep, then ``SWEEP_REPEATS``
+sweeps timed around their ``run_experiment`` call.  A sweep's ``wall_s`` is
+its time divided by the host slowdown taken around it (``host_slowdown`` of
+``perfbench/worker.py``, as the benchmark normalises its own sweeps), and
+its ``raw_wall_s`` the time itself; the pair records the median of each over
+the timed sweeps.  The output holds, for every end-to-end metric of every
+workload, for the tier-1 wall time and for both wall times of each
+acceptance sweep, both sides' medians and quartiles, the pairs the change
+won (ties count for neither) and the median change in percent, followed by
+every raw run.  Its ``change`` and ``notes`` fields, and the
 claim's ``target``, are left empty to be written by hand.
 
 ``--claim WORKLOAD.METRIC`` adds a ``claimed`` entry, which says whether the
@@ -49,15 +54,18 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BENCH_TIMEOUT_S = 1200.0  # four workloads, each cut by run.py at 170 s
 TIER1_TIMEOUT_S = 1800.0
 SWEEP_TIMEOUT_S = 600.0
+SWEEP_REPEATS = 3  # timed sweeps per spec and run, after one untimed warm-up
 
 # The acceptance sweeps of tests/test_acceptance.py::sweep, run in the
 # checkout: problems, grid and tuned c come from that module, and the other
-# keywords are the fixture's.  Prints the wall time of each sweep as JSON.
+# keywords are the fixture's.  Prints, as JSON, each spec's median wall time
+# over its timed sweeps, normalised by the host slowdown and raw.
 SWEEP_PROGRAM = """
-import json, sys, tempfile, time
-sys.path[:0] = ["src", "tests"]
+import json, statistics, sys, tempfile, time
+sys.path[:0] = ["src", "tests", "perfbench"]
 import test_acceptance as acc
 from saddlescape.harness import ExperimentSpec, run_experiment
+from worker import host_slowdown
 psgd = dict(algorithm="psgd", mode="first_order", seeds=range(5), c=acc.TUNED_C,
             stop_after_certified=True)
 specs = {
@@ -66,15 +74,27 @@ specs = {
     "scrn_ho": dict(problem=acc.PROBLEM_SGC, algorithm="scrn", mode="higher_order",
                     sgc_arm=True, seeds=range(10)),
 }
-wall = {}
-for name, kwargs in specs.items():
-    spec = ExperimentSpec(epsilon_grid=acc.EPS_GRID, max_steps=5000, **kwargs)
+
+
+def sweep(spec):
     with tempfile.TemporaryDirectory() as out:
+        slowdown = host_slowdown()
         start = time.perf_counter()
         run_experiment(spec, out_dir=out)
-        wall[name] = round(time.perf_counter() - start, 4)
-print(json.dumps(wall))
-"""
+        wall = time.perf_counter() - start
+        return wall, 0.5 * (slowdown + host_slowdown())
+
+
+walls = {}
+for name, kwargs in specs.items():
+    spec = ExperimentSpec(epsilon_grid=acc.EPS_GRID, max_steps=5000, **kwargs)
+    sweep(spec)
+    times = [sweep(spec) for _ in range(%d)]
+    walls[name] = {"wall_s": round(statistics.median(w / s for w, s in times), 4),
+                   "raw_wall_s": round(statistics.median(w for w, _ in times), 4)}
+print(json.dumps(walls))
+""" % SWEEP_REPEATS
+SWEEP_METRICS = ("wall_s", "raw_wall_s")
 
 
 class PairError(Exception):
@@ -110,7 +130,8 @@ def run_tier1(side: Path) -> dict:
 
 
 def run_sweeps(side: Path) -> dict:
-    """Wall time in seconds of each acceptance sweep's ``run_experiment``."""
+    """Median normalised and raw wall times in seconds of each acceptance
+    sweep's ``run_experiment``."""
     env = dict(os.environ, **{v: "1" for v in BLAS_VARS})
     proc = subprocess.run([sys.executable, "-c", SWEEP_PROGRAM], cwd=side, env=env,
                           capture_output=True, text=True, timeout=SWEEP_TIMEOUT_S)
@@ -176,8 +197,9 @@ def summarize(pairs: list, tier1_pairs: list, sweep_pairs: list, directions: dic
     summary["tier1"] = {"wall_s": compare([p["parent"]["wall_s"] for p in tier1_pairs],
                                           [p["change"]["wall_s"] for p in tier1_pairs], "lower")}
     summary["acceptance_sweeps"] = {
-        name: {"wall_s": compare([p["parent"][name] for p in sweep_pairs],
-                                 [p["change"][name] for p in sweep_pairs], "lower")}
+        name: {key: compare([p["parent"][name][key] for p in sweep_pairs],
+                            [p["change"][name][key] for p in sweep_pairs], "lower")
+               for key in SWEEP_METRICS}
         for name in sweep_pairs[0]["parent"]}
     return summary
 
@@ -263,7 +285,9 @@ def main(argv=None) -> int:
         "protocol": (f"{args.pairs} pairs; parent runs first in odd pairs, change first in even "
                      "pairs; in each pair both benchmark runs come first, then one tier-1 run "
                      "per side, then one run of the three acceptance sweeps per side, in the "
-                     "same order"),
+                     f"same order; a run sweeps each spec once untimed, then {SWEEP_REPEATS} "
+                     "times timed, and records the median wall time, divided by the host "
+                     "slowdown around each sweep (wall_s) and raw (raw_wall_s)"),
         "sweep_command": "python3 -c tools.bench_pairs.SWEEP_PROGRAM (in the checkout, one BLAS thread)",
         "notes": "",
         "claimed": claim_entry(summary, args.claim) if args.claim else None,
