@@ -17,8 +17,10 @@ Hessian 3 per direction.
 
 Both zeroth-order estimators take the smoothing radius ``nu`` as an argument
 and stream their directions in blocks of a fixed number of bytes per run, so
-memory does not grow with ``n1`` or ``n2``; a group of k runs holds k runs'
-blocks at a time.
+memory does not grow with ``n1`` or ``n2``; a group of k runs holds two
+blocks per run at a time.  When a batch spans several blocks, a second
+thread draws the next block's directions while the current block's value
+queries run.
 
 Noise seeds and direction vectors come from independently split seed
 streams, so first-order and zeroth-order runs with the same master seed see
@@ -27,6 +29,9 @@ the same noise-seed sequence (paired comparisons across oracle modes).
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,34 +156,115 @@ def _direction_blocks(p, x, nu, n, xi_stream, u_stream, central):
     (central), every query of direction i at noise seed ``xi_i``; each
     query is one oracle call for all k runs.  Block seeds are taken by
     index and each run draws its directions in order from its own
-    ``u_stream`` generator, so a run's blocks concatenate to the one-shot
-    ``seeds(n)`` and ``standard_normal((n, d))``; no array grows with n.
-    Every block is drawn into the same buffers, so a yielded ``u`` is valid
-    until the next block is drawn.  The callers check ``nu`` and ``n`` with
-    ``_check_zo`` first.  The 2 or 3 queries of a block pass the same seeds
-    array, which lets an oracle hash those seeds once.
+    ``u_stream`` generator (see ``_drawn_directions``), so a run's blocks
+    concatenate to the one-shot ``seeds(n)`` and ``standard_normal((n,
+    d))``; no array grows with n.  A yielded ``u`` stays valid until the
+    generator resumes, and a run holds at most two direction blocks at a
+    time.  The callers check ``nu`` and ``n`` with ``_check_zo`` first.
+    The 2 or 3 queries of a block pass the same seeds array, which lets an
+    oracle hash those seeds once.
     """
     rngs = [node.rng() for node in u_stream.nodes()]
     k, d = len(rngs), p.meta.dim
     x = np.asarray(x, dtype=np.float64).reshape(k, 1, d)
     rows = _block_rows(d)
-    u_buf, step_buf, pts_buf = np.empty((3, k * min(rows, n) * d))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        seeds = xi_stream.seeds(m, start).reshape(-1)
-        u = u_buf[:k * m * d].reshape(k, m, d)
-        for rng, run_u in zip(rngs, u):
+    step_buf, pts_buf = np.empty((2, k * min(rows, n) * d))
+    draws = _drawn_directions(rngs, d, n, rows)
+    try:
+        for start, u in zip(range(0, n, rows), draws):
+            m = u.shape[1]
+            seeds = xi_stream.seeds(m, start).reshape(-1)
+            step = np.multiply(u, nu, out=step_buf[:u.size].reshape(u.shape))
+            pts = pts_buf[:u.size].reshape(u.shape)
+            f_plus = p.sample_value_batch(np.add(x, step, out=pts).reshape(-1, d), seeds)
+            f_base = p.sample_value_batch(x[:, 0], seeds)
+            if central:
+                f_minus = p.sample_value_batch(np.subtract(x, step, out=pts).reshape(-1, d), seeds)
+                diff = f_plus + f_minus - 2.0 * f_base
+            else:
+                diff = f_plus - f_base
+            yield u, diff.reshape(k, m)
+    finally:
+        draws.close()
+
+
+def _drawn_directions(rngs, d, n, rows):
+    """Yield the (k, m, d) direction blocks of ``_direction_blocks``.
+
+    Row block j of run i is the next m normals of ``rngs[i]``, drawn in
+    order.  A single block is drawn inline.  With two or more, one producer
+    thread draws block j + 1 into the second of two buffers while the
+    caller works on block j, and a yielded block goes back to the producer
+    when the generator resumes.  The producer touches nothing but the
+    generators, which the caller made, and the buffers; its exception is
+    raised in the caller, and closing the generator, exhausted or not,
+    stops and joins it.  ``standard_normal`` releases the GIL while it
+    fills a block, so the draws overlap the caller's value queries when
+    the producer runs on another CPU.  It is placed on the process's CPUs
+    other than the caller's (see ``_other_cpus``): a kernel need not move
+    a new thread off its parent's CPU, and then the two take turns.
+    """
+    k, blocks = len(rngs), -(-n // rows)
+    bufs = np.empty((min(blocks, 2), k * min(rows, n) * d))
+
+    def block(j):
+        m = min(rows, n - j * rows)
+        return bufs[j % 2, :k * m * d].reshape(k, m, d)
+
+    def draw(j):
+        for rng, run_u in zip(rngs, block(j)):
             rng.standard_normal(out=run_u)
-        step = np.multiply(u, nu, out=step_buf[:u.size].reshape(u.shape))
-        pts = pts_buf[:u.size].reshape(u.shape)
-        f_plus = p.sample_value_batch(np.add(x, step, out=pts).reshape(-1, d), seeds)
-        f_base = p.sample_value_batch(x[:, 0], seeds)
-        if central:
-            f_minus = p.sample_value_batch(np.subtract(x, step, out=pts).reshape(-1, d), seeds)
-            diff = f_plus + f_minus - 2.0 * f_base
-        else:
-            diff = f_plus - f_base
-        yield u, diff.reshape(k, m)
+
+    if blocks == 1:
+        draw(0)
+        yield block(0)
+        return
+    free, drawn = threading.Semaphore(2), threading.Semaphore(0)
+    stop, errors = threading.Event(), []
+    cpus = _other_cpus()
+
+    def produce():
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # the draws then share the caller's CPUs
+                pass
+        try:
+            for j in range(blocks):
+                free.acquire()
+                if stop.is_set():
+                    return
+                draw(j)
+                drawn.release()
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+            drawn.release()
+
+    producer = threading.Thread(target=produce, name="zo-directions", daemon=True)
+    producer.start()
+    try:
+        for j in range(blocks):
+            drawn.acquire()
+            if errors:
+                raise errors[0]
+            yield block(j)
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        producer.join()
+
+
+def _other_cpus() -> set:
+    """The CPUs this process may run on, less the calling thread's; empty
+    where the platform reports neither."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):  # not Linux, or a C library without sched_getcpu
+        return set()
+    getcpu.argtypes, getcpu.restype = (), ctypes.c_int
+    return allowed - {getcpu()}
 
 
 @dataclass(frozen=True)

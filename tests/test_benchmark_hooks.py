@@ -65,7 +65,14 @@ def test_tracer_wraps_the_zeroth_order_estimators(monkeypatch):
         trace = harness.run_cell(spec, 0.2, 0)
     assert trace.rows[-1].t == 1
     assert tracer.calls["estimators.zo_gradient"] == tracer.calls["estimators.zo_hessian"] == 1
-    assert tracer.zo_hess_peak_bytes > 0
+    assert tracer.counts["problems.samples"] == trace.total_oracle_calls
+    # the random iterate's generator and one per estimator call, each made in
+    # the caller's thread, never in the zeroth-order direction producer
+    assert tracer.calls["seeds.rng"] == 3
+    # 146 blocks of 3,276 directions: two 256 KiB direction buffers, the
+    # step, point and weighted buffers and one block's queries, never a
+    # (n2, d) array (38 MB)
+    assert 0 < tracer.zo_hess_peak_bytes < 4 * 2**20
 
 
 def test_tracer_sees_a_group_certified_together(monkeypatch):

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ from conftest import constant_problem, counting_problem
 from saddlescape.errors import CapabilityError, ConfigurationError
 from saddlescape.estimators import (
     _block_rows,
+    _direction_blocks,
     estimate_sgc_rho,
     fo_gradient,
     grad_minibatch_trials,
@@ -378,8 +383,9 @@ def test_streamed_estimators_match_one_block(offset):
 
 
 def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
-    # the (n2, d) direction array of one run alone would take 84 MB; a group
-    # of k runs holds the block buffers of each run, so its bound is k times one's
+    # the (n2, d) direction array of one run alone would take 84 MB; a run
+    # holds two direction blocks and one block of each other buffer, and a
+    # group of k runs holds those of each run, so its bound is k times one's
     for point, stream in ((0.1 * np.ones(10), SeedStream(4)),
                           (0.1 * np.ones((3, 10)), SeedStream.block([4, 5, 6]))):
         tracemalloc.start()
@@ -389,3 +395,158 @@ def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
         finally:
             tracemalloc.stop()
         assert peak < len(stream.nodes()) * 32e6
+
+
+@pytest.mark.parametrize("blocks", [(1, 0), (2, 0), (3, 7)], ids=["1block", "2blocks", "3blocks+7"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_direction_blocks_concatenate_to_one_shot_draws(blocks, k):
+    # every yielded block, copied before the generator resumes, is the next
+    # slice of each run's one-shot directions and differences, bit for bit
+    d = 4
+    p = make_multiplicative_saddle(d=d, neg_count=1, rho=2.0, quartic_coeff=0.01)
+    n = blocks[0] * _block_rows(d) + blocks[1]
+    runs = [SeedStream(71).child("run", i) for i in range(k)]
+    stream = runs[0] if k == 1 else SeedStream.block([run.state for run in runs])
+    points = np.array([0.3, -0.8, 0.5, 0.1]) + 0.1 * np.arange(k)[:, None]
+    x = points[0] if k == 1 else points
+    nu = 0.05
+    for central in (False, True):
+        copies = [(u.copy(), diff.copy()) for u, diff in _direction_blocks(
+            p, x, nu, n, stream.child("xi"), stream.child("u"), central)]
+        assert len(copies) == -(-n // _block_rows(d))
+        u_all = np.concatenate([u for u, _ in copies], axis=1)
+        diff_all = np.concatenate([diff for _, diff in copies], axis=1)
+        for run, point, run_u, run_diff in zip(runs, points, u_all, diff_all):
+            u = run.child("u").rng().standard_normal((n, d))
+            seeds = run.child("xi").seeds(n)
+            f_plus = p.sample_value_batch(point + nu * u, seeds)
+            f_base = p.sample_value_batch(point, seeds)
+            if central:
+                diff = f_plus + p.sample_value_batch(point - nu * u, seeds) - 2.0 * f_base
+            else:
+                diff = f_plus - f_base
+            assert np.array_equal(run_u, u)
+            assert np.array_equal(run_diff, diff)
+
+
+# ---------------------------------------------------------------------------
+# the direction producer thread never outlives a call
+
+def _multi_block_case():
+    d = 4
+    p = make_multiplicative_saddle(d=d, neg_count=1, rho=2.0, quartic_coeff=0.01)
+    return p, np.array([0.3, -0.8, 0.5, 0.1]), 2 * _block_rows(d) + 3
+
+
+def test_multi_block_zo_hessian_joins_its_producer():
+    p, x, n = _multi_block_case()
+    before = threading.active_count()
+    during = []
+
+    def value_batch(points, seeds):
+        during.append(threading.active_count())
+        return p.sample_value_batch(points, seeds)
+
+    est = zo_hessian(dataclasses.replace(p, sample_value_batch=value_batch), x, 0.05, n, SeedStream(5))
+    assert max(during) == before + 1  # the draws ran on one thread of their own
+    assert threading.active_count() == before
+    assert np.array_equal(est.H, zo_hessian(p, x, 0.05, n, SeedStream(5)).H)
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs a process that may run on two CPUs")
+def test_producer_runs_off_the_callers_cpu():
+    # a kernel need not move a new thread off its parent's CPU; the producer
+    # places itself on every CPU of the process but the caller's
+    p, x, n = _multi_block_case()
+    allowed = os.sched_getaffinity(0)
+    placed = []
+
+    def value_batch(points, seeds):
+        # the producer has returned once it has drawn the last block
+        placed.extend(os.sched_getaffinity(t.native_id) for t in threading.enumerate()
+                      if t.name == "zo-directions")
+        return p.sample_value_batch(points, seeds)
+
+    zo_hessian(dataclasses.replace(p, sample_value_batch=value_batch), x, 0.05, n, SeedStream(5))
+    assert placed
+    assert all(cpus < allowed and len(cpus) == len(allowed) - 1 for cpus in placed)
+
+
+def test_concurrent_callers_get_their_serial_estimates():
+    # three callers and their producers on two CPUs, switching as often as
+    # the interpreter allows: a block handed back to its producer before the
+    # caller is done with it would change that caller's estimate
+    p, x, n = _multi_block_case()
+    streams = [SeedStream(s) for s in range(3)]
+    serial = [zo_hessian(p, x, 0.05, n, stream).H for stream in streams]
+    before = threading.active_count()
+    results = [None] * len(streams)
+
+    def call(i):
+        results[i] = zo_hessian(p, x, 0.05, n, streams[i]).H
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(streams))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(np.array_equal(r, h) for r, h in zip(results, serial))
+    assert threading.active_count() == before
+
+
+def test_oracle_error_on_a_later_block_joins_the_producer():
+    p, x, n = _multi_block_case()
+    before = threading.active_count()
+    error = RuntimeError("value oracle failed")
+    calls = []
+
+    def value_batch(points, seeds):
+        calls.append(len(seeds))
+        if len(calls) == 4:  # the first query of the second block
+            raise error
+        return p.sample_value_batch(points, seeds)
+
+    with pytest.raises(RuntimeError) as raised:
+        zo_hessian(dataclasses.replace(p, sample_value_batch=value_batch), x, 0.05, n, SeedStream(5))
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_closed_direction_blocks_join_the_producer():
+    p, x, n = _multi_block_case()
+    before = threading.active_count()
+    stream = SeedStream(5)
+    blocks = _direction_blocks(p, x, 0.05, n, stream.child("xih"), stream.child("uh"), True)
+    next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_producer_error_is_raised_in_the_caller(monkeypatch):
+    p, x, n = _multi_block_case()
+    before = threading.active_count()
+    error = FloatingPointError("draw failed")
+
+    class FailingGenerator:
+        def __init__(self):
+            self.draws = 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            if self.draws == 2:
+                raise error
+            out[...] = 0.5
+
+    monkeypatch.setattr(SeedStream, "rng", lambda self: FailingGenerator())
+    with pytest.raises(FloatingPointError) as raised:
+        zo_hessian(p, x, 0.05, n, SeedStream(5))
+    assert raised.value is error
+    assert threading.active_count() == before

@@ -50,6 +50,11 @@ ARMS = {
     "scrn_zeroth_order": dict(
         problem=SMALL_SADDLE, algorithm="scrn", mode="zeroth_order", sgc_arm=True,
         epsilon_grid=(0.2,), seeds=range(3), max_steps=3, mu=(1.0, 1.0, 1e-4, 1.0, 1.0)),
+    # n2 = 20,636 directions, three blocks of at most 8,192 at d = 4: the
+    # next block is drawn on a second thread
+    "scrn_zeroth_order_blocks": dict(
+        problem=SMALL_SADDLE, algorithm="scrn", mode="zeroth_order", sgc_arm=True,
+        epsilon_grid=(0.2,), seeds=range(2), max_steps=2, mu=(1.0, 1.0, 5e-3, 1.0, 1.0)),
     "phase_retrieval": dict(
         problem=dict(family="phase_retrieval", dim=4, m=32, planted_seed=2, sigma=0.1),
         algorithm="psgd", mode="first_order", sgc_arm=False, epsilon_grid=(0.2,),
