@@ -30,9 +30,17 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
+def read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 file; a file that does not decode raises ConfigurationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def parse_kv_file(path: str | os.PathLike) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv_text(fh.read())
+    return parse_kv_text(read_text(path))
 
 
 def as_bool(raw: str, key: str) -> bool:

@@ -45,7 +45,7 @@ from .errors import ConfigurationError, EvaluationError, NumericalError
 from .problems import _PROBLEM_KEYS, StochasticProblem, problem_from_config
 from .psgd import FIRST_ORDER, PsgdConfig, ScheduleConstants
 from .scrn import HIGHER_ORDER, ZEROTH_ORDER
-from .seeds import SeedStream
+from .seeds import SeedStream, fold_int_states
 
 OUT_DIR_ENV = "SADDLESCAPE_OUT"
 
@@ -109,10 +109,12 @@ class ExperimentSpec:
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise ConfigurationError("need at least one seed")
-        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        # the seed tree takes a seed modulo 2^64: seeds equal there share one run stream
+        residues = [s % 2**64 for s in seeds]
+        repeated = sorted({s for s, r in zip(seeds, residues) if residues.count(r) > 1})
         if repeated:
-            raise ConfigurationError(
-                f"seeds must be distinct; repeated: {', '.join(map(str, repeated))}")
+            raise ConfigurationError(f"seeds must be distinct modulo 2^64; "
+                                     f"repeated: {', '.join(map(str, repeated))}")
         object.__setattr__(self, "seeds", seeds)
         if not (math.isfinite(self.x0_offset) and self.x0_offset >= 0):
             raise ConfigurationError(f"x0_offset must be finite and >= 0, got {self.x0_offset}")
@@ -172,12 +174,14 @@ def _schedule(spec: ExperimentSpec, p: StochasticProblem, epsilon: float,
     return body(consts, p.meta, gap, spec.sgc_arm, *((1.0, 1.0) if unit_logs else logs))
 
 
-def _x0(spec: ExperimentSpec, dim: int, stream: SeedStream) -> np.ndarray:
-    x0 = np.zeros(dim)
-    if spec.x0_offset > 0:
-        direction = stream.child("x0").rng().standard_normal(dim)
-        x0 = spec.x0_offset * direction / np.linalg.norm(direction)
-    return x0
+def _x0(spec: ExperimentSpec, dim: int, run_seeds: Sequence[int]) -> list:
+    """The start points of the runs of ``run_seeds``: the origin, or the point
+    at distance ``x0_offset`` along a direction drawn from each run's "x0"
+    stream."""
+    if spec.x0_offset == 0:
+        return list(np.zeros((len(run_seeds), dim)))
+    directions = [s.rng().standard_normal(dim) for s in SeedStream(run_seeds, "x0").nodes()]
+    return [spec.x0_offset * u / np.linalg.norm(u) for u in directions]
 
 
 def run_cell(spec: ExperimentSpec, epsilon: float, seed: int, master_seed: int = 0) -> RunTrace:
@@ -204,8 +208,9 @@ def _run_group(spec: ExperimentSpec, cells: Sequence[tuple], master_seed: int = 
             run_T = max(min(cfg.T, spec.max_steps), 1)
             schedules[epsilon] = cfg.T, dataclasses.replace(cfg, T=run_T)
     cfgs = [schedules[epsilon][1] for epsilon, _ in cells]
-    run_seeds = [int(SeedStream(master_seed, "cell", seed).state) for _, seed in cells]
-    x0 = [_x0(spec, p.meta.dim, SeedStream(run_seed)) for run_seed in run_seeds]
+    run_seeds = fold_int_states(SeedStream(master_seed, "cell").state,
+                                [seed % 2**64 for _, seed in cells]).tolist()
+    x0 = _x0(spec, p.meta.dim, run_seeds)
     if spec.algorithm == "scrn":
         outcomes = _scrn.run_scrn(p, x0, cfgs, certify_every=spec.certify_every, seed=run_seeds)
     elif spec.stop_after_certified:
@@ -415,8 +420,7 @@ def read_trace(path) -> RunTrace:
 
     Raises ConfigurationError naming the file and line on malformed content.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _cfg.read_text(path).splitlines()
     n_head = next((i for i, line in enumerate(lines) if not line.startswith("# ")), len(lines))
     try:
         echo, fields = [], {}
@@ -472,8 +476,7 @@ def read_summary(path) -> List[SummaryRow]:
 
     Raises ConfigurationError naming the file and line on malformed content.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _cfg.read_text(path).splitlines()
     columns = _columns(SummaryRow)
     if lines[:1] != [",".join(columns)]:
         raise ConfigurationError(f"{path}, line 1: unexpected summary header")

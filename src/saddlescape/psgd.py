@@ -128,13 +128,6 @@ def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
     return theta
 
 
-def _step_states(seeds: Sequence[int], cfgs: Sequence) -> np.ndarray:
-    """The states of the ``child("step")`` of the run streams of ``seeds``,
-    under the algorithm of each run's config."""
-    return SeedStream.block([SeedStream(s, cfg.algorithm).state
-                             for s, cfg in zip(seeds, cfgs)]).child("step").state
-
-
 def _perturbations(step_states: np.ndarray, dim: int, r: float, T: int) -> Callable:
     """``theta(t, rows)``: the (len(rows), dim) theta of step t for the runs
     ``rows`` (ascending) of a group whose ``child("step")`` states are
@@ -246,7 +239,7 @@ def run_psgd(
     seed (see ``_per_seed``).
     """
     def run(x0s, cfgs, seeds):
-        step_states = _step_states(seeds, cfgs)
+        step_states = SeedStream(seeds, cfgs[0].algorithm, "step").state
         thetas = {c: _perturbations(step_states, p.meta.dim, c.r, c.T) for c in cfgs}
         return run_steps(p, x0s, cfgs,
                          lambda c, t, rows, x, stream: psgd_step(p, x, c, stream,
@@ -308,7 +301,8 @@ def run_steps(
     own config's T steps, with certification rows.
 
     Run i starts at ``x0s[i]`` with config ``cfgs[i]`` and the run stream of
-    ``seeds[i]``.  At t = 1, 2, ... the loop calls ``step(cfg, t, rows, x,
+    ``seeds[i]``; the configs are of one class, so the runs share one
+    algorithm.  At t = 1, 2, ... the loop calls ``step(cfg, t, rows, x,
     stream)`` once for each distinct config ``cfg`` among the runs that are
     still active, for its runs ``rows`` (an ascending index array): ``x`` is
     their (k, d) iterates and ``stream`` the block of their step streams
@@ -351,7 +345,7 @@ def run_steps(
     calls = [0] * len(traces)
     ends = [cfg.T for cfg in cfgs]
     at_r: list = [None] * len(traces)
-    step_states = _step_states(seeds, cfgs)
+    step_states = SeedStream(seeds, cfgs[0].algorithm, "step").state
 
     def fail(i: int, t: int, err: NumericalError, charged: int) -> None:
         err.iterate, err.trace = t, traces[i]

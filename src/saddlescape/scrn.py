@@ -387,8 +387,8 @@ def run_scrn(
     failures.
     """
     def run(x1s, cfgs, seeds):
-        r_indices = [int(SeedStream(s, c.algorithm).child("random_iterate").rng()
-                         .integers(1, c.T + 1)) for s, c in zip(seeds, cfgs)]
+        r_streams = SeedStream(seeds, cfgs[0].algorithm, "random_iterate").nodes()
+        r_indices = [int(r.rng().integers(1, c.T + 1)) for r, c in zip(r_streams, cfgs)]
         return run_steps(
             p, x1s, cfgs,
             lambda c, t, rows, x, stream: _estimate_step(p, x, c, stream),

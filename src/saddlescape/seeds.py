@@ -8,8 +8,10 @@ immutable 64-bit state, ``child(*steps)`` derives an independent stream, and
 ``seeds(n)`` derives a block of oracle seeds.  A stream block holds the
 states of several streams that advance together (the seeds of one run
 group), and derives each one's children and seeds exactly as its own stream
-would.  Streams never mutate, so batches may be evaluated in any order (or
-in parallel) with identical results.
+would; a single stream is a block of shape ().  Every derivation runs on
+uint64 arrays, for one stream and for a block alike.  Streams never mutate,
+so batches may be evaluated in any order (or in parallel) with identical
+results.
 
 Splitting by label is what keeps paired experiments comparable: a first-order
 and a zeroth-order run with the same master seed consume the same noise-seed
@@ -41,14 +43,6 @@ _GAMMA_U64, _MIX1_U64, _MIX2_U64, _TAG_SEQ_U64, _SHIFT11, _SHIFT27, _SHIFT30, _S
     np.array(v, dtype=np.uint64) for v in (_GAMMA, _MIX1, _MIX2, TAG_SEQ, 11, 27, 30, 31))
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a Python int (exact 64-bit wraparound)."""
-    z = (z + _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix_inplace(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer applied in place to a uint64 array the caller owns."""
     z += _GAMMA_U64
@@ -71,14 +65,6 @@ def _label_hash(label: str) -> int:
     for b in label.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _MASK
     return h
-
-
-def _fold(state: int, token) -> int:
-    if isinstance(token, (int, np.integer)):
-        return mix64(state ^ mix64(int(token) & _MASK))
-    if isinstance(token, str):
-        return mix64(state ^ _label_hash(token))
-    raise TypeError(f"seed path steps must be int or str, got {type(token)!r}")
 
 
 def fold_int_states(states, ks) -> np.ndarray:
@@ -122,57 +108,49 @@ def _first_hashes(start: int, n: int) -> np.ndarray:
     return _index_hashes(start, n)
 
 
-def seed_blocks(states: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    """(len(states), n) oracle-seed grid; row i equals the ``seeds(n, start)``
-    of a stream whose state is ``states[i]``."""
-    return _mix_inplace(_first_hashes(start, n)[None, :]
-                        ^ np.asarray(states, dtype=np.uint64)[:, None])
-
-
-def _fold_block(states: np.ndarray, token) -> np.ndarray:
-    if isinstance(token, str):
-        return fold_label_states(states, token)
-    if isinstance(token, (int, np.integer)):
-        return fold_int_states(states, int(token) & _MASK)
-    raise TypeError(f"seed path steps must be int or str, got {type(token)!r}")
+def _fold(states, path):
+    """The states of ``child(*path)`` of the streams whose states are
+    ``states``: an ``np.uint64`` for one stream, a uint64 array for a block."""
+    for token in path:
+        if isinstance(token, str):
+            states = fold_label_states(states, token)
+        elif isinstance(token, (int, np.integer)):
+            states = fold_int_states(states, int(token) & _MASK)
+        else:
+            raise TypeError(f"seed path steps must be int or str, got {type(token)!r}")
+    return states[()]
 
 
 class SeedStream:
     """Immutable node in a deterministic seed tree, or a block of nodes.
 
-    A node's ``state`` is an int.  A block (``SeedStream.block``) holds the
-    (k,) uint64 states of k nodes: its ``child`` is the block of their
-    children, its ``seeds(n)`` the (k, n) grid of their seeds, and
-    ``nodes()`` gives the nodes back one by one.
+    A node's ``state`` is an ``np.uint64``: a block of shape ().  A block
+    holds the (k,) uint64 states of k nodes: its ``child`` is the block of
+    their children, its ``seeds(n)`` the (k, n) grid of their seeds, and
+    ``nodes()`` gives the nodes back one by one.  ``SeedStream(entropy,
+    *path)`` is the node of an int entropy; a sequence of entropies gives
+    the block of their nodes, derived in one pass.  Int entropies and steps
+    are taken modulo 2^64.
     """
 
     __slots__ = ("state",)
 
-    def __init__(self, entropy: int, *path):
-        state = mix64(int(entropy) & _MASK)
-        for token in path:
-            state = _fold(state, token)
-        self.state = state
+    def __init__(self, entropy, *path):
+        ints = ([int(e) & _MASK for e in entropy] if np.ndim(entropy)
+                else int(entropy) & _MASK)
+        self.state = _fold(mix64_array(ints), path)
 
     @staticmethod
     def block(states) -> "SeedStream":
         """The block of the streams whose states are ``states``, in order."""
         return _stream(np.array(states, dtype=np.uint64).reshape(-1))
 
-    @property
-    def is_block(self) -> bool:
-        return isinstance(self.state, np.ndarray)
-
     def child(self, *path) -> "SeedStream":
-        state = self.state
-        fold = _fold_block if self.is_block else _fold
-        for token in path:
-            state = fold(state, token)
-        return _stream(state)
+        return _stream(_fold(self.state, path))
 
     def nodes(self) -> list:
         """The streams of a block in order; a node's is ``[self]``."""
-        return [_stream(state) for state in self.state.tolist()] if self.is_block else [self]
+        return [_stream(state) for state in self.state] if self.state.ndim else [self]
 
     def seeds(self, n: int, start: int = 0) -> np.ndarray:
         """Oracle seeds ``start .. start + n - 1`` (uint64) of this stream,
@@ -182,23 +160,19 @@ class SeedStream:
         ``seeds(k)`` followed by ``seeds(n - k, k)``: a batch can be derived
         block by block.
         """
-        if self.is_block:
-            return seed_blocks(self.state, n, start)
-        return _mix_inplace(_first_hashes(start, n) ^ np.uint64(self.state))
+        return _mix_inplace(_first_hashes(start, n) ^ self.state[..., None])
 
     def rng(self) -> np.random.Generator:
         """PCG64 generator seeded with the state: the stream of ``default_rng(state)``.
 
         A block has no generator: take its ``nodes()`` one by one.
         """
-        if self.is_block:
+        if self.state.ndim:
             raise TypeError("a SeedStream block has no rng(); call rng() on its nodes()")
         return np.random.Generator(np.random.PCG64(self.state))
 
     def __repr__(self):
-        if self.is_block:
-            return f"SeedStream.block({self.state.tolist()})"
-        return f"SeedStream(0x{self.state:016x})"
+        return f"SeedStream(state={self.state.tolist()})"
 
 
 def _stream(state) -> SeedStream:

@@ -288,6 +288,29 @@ def test_certify_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
     assert "epsilon" in captured.err and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["summarize", "run", "plot", "certify"])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
+    bad = b"\xff\xfe" + "family = multiplicative_saddle\n".encode("utf-16-le")
+    prob, points = tmp_path / "prob.cfg", tmp_path / "points.csv"
+    prob.write_text(PROBLEM_TEXT)
+    points.write_text("0.0,0.0,0.0,0.0\n")
+    named, argv = {
+        "summarize": ("psgd_eps0.2_seed0.csv", ["summarize", "--dir", str(tmp_path)]),
+        "run": ("exp.cfg", ["run", "--spec", str(tmp_path / "exp.cfg"),
+                            "--out", str(tmp_path / "runs")]),
+        "plot": ("summary.csv", ["plot", "--summary", str(tmp_path / "summary.csv"),
+                                 "--out", str(tmp_path / "curve.svg")]),
+        "certify": ("prob.cfg", ["certify", "--problem", str(prob), "--point", str(points),
+                                 "--epsilon", "0.05"]),
+    }[command]
+    (tmp_path / named).write_bytes(bad)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / named}: not UTF-8 text")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--spec", "s.cfg", "--out", "o", "--workers", "2"], "unrecognized arguments"),
     ([], "required: command"),

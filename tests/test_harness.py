@@ -65,6 +65,11 @@ def test_spec_validation():
     # two cells of one seed would write one trace file
     with pytest.raises(ConfigurationError, match="repeated: 0, 2"):
         _spec(seeds=[0, 2, 0, 1, 2])
+    # and so would two seeds equal modulo 2^64: the seed tree gives them one run stream
+    with pytest.raises(ConfigurationError, match=r"distinct modulo 2\^64; "
+                       r"repeated: -1, 0, 18446744073709551615, 18446744073709551616$"):
+        _spec(seeds=[0, 2**64, -1, 2**64 - 1])
+    assert _spec(seeds=[-1, 0, 2**63]).seeds == (-1, 0, 2**63)
     # and so would two epsilons of one :g label
     with pytest.raises(ConfigurationError, match="epsilon_grid .*repeated: 0.2$"):
         _spec(epsilon_grid=[0.2000001, 0.2, 0.1])

@@ -13,12 +13,8 @@ from saddlescape.seeds import SeedStream
 
 
 def _central_diff_grad(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
+    """Central differences of f at x: its gradient, or the Jacobian of a vector f."""
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(x.size)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +101,12 @@ def test_quartic_metadata_and_bounds():
 
 
 def test_exact_grad_matches_finite_differences():
+    saddle = make_multiplicative_saddle(d=4, neg_count=2, rho=2.0, quartic_coeff=0.02)
     problems = [
-        make_multiplicative_saddle(d=4, neg_count=2, rho=2.0, quartic_coeff=0.02),
+        saddle,
+        make_multiplicative_saddle(d=4, neg_count=1, rho=2.0, quartic_coeff=0.0),
         make_phase_retrieval(d=4, m=25, planted_seed=3),
+        make_additive_noise_variant(saddle, sigma=0.5),
     ]
     rng = np.random.default_rng(7)
     for p in problems:
@@ -115,8 +114,10 @@ def test_exact_grad_matches_finite_differences():
             x = rng.standard_normal(4)
             fd = _central_diff_grad(p.exact_value, x)
             assert np.abs(fd - p.exact_grad(x)).max() < 1e-5
+            # certification reads exact_hess: it must be the derivative of exact_grad
             hess = p.exact_hess(x)
             scale = max(1.0, np.abs(hess).max())
+            assert np.abs(_central_diff_grad(p.exact_grad, x) - hess).max() < 1e-6 * scale
             assert np.abs(hess - hess.T).max() <= 1e-14 * scale
 
 

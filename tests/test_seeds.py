@@ -9,10 +9,8 @@ from saddlescape.seeds import (
     SeedStream,
     fold_int_states,
     fold_label_states,
-    mix64,
     mix64_array,
     random_signs,
-    seed_blocks,
     standard_normals,
     uniform01,
 )
@@ -65,16 +63,8 @@ def _ref_random_signs(seeds, dim, tag):
 
 def test_splitmix64_reference_vectors():
     # first outputs of the reference splitmix64 generator seeded with 0
-    assert mix64(0) == 0xE220A8397B1DCDAF
-    assert mix64(GAMMA) == 0x6E789E6AA1B965F4
-    assert mix64((2 * GAMMA) & ((1 << 64) - 1)) == 0x06C45D188009454F
-
-
-def test_vectorized_mix_matches_scalar():
-    vals = np.array([0, 1, 2, 12345, 2**63, 2**64 - 1], dtype=np.uint64)
-    out = mix64_array(vals)
-    for v, o in zip(vals.tolist(), out.tolist()):
-        assert mix64(v) == o
+    assert mix64_array([0, GAMMA, (2 * GAMMA) & ((1 << 64) - 1)]).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_stream_children_are_deterministic_and_distinct():
@@ -156,7 +146,7 @@ def test_streams_match_out_of_place_reference(n):
     assert np.array_equal(states, _ref_mix(np.uint64(stream.state) ^ _ref_mix(np.arange(n))))
     assert fold_label_states(states[:3], "xi").tolist() == [
         stream.child(k, "xi").state for k in range(min(n, 3))]
-    grid = seed_blocks(states[:3], 4)
+    grid = SeedStream.block(states[:3]).seeds(4)
     assert np.array_equal(grid, [_ref_seeds(s, 4) for s in states[:3].tolist()])
 
 
@@ -168,7 +158,7 @@ def test_cached_index_hashes_give_the_uncached_seeds():
                 got = stream.seeds(n, start)
                 assert np.array_equal(got, _ref_seeds(stream.state, n, start))
                 got[:] = 0  # the caller owns its seeds; the cache stays intact
-        assert np.array_equal(seed_blocks([stream.state, 5], n),
+        assert np.array_equal(SeedStream.block([stream.state, 5]).seeds(n),
                               [_ref_seeds(stream.state, n), _ref_seeds(5, n)])
     cached = seeds_module._first_hashes(0, 12)
     assert cached is seeds_module._first_hashes(0, 12)
@@ -201,14 +191,14 @@ def test_kernels_leave_their_input_unchanged():
     random_signs(seeds, 70, NOISE_TAGS[0])
     fold_int_states(5, seeds)
     fold_label_states(seeds, "u")
-    seed_blocks(seeds, 3)
+    SeedStream.block(seeds).seeds(3)
     assert np.array_equal(seeds, kept)
 
 
 def test_block_derives_each_node_as_its_own_stream():
     nodes = [SeedStream(s, "psgd").child("step") for s in (0, 7, 2**40)]
     block = SeedStream.block([node.state for node in nodes])
-    assert block.is_block and not nodes[0].is_block
+    assert block.state.ndim == 1 and nodes[0].state.ndim == 0
     for path in [(5,), ("xi",), (3, "theta"), (np.int64(9), "u")]:
         assert block.child(*path).state.tolist() == [node.child(*path).state for node in nodes]
     assert np.array_equal(block.child(4, "xi").seeds(6, 2),
@@ -222,3 +212,26 @@ def test_block_derives_each_node_as_its_own_stream():
         block.rng()
     with pytest.raises(TypeError):
         block.child(1.5)
+
+
+def test_entropy_sequence_derives_the_block_of_their_nodes():
+    entropies = [0, 7, -1, 2**63, 2**64 + 5, 2**70 + 3]
+    for path in [(), ("psgd",), ("psgd", "step"), ("cell", -2, 2**64 - 1)]:
+        block = SeedStream(entropies, *path)
+        nodes = [SeedStream(e, *path) for e in entropies]
+        assert block.state.dtype == np.uint64 and block.state.shape == (len(entropies),)
+        assert block.state.tolist() == [node.state for node in nodes]
+        assert [node.state for node in block.nodes()] == [node.state for node in nodes]
+    reduced = np.array([e % 2**64 for e in entropies], dtype=np.uint64)
+    assert np.array_equal(SeedStream(entropies).state, _ref_mix(reduced))
+    # entropies and steps are taken modulo 2^64
+    assert SeedStream(-1).state == SeedStream(2**64 - 1).state
+    assert SeedStream(5).state == SeedStream(2**64 + 5).state
+    assert SeedStream(0, -1).state == SeedStream(0, 2**64 - 1).state
+
+
+def test_node_state_is_a_hashable_uint64_equal_to_its_int():
+    node = SeedStream(11, "theta")
+    assert type(node.state) is np.uint64
+    assert node.state == int(node.state) and hash(node.state) == hash(int(node.state))
+    assert node.child(3).state == SeedStream(11, "theta", 3).state
