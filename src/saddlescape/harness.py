@@ -609,13 +609,15 @@ def tune_constants(
 
     A candidate wins by (certification success over the tuning seeds, then
     lower median first-hit budget).  The caller freezes the winner into the
-    spec before evaluating the full grid.  No tuning seeds, or a candidate
-    key that is no spec field, is rejected before any candidate runs.
+    spec before evaluating the full grid.  No tuning seeds, tuning seeds
+    that repeat modulo 2^64 (as a spec's seeds may not), or a candidate key
+    that is no spec field, is rejected before any candidate runs.
     """
     if not candidates:
         raise ConfigurationError("need at least one candidate override")
     if not tune_seeds:
         raise ConfigurationError("need at least one tuning seed, got 0")
+    spec = dataclasses.replace(spec, seeds=tuple(tune_seeds))
     unknown = {key for cand in candidates for key in cand} - {
         f.name for f in dataclasses.fields(ExperimentSpec)}
     if unknown:
@@ -626,9 +628,9 @@ def tune_constants(
         try:
             # a candidate whose schedule is undefined fails when its spec is built
             outcomes = _run_group(dataclasses.replace(spec, **cand),
-                                  [(eps, seed) for seed in tune_seeds])
+                                  [(eps, seed) for seed in spec.seeds])
         except (NumericalError, ConfigurationError):
-            outcomes = [None] * len(tune_seeds)
+            outcomes = [None] * len(spec.seeds)
         hits = [o.first_certified_calls() if isinstance(o, RunTrace) else None for o in outcomes]
         wins = sum(h is not None for h in hits)
         med = float(np.median([h for h in hits if h is not None])) if wins else math.inf

@@ -110,7 +110,14 @@ class PsgdConfig:
         return 2 * self.n1 if self.mode == ZEROTH_ORDER else self.n1
 
 
-_THETA_CHUNK = 64  # steps whose theta rows one draw_perturbation call covers; no value depends on it
+_THETA_CHUNK = 64  # steps of one step-stream fold and one theta draw; no value depends on it
+
+
+def _fold_steps(run_states: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, k) states of the step streams ``child(t)``, for t =
+    start .. stop - 1, of the k runs whose ``child("step")`` states are
+    ``run_states``: one ``fold_int_states`` call for a chunk of steps."""
+    return fold_int_states(run_states, np.arange(start, stop)[:, None])
 
 
 def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
@@ -144,7 +151,7 @@ def _perturbations(step_states: np.ndarray, dim: int, r: float, T: int) -> Calla
         start, stop, drawn, draws = chunk
         if t >= stop:
             start, stop, drawn = t, min(t + _THETA_CHUNK, T + 1), rows
-            states = fold_int_states(step_states[rows], np.arange(start, stop)[:, None])
+            states = _fold_steps(step_states[rows], start, stop)
             draws = draw_perturbation(states.reshape(-1), dim, r).reshape(
                 stop - start, len(rows), dim)
             chunk[:] = start, stop, drawn, draws
@@ -306,11 +313,13 @@ def run_steps(
     stream)`` once for each distinct config ``cfg`` among the runs that are
     still active, for its runs ``rows`` (an ascending index array): ``x`` is
     their (k, d) iterates and ``stream`` the block of their step streams
-    ``child("step", t)``.  The step does the sampling, the estimators and the
-    update once for all k runs and returns ``(x_new, oracle_calls,
-    outcomes)``, with the calls of one run's step and one outcome per row:
-    None, the row's ``CubicSolution``, whose radius and model decrease its
-    trace rows record, or the ``NumericalError`` that ends its run.
+    ``child("step", t)``, whose states are folded ``_THETA_CHUNK`` steps at
+    a time, and again when the config's active runs change.  The step does
+    the sampling, the estimators and the update once for all k runs and
+    returns ``(x_new, oracle_calls, outcomes)``, with the calls of one run's
+    step and one outcome per row: None, the row's ``CubicSolution``, whose
+    radius and model decrease its trace rows record, or the
+    ``NumericalError`` that ends its run.
 
     Rows are certified on exact oracles, never charged to the budget, at
     t = 0, every ``certify_every`` steps and at the run's own T, against the
@@ -378,7 +387,9 @@ def run_steps(
 
     left = record(list(range(len(traces))), 0, {})
     active = [i for i in range(len(traces)) if i not in left and ends[i] > 0]
-    blocks: dict = {}  # config index -> (its active runs, their rows, their step streams)
+    # config index -> (its active runs, their rows, the first step of the
+    # chunk and the chunk's step-stream states, one row a step)
+    blocks: dict = {}
     for t in range(1, max(ends) + 1):
         if not active:
             break
@@ -387,11 +398,15 @@ def run_steps(
             runs = [i for i in active if kind[i] == k]
             if not runs:
                 continue
-            if k not in blocks or blocks[k][0] != runs:  # a config's active set only shrinks
+            block = blocks.get(k)
+            # a config's active set only shrinks: fold again when it does
+            if block is None or block[0] != runs or t >= block[2] + len(block[3]):
                 rows = np.array(runs)
-                blocks[k] = runs, rows, SeedStream.block(step_states[rows])
-            _, rows, steps = blocks[k]
-            x_new, step_calls, step_outcomes = step(cfg, t, rows, x[rows], steps.child(t))
+                block = blocks[k] = runs, rows, t, _fold_steps(
+                    step_states[rows], t, min(t + _THETA_CHUNK, cfg.T + 1))
+            _, rows, start, states = block
+            x_new, step_calls, step_outcomes = step(cfg, t, rows, x[rows],
+                                                    SeedStream.block(states[t - start]))
             x[rows] = x_new
             for i, outcome in zip(runs, step_outcomes):
                 if isinstance(outcome, NumericalError):

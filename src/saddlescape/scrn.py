@@ -30,6 +30,19 @@ Solving exactly (rather than with an iterative subsolver) is the right
 trade at desk scale: the eigendecomposition is cheap for the dimensions we
 run, and exactness is what makes the optimality conditions testable
 invariants.  Every solve validates all three conditions before returning.
+
+At d = 10 a solve costs a few tens of microseconds, and ``eigh`` is a
+small part of it: the rest is some thirty numpy calls on short arrays,
+each with a fixed cost.  So the solve computes each quantity once and
+reuses it: ``g @ g`` gives ``||g||`` and screens g's finiteness; the
+minimum eigenspace is counted as a prefix of the ascending spectrum; when
+no component is dropped, ``w`` and ``b`` are used as they are; the Newton
+loop's last ``b / (a + t)`` is the step's coefficients; and the radius,
+``||g||``, ``w_min`` and ``||H||_2`` serve both the model decrease and the
+checks.  Every value that reaches a ``CubicSolution`` is computed by numpy
+dots and ufuncs, never by a Python sum, which rounds differently, so the
+traces keep their bytes.  A float operation that overflows or divides by zero,
+or an ``eigh`` that fails, is a ``NumericalError`` of that solve alone.
 """
 
 from __future__ import annotations
@@ -54,6 +67,8 @@ ZEROTH_ORDER = "zeroth_order"
 _STATIONARITY_TOL = 1e-8
 _PSD_TOL = 1e-8
 _DECREASE_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Newton on the secular equation takes a few steps, more (under 50) when the
 # eigenvalues span many decades; a solve that reaches this cap finishes with
 # Brent's method on the bracket
@@ -73,23 +88,31 @@ class CubicModel:
         H = np.asarray(self.H, dtype=np.float64)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "H", H)
-        if g.ndim != 1 or H.shape != (g.size, g.size):
+        if g.ndim != 1 or not g.size or H.shape != (g.size, g.size):
             raise ConfigurationError(
                 f"model shapes incompatible: g {g.shape}, H {H.shape}"
             )
-        if not self.M > 0:
-            raise ConfigurationError(f"cubic penalty M must be positive, got {self.M}")
-        scale = max(1.0, float(np.abs(H).max()) if H.size else 1.0)
-        # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
-        if np.isfinite(H).all() and float((H - H.T).max()) > 1e-10 * scale:
-            raise ConfigurationError("model Hessian must be symmetric")
+        if not (self.M > 0 and math.isfinite(self.M)):
+            raise ConfigurationError(f"cubic penalty M must be positive and finite, got {self.M}")
+        # An H equal to its transpose bit for bit, as both Hessian estimators
+        # make it, passes at once.  A non-finite H is left to the solve to
+        # reject.  H - H.T is exactly antisymmetric, so its largest entry is
+        # its largest magnitude; the tolerance 1e-10 max(1, max|H|) is never
+        # below 1e-10, so H's scale is needed only above that.
+        if H.tobytes() != H.T.tobytes() and np.isfinite(H).all():
+            asym = float((H - H.T).max())
+            if asym > 1e-10 and asym > 1e-10 * max(1.0, float(np.abs(H).max())):
+                raise ConfigurationError("model Hessian must be symmetric")
 
     def value(self, h: np.ndarray) -> float:
         """Model decrease m(x + h) - m(x) at displacement h."""
         h = np.asarray(h, dtype=np.float64)
-        return float(
-            self.g @ h + 0.5 * h @ self.H @ h + (self.M / 6.0) * math.sqrt(h @ h) ** 3
-        )
+        return _model_value(self.g, self.H, self.M, h, math.sqrt(h @ h) ** 3)
+
+
+def _model_value(g: np.ndarray, H: np.ndarray, M: float, h: np.ndarray, cube: float) -> float:
+    """m(x + h) - m(x), given the cube of ``||h||``."""
+    return float(g @ h + 0.5 * h @ H @ h + (M / 6.0) * cube)
 
 
 @dataclass(frozen=True)
@@ -135,12 +158,15 @@ def brentq(f, a, b, **kwargs):
     return scipy_brentq(f, a, b, **kwargs)
 
 
-def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> float:
-    """Root ``t >= 0`` of the secular equation ``psi(t) = 2 (lam0 + t) / M``.
+def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> tuple:
+    """Root ``t >= 0`` of the secular equation ``psi(t) = 2 (lam0 + t) / M``,
+    and ``b / (a + t)`` when the Newton loop computed it at the root (else
+    None).
 
     The multiplier is ``lam0 + t`` and ``a = w + lam0 >= 0`` ascending, with
     ``w`` and ``b != 0`` the components the solve keeps; a pole at ``t = 0``
-    has ``a = 0`` exactly, so near it the denominators carry no cancellation.
+    has ``a = 0`` exactly, so near it the denominators carry no cancellation,
+    and since ``a`` ascends only ``a[0]`` and its ties can vanish.
     Newton runs on ``phi(t) = 1/psi(t) - M / (2 (lam0 + t))``, which is
     concave and increasing (Moré & Sorensen 1983; Cartis, Gould & Toint
     2011), so from a start below the root every iterate is a lower bound and
@@ -155,15 +181,14 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> float:
     """
     c = 0.5 * M * math.sqrt(b @ b)
     if c == 0.0:
-        return 0.0
+        return 0.0, None
     t = _product_root(float(a[-1]), lam0, c)
     for _ in range(_NEWTON_MAX_ITER):
         den = a + t
-        pole = den == 0.0
-        if pole.any():
+        if den[0] == 0.0:
             # at a pole 1/psi vanishes, with slope 1 / ||b on the pole||
-            b_pole = b[pole]
-            inv_psi, slope = 0.0, 1.0 / math.sqrt(b_pole @ b_pole)
+            b_pole = b[den == 0.0]
+            q, inv_psi, slope = None, 0.0, 1.0 / math.sqrt(b_pole @ b_pole)
         else:
             q = b / den
             inv_psi = 1.0 / math.sqrt(q @ q)
@@ -171,24 +196,24 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> float:
         lam = lam0 + t
         t_next = t + (0.5 * M / lam - inv_psi) / (slope + 0.5 * M / (lam * lam))
         if not t_next > t:
-            return t
+            return t, q
         t = t_next
 
     def phi(u: float) -> float:
         return 1.0 / _psi(a, b, u) - 0.5 * M / (lam0 + u)
 
     if phi(t) >= 0.0:
-        return t
+        return t, None
     return float(
         brentq(
             phi,
             t,
             2.0 * _product_root(float(a[0]), lam0, c),
-            xtol=np.finfo(float).tiny,
-            rtol=4 * np.finfo(float).eps,
+            xtol=_TINY,
+            rtol=4 * _EPS,
             maxiter=200,
         )
-    )
+    ), None
 
 
 def solve_cubic(model: CubicModel) -> CubicSolution:
@@ -202,37 +227,56 @@ def solve_cubic(model: CubicModel) -> CubicSolution:
     eigenspace and resolved by adding a null-direction component of the
     prescribed norm, with a deterministic sign convention.
 
-    Raises ``NumericalError`` for non-finite model entries or if the
+    Raises ``NumericalError`` for non-finite model entries, for a solve
+    that leaves the float range or whose ``eigh`` fails, or if the
     optimality conditions fail to hold at the computed step.
     """
     g, H, M = model.g, model.H, model.M
-    if not (np.isfinite(g).all() and np.isfinite(H).all()):
+    gg = g @ g
+    # a finite sum of squares has finite terms: g's own check runs only when it is not
+    if not ((math.isfinite(gg) or np.isfinite(g).all()) and np.isfinite(H).all()):
         raise NumericalError("cubic model has non-finite entries")
+    try:
+        return _solve(g, H, M, math.sqrt(gg))
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        # a float operation or LAPACK (LinAlgError is a ValueError) gave up:
+        # only this model's solve fails
+        raise NumericalError(f"cubic solve failed (M = {M!r}): {err}") from None
 
+
+def _solve(g: np.ndarray, H: np.ndarray, M: float, g_norm: float) -> CubicSolution:
+    """``solve_cubic`` of a finite model with ``||g|| = g_norm``."""
     w, Q = np.linalg.eigh(H)
-    if not np.isfinite(w).all():
+    spectrum = w.tolist()
+    if not (math.isfinite(sum(spectrum)) or np.isfinite(w).all()):
         raise NumericalError("eigendecomposition produced non-finite eigenvalues")
     b = Q.T @ g
-    w_min = float(w[0])
-    # math.sqrt(v @ v) is np.linalg.norm(v) for a contiguous vector
-    g_norm = math.sqrt(g @ g)
-    H_norm = max(-w_min, float(w[-1]))  # ||H||_2 from the ends of the ascending spectrum
+    w_min = spectrum[0]
+    H_norm = max(-w_min, spectrum[-1])  # ||H||_2 from the ends of the ascending spectrum
     eig_scale = max(1.0, H_norm)
     # eigenvalues below eigh's resolution are zero curvature, not an escape
     # direction: without this, exactly-singular PSD Hessians trigger
     # ulp-sized hard-case steps
     psd_at_tol = w_min >= -1e-13 * eig_scale
     s_min = 0.0 if psd_at_tol else -2.0 * w_min / M
-    active = w <= w_min + 1e-12 * eig_scale
-    b_min = b[active]
+    # the minimum eigenspace is the leading n_min entries of the ascending spectrum
+    top = w_min + 1e-12 * eig_scale
+    n_min = 1
+    while n_min < len(spectrum) and spectrum[n_min] <= top:
+        n_min += 1
+    b_min = b[:n_min]
     b_active = math.sqrt(b_min @ b_min)
     hard_candidate = b_active <= 1e-11 * max(1.0, g_norm)
     # psi runs over the components the solve keeps: zero ones add nothing,
-    # and a hard candidate's negligible minimum-eigenspace part is dropped
-    keep = b != 0.0
-    if hard_candidate:
-        keep &= ~active
-    w_keep, b_keep = w[keep], b[keep]
+    # and a hard candidate's negligible minimum-eigenspace part is dropped;
+    # when none is dropped, w and b are used as they are (keep is None)
+    keep = None
+    w_keep, b_keep = w, b
+    if hard_candidate or np.count_nonzero(b) < b.size:
+        keep = b != 0.0
+        if hard_candidate:
+            keep[:n_min] = False
+        w_keep, b_keep = w[keep], b[keep]
     # multipliers are measured from lam0, the larger of the multiplier at
     # s_min and the pole of the smallest kept eigenvalue
     lam0 = 0.0 if psd_at_tol else -w_min
@@ -242,64 +286,77 @@ def solve_cubic(model: CubicModel) -> CubicSolution:
 
     hard_case = False
     if g_norm == 0.0 and psd_at_tol:
-        h = np.zeros_like(g)
+        h = np.zeros(g.shape)
     elif hard_candidate and not psd_at_tol and _psi(a, b_keep, 0.0) < s_min:
         # Hard case: no pole at s_min and the interior solution is too short;
         # pad with a minimum-eigenvector component to land exactly on s_min.
         hard_case = True
-        den = w + 0.5 * M * s_min
-        coeff = np.where(active, 0.0, b / np.where(active, 1.0, den))
+        coeff = np.zeros(b.shape)
+        coeff[n_min:] = b[n_min:] / (w[n_min:] + 0.5 * M * s_min)
         interior = math.sqrt(coeff @ coeff)
         alpha = math.sqrt(max(s_min * s_min - interior * interior, 0.0))
         h = -Q @ coeff + alpha * _canonical_sign(Q[:, 0])
     else:
-        den = a + _secular_root(a, b_keep, M, lam0)
-        coeff = np.zeros_like(b)
-        coeff[keep] = b_keep / np.where(den > 0.0, den, np.inf)
+        t, q = _secular_root(a, b_keep, M, lam0)
+        if q is None:
+            den = a + t
+            if den.size and den[0] == 0.0:
+                # den ascends from den[0] >= 0; a pole's components carry no step
+                den = np.where(den > 0.0, den, np.inf)
+            q = b_keep / den
+        if keep is None:
+            coeff = q
+        else:
+            coeff = np.zeros(b.shape)
+            coeff[keep] = q
         h = -Q @ coeff
 
     radius = math.sqrt(h @ h)
+    if not math.isfinite(radius):
+        raise NumericalError(f"cubic step left the float range (M = {M!r})")
+    cube = radius**3
     sol = CubicSolution(
         h_star=h,
-        model_decrease=model.value(h),
+        model_decrease=_model_value(g, H, M, h, cube),
         radius=radius,
         multiplier=0.5 * M * radius,
         hard_case=hard_case,
     )
-    _validate_solution(model, sol, g_norm, w_min, H_norm)
+    _validate_solution(g, H, M, sol, cube, g_norm, w_min, H_norm)
     return sol
 
 
 def _validate_solution(
-    model: CubicModel, sol: CubicSolution, g_norm: float, w_min: float, H_norm: float
+    g: np.ndarray, H: np.ndarray, M: float, sol: CubicSolution, cube: float,
+    g_norm: float, w_min: float, H_norm: float,
 ) -> None:
     # fixed tolerances at moderate model scales; for very large-magnitude
     # models the floating-point floor (~eps times the terms combined) takes
-    # over, since no float64 step can do better.  H_norm is ||H||_2, the
-    # largest |eigenvalue| from the solve's eigh.
-    h = sol.h_star
-    eps = np.finfo(float).eps
-    h_scale = H_norm * sol.radius
-    r = model.g + model.H @ h + sol.multiplier * h
+    # over, since no float64 step can do better.  cube is ||h||^3, and H_norm
+    # is ||H||_2, the largest |eigenvalue| from the solve's eigh.
+    h, radius, multiplier = sol.h_star, sol.radius, sol.multiplier
+    h_scale = H_norm * radius
+    r = g + H @ h + multiplier * h
     resid = math.sqrt(r @ r)
     resid_tol = max(
         _STATIONARITY_TOL * max(1.0, g_norm),
-        64.0 * eps * (g_norm + h_scale + sol.multiplier * sol.radius),
+        64.0 * _EPS * (g_norm + h_scale + multiplier * radius),
     )
     if resid > resid_tol:
         raise NumericalError(
             f"cubic step stationarity residual {resid:.3e} exceeds tolerance"
         )
-    psd_tol = max(_PSD_TOL, 64.0 * eps * (abs(w_min) + sol.multiplier))
-    if w_min + sol.multiplier < -psd_tol:
+    psd_tol = max(_PSD_TOL, 64.0 * _EPS * (abs(w_min) + multiplier))
+    if w_min + multiplier < -psd_tol:
         raise NumericalError(
-            f"cubic step violates the second-order condition by {w_min + sol.multiplier:.3e}"
+            f"cubic step violates the second-order condition by {w_min + multiplier:.3e}"
         )
-    bound = -(model.M / 12.0) * sol.radius**3
-    decrease_tol = max(_DECREASE_TOL, 64.0 * eps * (abs(sol.model_decrease) + abs(bound) + h_scale * sol.radius))
-    if sol.model_decrease > bound + decrease_tol:
+    bound = -(M / 12.0) * cube
+    decrease = sol.model_decrease
+    decrease_tol = max(_DECREASE_TOL, 64.0 * _EPS * (abs(decrease) + abs(bound) + h_scale * radius))
+    if decrease > bound + decrease_tol:
         raise NumericalError(
-            f"cubic model decrease {sol.model_decrease:.3e} misses the M/12 bound {bound:.3e}"
+            f"cubic model decrease {decrease:.3e} misses the M/12 bound {bound:.3e}"
         )
 
 
@@ -319,8 +376,8 @@ class ScrnConfig:
     algorithm = "scrn"  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ConfigurationError(f"M must be positive, got {self.M}")
+        if not (self.M > 0 and math.isfinite(self.M)):
+            raise ConfigurationError(f"M must be positive and finite, got {self.M}")
         if self.n1 < 1 or self.n2 < 1 or self.T < 1:
             raise ConfigurationError("need n1, n2, T >= 1")
         if self.box_radius <= 0 or self.epsilon <= 0:

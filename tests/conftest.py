@@ -1,9 +1,39 @@
 import dataclasses
+import functools
+import threading
 
 import numpy as np
 import pytest
 
 from saddlescape.problems import StochasticProblem, make_multiplicative_saddle
+
+
+WATCHDOG_S = 60  # each watched test takes a few seconds at most
+
+
+def watched(test):
+    """Run ``test`` on a helper thread and fail it if it is still running
+    after WATCHDOG_S: a broken hand-off with the zeroth-order direction
+    producer blocks a multi-block batch instead of raising.  Every test
+    that runs a batch of two or more direction blocks wears it."""
+    @functools.wraps(test)
+    def watched_test(*args, **kwargs):
+        raised = []
+
+        def body():
+            try:
+                test(*args, **kwargs)
+            except BaseException as exc:  # raised again in the test's thread
+                raised.append(exc)
+
+        helper = threading.Thread(target=body, name=f"watched-{test.__name__}", daemon=True)
+        helper.start()
+        helper.join(WATCHDOG_S)
+        if helper.is_alive():
+            pytest.fail(f"{test.__name__} still running after {WATCHDOG_S} s", pytrace=False)
+        if raised:
+            raise raised[0]
+    return watched_test
 
 
 class OracleCounter:

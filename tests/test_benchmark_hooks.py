@@ -8,6 +8,7 @@ run; this test catches it with the ordinary test suite.
 
 from pathlib import Path
 
+from conftest import watched
 from saddlescape import diagnostics, harness, psgd, scrn
 from saddlescape.seeds import SeedStream
 
@@ -54,6 +55,7 @@ def test_tracer_sees_the_run_loop(monkeypatch):
     assert tracer.calls["diagnostics.certify"] - psgd_certify == len(scrn_trace.rows) + 1
 
 
+@watched
 def test_tracer_wraps_the_zeroth_order_estimators(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing

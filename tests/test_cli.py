@@ -140,6 +140,34 @@ def test_run_fails_when_no_cell_succeeds(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+# a zeroth-order cubic-Newton spec whose penalty M = mu[4] = 1e308 takes the
+# cubic solve out of the float range
+HUGE_PENALTY = """
+family = multiplicative_saddle
+dim = 2
+neg_count = 1
+rho = 2.0
+quartic_coeff = 0.008
+algorithm = scrn
+mode = zeroth_order
+sgc_arm = true
+epsilon_grid = 0.2
+seeds = 0
+max_steps = 2
+mu = 1.0, 1.0, 0.001, 1.0, 1e308
+"""
+
+
+def test_huge_cubic_penalty_fails_its_run_in_one_line(tmp_path, capsys):
+    spec = tmp_path / "exp.cfg"
+    spec.write_text(HUGE_PENALTY)
+    out = tmp_path / "runs"
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no cell succeeded") and len(err.splitlines()) == 1
+    assert "cubic solve failed (M = 1e+308)" in (out / "cells.txt").read_text()
+
+
 @pytest.mark.parametrize("problem", [
     "family = phase_retrieval\ndim = 4\nm = 16\nr_box = -2\n",
     "family = multiplicative_saddle\ndim = 4\nquartic_coeff = 0.1\nr_box = 0\n",

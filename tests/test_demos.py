@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import watched
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "03_cubic_subproblem.py",
     "04_saddle_escape.py",
 ])
+@watched  # 02 runs multi-block zeroth-order batches
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=tmp_path, env=env,

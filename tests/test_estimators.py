@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import os
 import sys
 import threading
@@ -8,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import constant_problem, counting_problem
+from conftest import constant_problem, counting_problem, watched
 from saddlescape.errors import CapabilityError, ConfigurationError
 from saddlescape.estimators import (
     _block_rows,
@@ -26,32 +25,6 @@ from saddlescape.problems import (
     make_multiplicative_saddle,
 )
 from saddlescape.seeds import SeedStream
-
-WATCHDOG_S = 60  # each watched test takes about a second
-
-
-def _watched(test):
-    """Run ``test`` on a helper thread and fail it if it is still running
-    after WATCHDOG_S: a broken hand-off with the direction producer blocks
-    a multi-block zeroth-order batch instead of raising."""
-    @functools.wraps(test)
-    def watched(*args, **kwargs):
-        raised = []
-
-        def body():
-            try:
-                test(*args, **kwargs)
-            except BaseException as exc:  # raised again in the test's thread
-                raised.append(exc)
-
-        helper = threading.Thread(target=body, name=f"watched-{test.__name__}", daemon=True)
-        helper.start()
-        helper.join(WATCHDOG_S)
-        if helper.is_alive():
-            pytest.fail(f"{test.__name__} still running after {WATCHDOG_S} s", pytrace=False)
-        if raised:
-            raise raised[0]
-    return watched
 
 
 def test_zo_config_validation():
@@ -327,7 +300,7 @@ def test_hess_trials_reject_no_trials(quad_saddle_2d, trials):
 # ---------------------------------------------------------------------------
 # oracle-call accounting and Gaussian moments
 
-@_watched
+@watched
 def test_oracle_call_accounting():
     base = make_multiplicative_saddle(d=4, neg_count=1, rho=2.0, quartic_coeff=0.01)
     x = 0.5 * np.ones(4)
@@ -397,7 +370,7 @@ def _one_block_reference(p, x, nu, n, stream, label):
 
 @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
                          ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
-@_watched
+@watched
 def test_streamed_estimators_match_one_block(offset):
     d = 4
     p = make_multiplicative_saddle(d=d, neg_count=1, rho=2.0, quartic_coeff=0.01)
@@ -411,7 +384,7 @@ def test_streamed_estimators_match_one_block(offset):
         np.testing.assert_allclose(est, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-@_watched
+@watched
 def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
     # the (n2, d) direction array of one run alone would take 84 MB; a run
     # holds two direction blocks and one block of each other buffer, and a
@@ -429,7 +402,7 @@ def test_zo_hessian_memory_does_not_grow_with_n2(sgc_saddle_10d):
 
 @pytest.mark.parametrize("blocks", [(1, 0), (2, 0), (3, 7)], ids=["1block", "2blocks", "3blocks+7"])
 @pytest.mark.parametrize("k", [1, 3])
-@_watched
+@watched
 def test_direction_blocks_concatenate_to_one_shot_draws(blocks, k):
     # every yielded block, copied before the generator resumes, is the next
     # slice of each run's one-shot directions and differences, bit for bit
@@ -469,7 +442,7 @@ def _multi_block_case():
     return p, np.array([0.3, -0.8, 0.5, 0.1]), 2 * _block_rows(d) + 3
 
 
-@_watched
+@watched
 def test_multi_block_zo_hessian_joins_its_producer():
     p, x, n = _multi_block_case()
     before = threading.active_count()
@@ -487,7 +460,7 @@ def test_multi_block_zo_hessian_joins_its_producer():
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                     reason="needs a process that may run on two CPUs")
-@_watched
+@watched
 def test_producer_runs_off_the_callers_cpu():
     # a kernel need not move a new thread off its parent's CPU; the producer
     # places itself on every CPU of the process but the caller's
@@ -506,7 +479,7 @@ def test_producer_runs_off_the_callers_cpu():
     assert all(cpus < allowed and len(cpus) == len(allowed) - 1 for cpus in placed)
 
 
-@_watched
+@watched
 def test_concurrent_callers_get_their_serial_estimates():
     # three callers and their producers on two CPUs, switching as often as
     # the interpreter allows: a block handed back to its producer before the
@@ -535,7 +508,7 @@ def test_concurrent_callers_get_their_serial_estimates():
     assert threading.active_count() == before
 
 
-@_watched
+@watched
 def test_oracle_error_on_a_later_block_joins_the_producer():
     p, x, n = _multi_block_case()
     before = threading.active_count()
@@ -554,7 +527,7 @@ def test_oracle_error_on_a_later_block_joins_the_producer():
     assert threading.active_count() == before
 
 
-@_watched
+@watched
 def test_closed_direction_blocks_join_the_producer():
     p, x, n = _multi_block_case()
     before = threading.active_count()
@@ -566,7 +539,7 @@ def test_closed_direction_blocks_join_the_producer():
     assert threading.active_count() == before
 
 
-@_watched
+@watched
 def test_producer_error_is_raised_in_the_caller(monkeypatch):
     p, x, n = _multi_block_case()
     before = threading.active_count()

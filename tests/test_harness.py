@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import watched
 from saddlescape import harness
 from saddlescape.diagnostics import sosp_fraction
 from saddlescape.errors import ConfigurationError, EvaluationError
@@ -341,6 +342,7 @@ def test_formula_slopes_match_theory():
     dict(algorithm="scrn", mode="higher_order"),
     dict(algorithm="scrn", mode="zeroth_order", mu=(1.0, 1.0, 0.03, 1.0, 1.0)),
 ], ids=["psgd-first_order", "psgd-zeroth_order", "scrn-higher_order", "scrn-zeroth_order"])
+@watched  # the zeroth-order arms run multi-block batches
 def test_calls_per_step_matches_the_run_loop(arm):
     # ties formula_total_calls's per-step count to the estimators' accounting
     spec = _spec(max_steps=1, stop_after_certified=False, **arm)
@@ -462,6 +464,10 @@ def test_tune_constants_rejects_bad_input_before_any_run(monkeypatch):
     # a misspelt key is an error, not a losing candidate
     with pytest.raises(ConfigurationError, match="unknown spec keys: nope"):
         tune_constants(spec, [{"c": 0.01}, {"nope": 1}], tune_seeds=(0,))
+    # seeds equal modulo 2^64 share one run stream: counting them twice is an error
+    with pytest.raises(ConfigurationError,
+                       match=r"distinct modulo 2\^64; repeated: 0, 18446744073709551616$"):
+        tune_constants(spec, [{"c": 0.01}], tune_seeds=(0, 0, 2**64))
 
 
 def test_master_seed_changes_trajectories(tmp_path):

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import counting_problem
+from conftest import counting_problem, watched
 
 from saddlescape import harness
 from saddlescape.errors import NumericalError
@@ -63,6 +63,7 @@ ARMS = {
 
 
 @pytest.mark.parametrize("arm", sorted(ARMS))
+@watched  # scrn_zeroth_order_blocks runs multi-block batches
 def test_group_traces_are_the_one_seed_traces(tmp_path, arm):
     spec = ExperimentSpec(**ARMS[arm])
     run_experiment(spec, out_dir=tmp_path, master_seed=3)

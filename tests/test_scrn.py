@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,42 @@ def test_cubic_model_validation():
         CubicModel(g=np.zeros(2), H=np.array([[0.0, 1.0], [0.0, 0.0]]), M=1.0)
     with pytest.raises(NumericalError):
         solve_cubic(CubicModel(g=np.array([np.nan, 0.0]), H=np.eye(2), M=1.0))
+    # the symmetry tolerance is 1e-10 max(1, max|H|): 1e-7 on entries near 1e3
+    near_1e3 = np.array([[1e3, 7e2], [7e2, -1e3]])
+    CubicModel(g=np.zeros(2), H=near_1e3 + np.array([[0.0, 5e-8], [0.0, 0.0]]), M=1.0)
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        CubicModel(g=np.zeros(2), H=near_1e3 + np.array([[0.0, 2e-7], [0.0, 0.0]]), M=1.0)
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        CubicModel(g=np.zeros(2), H=np.array([[1.0, 0.5 + 2e-10], [0.5, 1.0]]), M=1.0)
+    # a non-finite H, symmetric or not, is the solve's to reject
+    for entry, where in itertools.product((np.inf, -np.inf, np.nan), ((0, 0), (0, 1))):
+        H = np.eye(2)
+        H[where] = entry
+        model = CubicModel(g=np.ones(2), H=H, M=1.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve_cubic(model)
+
+
+@pytest.mark.parametrize("M", [0.0, -1.0, math.inf, math.nan])
+def test_cubic_penalty_must_be_positive_and_finite(M):
+    with pytest.raises(ConfigurationError, match="M must be positive and finite"):
+        CubicModel(g=np.zeros(2), H=np.eye(2), M=M)
+    with pytest.raises(ConfigurationError, match="M must be positive and finite"):
+        _ho_config(M=M)
+    with pytest.raises(ConfigurationError):
+        CubicModel(g=np.zeros(0), H=np.zeros((0, 0)), M=1.0)
+
+
+@pytest.mark.parametrize("g, H, M", [
+    ([1.0, 0.0], np.eye(2), 1e308),  # the multiplier underflows to 0: a division by zero
+    ([1e-200, 1.0], np.diag([-1e200, 2.0]), 1e-300),  # s_min = 2e500: no finite step
+    ([1.0, 1.0], np.diag([-1.0, 2.0]), 1e300),  # a Python float power overflows
+    ([1e200, 1.0], np.diag([-1.0, 2.0]), 1e308),  # ||g|| overflows; Brent finds no bracket
+], ids=["divide_by_zero", "infinite_step", "power_overflow", "no_bracket"])
+def test_solve_outside_the_float_range_is_a_numerical_error(g, H, M):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"^cubic (solve failed|step left the float range)"):
+            solve_cubic(CubicModel(g=np.array(g), H=H, M=M))
 
 
 def test_zero_gradient_psd_hessian_gives_zero_step():
