@@ -35,14 +35,14 @@ At d = 10 a solve costs a few tens of microseconds, and ``eigh`` is a
 small part of it: the rest is some thirty numpy calls on short arrays,
 each with a fixed cost.  So the solve computes each quantity once and
 reuses it: ``g @ g`` gives ``||g||`` and screens g's finiteness; the
-minimum eigenspace is counted as a prefix of the ascending spectrum; when
-no component is dropped, ``w`` and ``b`` are used as they are; the Newton
-loop's last ``b / (a + t)`` is the step's coefficients; and the radius,
+minimum eigenspace is counted as a prefix of the ascending spectrum; the
+Newton loop tests for a pole on ``a[0] + t`` alone; and the radius,
 ``||g||``, ``w_min`` and ``||H||_2`` serve both the model decrease and the
 checks.  Every value that reaches a ``CubicSolution`` is computed by numpy
 dots and ufuncs, never by a Python sum, which rounds differently, so the
-traces keep their bytes.  A float operation that overflows or divides by zero,
-or an ``eigh`` that fails, is a ``NumericalError`` of that solve alone.
+traces keep their bytes.  A float operation that overflows or divides by
+zero, an ``eigh`` that fails, or a Brent bracket lost to overflow is a
+``NumericalError`` of that solve alone.
 """
 
 from __future__ import annotations
@@ -158,10 +158,13 @@ def brentq(f, a, b, **kwargs):
     return scipy_brentq(f, a, b, **kwargs)
 
 
-def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> tuple:
-    """Root ``t >= 0`` of the secular equation ``psi(t) = 2 (lam0 + t) / M``,
-    and ``b / (a + t)`` when the Newton loop computed it at the root (else
-    None).
+def _solve_failed(M: float, err: Exception) -> NumericalError:
+    """The one-line error of a solve that a float operation or LAPACK gave up on."""
+    return NumericalError(f"cubic solve failed (M = {M!r}): {err}")
+
+
+def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> float:
+    """Root ``t >= 0`` of the secular equation ``psi(t) = 2 (lam0 + t) / M``.
 
     The multiplier is ``lam0 + t`` and ``a = w + lam0 >= 0`` ascending, with
     ``w`` and ``b != 0`` the components the solve keeps; a pole at ``t = 0``
@@ -181,14 +184,14 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> tuple:
     """
     c = 0.5 * M * math.sqrt(b @ b)
     if c == 0.0:
-        return 0.0, None
+        return 0.0
     t = _product_root(float(a[-1]), lam0, c)
     for _ in range(_NEWTON_MAX_ITER):
         den = a + t
         if den[0] == 0.0:
             # at a pole 1/psi vanishes, with slope 1 / ||b on the pole||
             b_pole = b[den == 0.0]
-            q, inv_psi, slope = None, 0.0, 1.0 / math.sqrt(b_pole @ b_pole)
+            inv_psi, slope = 0.0, 1.0 / math.sqrt(b_pole @ b_pole)
         else:
             q = b / den
             inv_psi = 1.0 / math.sqrt(q @ q)
@@ -196,16 +199,16 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> tuple:
         lam = lam0 + t
         t_next = t + (0.5 * M / lam - inv_psi) / (slope + 0.5 * M / (lam * lam))
         if not t_next > t:
-            return t, q
+            return t
         t = t_next
 
     def phi(u: float) -> float:
         return 1.0 / _psi(a, b, u) - 0.5 * M / (lam0 + u)
 
     if phi(t) >= 0.0:
-        return t, None
-    return float(
-        brentq(
+        return t
+    try:
+        root = brentq(
             phi,
             t,
             2.0 * _product_root(float(a[0]), lam0, c),
@@ -213,7 +216,10 @@ def _secular_root(a: np.ndarray, b: np.ndarray, M: float, lam0: float) -> tuple:
             rtol=4 * _EPS,
             maxiter=200,
         )
-    ), None
+    except ValueError as err:
+        # a bracket computed past the float range no longer brackets the root
+        raise _solve_failed(M, err) from None
+    return float(root)
 
 
 def solve_cubic(model: CubicModel) -> CubicSolution:
@@ -238,15 +244,17 @@ def solve_cubic(model: CubicModel) -> CubicSolution:
         raise NumericalError("cubic model has non-finite entries")
     try:
         return _solve(g, H, M, math.sqrt(gg))
-    except (OverflowError, ZeroDivisionError, ValueError) as err:
-        # a float operation or LAPACK (LinAlgError is a ValueError) gave up:
-        # only this model's solve fails
-        raise NumericalError(f"cubic solve failed (M = {M!r}): {err}") from None
+    except (OverflowError, ZeroDivisionError) as err:
+        # a Python float operation left the float range: only this model's solve fails
+        raise _solve_failed(M, err) from None
 
 
 def _solve(g: np.ndarray, H: np.ndarray, M: float, g_norm: float) -> CubicSolution:
     """``solve_cubic`` of a finite model with ``||g|| = g_norm``."""
-    w, Q = np.linalg.eigh(H)
+    try:
+        w, Q = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as err:
+        raise _solve_failed(M, err) from None
     spectrum = w.tolist()
     if not (math.isfinite(sum(spectrum)) or np.isfinite(w).all()):
         raise NumericalError("eigendecomposition produced non-finite eigenvalues")
@@ -268,15 +276,11 @@ def _solve(g: np.ndarray, H: np.ndarray, M: float, g_norm: float) -> CubicSoluti
     b_active = math.sqrt(b_min @ b_min)
     hard_candidate = b_active <= 1e-11 * max(1.0, g_norm)
     # psi runs over the components the solve keeps: zero ones add nothing,
-    # and a hard candidate's negligible minimum-eigenspace part is dropped;
-    # when none is dropped, w and b are used as they are (keep is None)
-    keep = None
-    w_keep, b_keep = w, b
-    if hard_candidate or np.count_nonzero(b) < b.size:
-        keep = b != 0.0
-        if hard_candidate:
-            keep[:n_min] = False
-        w_keep, b_keep = w[keep], b[keep]
+    # and a hard candidate's negligible minimum-eigenspace part is dropped
+    keep = b != 0.0
+    if hard_candidate:
+        keep[:n_min] = False
+    w_keep, b_keep = w[keep], b[keep]
     # multipliers are measured from lam0, the larger of the multiplier at
     # s_min and the pole of the smallest kept eigenvalue
     lam0 = 0.0 if psd_at_tol else -w_min
@@ -297,18 +301,12 @@ def _solve(g: np.ndarray, H: np.ndarray, M: float, g_norm: float) -> CubicSoluti
         alpha = math.sqrt(max(s_min * s_min - interior * interior, 0.0))
         h = -Q @ coeff + alpha * _canonical_sign(Q[:, 0])
     else:
-        t, q = _secular_root(a, b_keep, M, lam0)
-        if q is None:
-            den = a + t
-            if den.size and den[0] == 0.0:
-                # den ascends from den[0] >= 0; a pole's components carry no step
-                den = np.where(den > 0.0, den, np.inf)
-            q = b_keep / den
-        if keep is None:
-            coeff = q
-        else:
-            coeff = np.zeros(b.shape)
-            coeff[keep] = q
+        den = a + _secular_root(a, b_keep, M, lam0)
+        if den.size and den[0] == 0.0:
+            # den ascends from den[0] >= 0; a pole's components carry no step
+            den = np.where(den > 0.0, den, np.inf)
+        coeff = np.zeros(b.shape)
+        coeff[keep] = b_keep / den
         h = -Q @ coeff
 
     radius = math.sqrt(h @ h)
