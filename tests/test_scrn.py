@@ -72,6 +72,25 @@ def test_solve_outside_the_float_range_is_a_numerical_error(g, H, M):
             solve_cubic(CubicModel(g=np.array(g), H=H, M=M))
 
 
+def test_only_a_failed_eigh_becomes_a_numerical_error(monkeypatch):
+    model = CubicModel(g=np.ones(2), H=np.eye(2), M=1.0)
+
+    def failing_eigh(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NumericalError, match=r"^cubic solve failed \(M = 1\.0\): Eigenvalues"):
+        solve_cubic(model)
+
+    def broken_eigh(H):
+        raise ValueError("operands could not be broadcast together")
+
+    # any other ValueError is a fault of the program, not of the row: it propagates
+    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    with pytest.raises(ValueError, match="broadcast"):
+        solve_cubic(model)
+
+
 def test_zero_gradient_psd_hessian_gives_zero_step():
     sol = solve_cubic(CubicModel(g=np.zeros(3), H=np.diag([0.5, 1.0, 2.0]), M=1.0))
     assert np.all(sol.h_star == 0.0)
