@@ -7,6 +7,7 @@ lines ignored.  Values stay strings here; callers coerce per key.
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 from .errors import ConfigurationError
@@ -67,6 +68,16 @@ def as_int(raw: str, key: str) -> int:
         return int(raw)
     except ValueError as exc:
         raise ConfigurationError(f"key {key!r}: expected integer, got {raw!r}") from exc
+
+
+def as_count(value, key: str) -> int:
+    """``value`` as an int: a Python or numpy integer, but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
 def as_float_list(raw: str, key: str) -> list[float]:

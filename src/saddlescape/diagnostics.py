@@ -100,22 +100,38 @@ def min_eigenvalue(H: np.ndarray):
     A (k, d, d) stack returns the (k,) eigenvalues and (k, d) eigenvectors,
     row i equal to the call on ``H[i]`` bit for bit: one ``eigh`` call up to
     the limit, one Lanczos run per matrix beyond it.  The checks hold per
-    matrix, and the first matrix that fails one raises.
+    matrix, and the first matrix that fails one raises.  An empty stack
+    returns (0,) eigenvalues and (0, d) eigenvectors; a 0 x 0 matrix has no
+    eigenvalue and raises ``ConfigurationError``.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2]:
         raise ConfigurationError(f"expected a square matrix, got shape {H.shape}")
     stack = H if H.ndim == 3 else H[None]
     k, d = stack.shape[:2]
-    scale = np.abs(stack).reshape(k, -1).max(axis=1)
-    if not math.isfinite(scale.max()):  # non-finite exactly when some entry is
-        raise NumericalError("matrix has non-finite entries")
-    # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
-    asym = (stack - stack.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
-    if (asym > 1e-10 * np.maximum(scale, 1.0)).any():
-        raise ConfigurationError("matrix is not symmetric within tolerance")
-    # an exactly symmetric stack is its own symmetrisation, bit for bit
-    sym = 0.5 * (stack + stack.transpose(0, 2, 1)) if asym.any() else stack
+    if d == 0:
+        raise ConfigurationError("a 0 x 0 matrix has no minimum eigenvalue")
+    if k == 0:
+        return np.empty(0), np.empty((0, d))
+    transposed = stack.transpose(0, 2, 1)
+    if stack.tobytes() == transposed.tobytes():
+        # equal to its transpose bit for bit, as every exact Hessian here is:
+        # its asymmetry is 0 and it is its own symmetrisation, so only
+        # finiteness is left to check.  (A sum would screen it as fast, but
+        # warns of overflow on finite entries near the float limit.)
+        if not np.isfinite(stack).all():
+            raise NumericalError("matrix has non-finite entries")
+        sym = stack
+    else:
+        scale = np.abs(stack).reshape(k, -1).max(axis=1)
+        if not math.isfinite(scale.max()):  # non-finite exactly when some entry is
+            raise NumericalError("matrix has non-finite entries")
+        # H - H.T is exactly antisymmetric, so its largest entry is its largest magnitude
+        asym = (stack - transposed).reshape(k, -1).max(axis=1)
+        if (asym > 1e-10 * np.maximum(scale, 1.0)).any():
+            raise ConfigurationError("matrix is not symmetric within tolerance")
+        # a stack that differs from its transpose only by +-0.0 is its own symmetrisation
+        sym = 0.5 * (stack + transposed) if asym.any() else stack
     if d <= DENSE_EIG_LIMIT:
         w, v = np.linalg.eigh(sym)
         lam, vec = w[:, 0], v[:, :, 0].copy()
@@ -148,11 +164,13 @@ def certify(p: StochasticProblem, x, epsilon: float, *, grad=None,
     ``grad`` and ``lambda_min``, given together, are the exact gradient and
     Hessian minimum eigenvalue at x, computed by the caller with those of
     other points (``psgd.run_steps``); without them certify calls the exact
-    oracles at x itself.
+    oracles at x itself.  A non-finite gradient or eigenvalue raises
+    ``NumericalError``: the score's ``max`` would keep its first argument
+    past a NaN and could certify any point.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigurationError(f"epsilon must be finite and positive, got {epsilon}")
-    if p.meta.L_H <= 0:
+    if not p.meta.L_H > 0:
         raise ConfigurationError("certification needs metadata L_H > 0")
     if (grad is None) != (lambda_min is None):
         raise ConfigurationError("certify needs both grad and lambda_min, or neither")
@@ -163,6 +181,11 @@ def certify(p: StochasticProblem, x, epsilon: float, *, grad=None,
     g = np.ascontiguousarray(grad, dtype=np.float64)
     grad_norm = math.sqrt(g @ g)
     lam = float(lambda_min)
+    # a finite norm screens the entries; an overflowing one leaves it to isfinite
+    if not (math.isfinite(grad_norm) or np.isfinite(g).all()):
+        raise NumericalError("certify got a non-finite gradient")
+    if not math.isfinite(lam):
+        raise NumericalError(f"certify got a non-finite lambda_min ({lam})")
     score = max(math.sqrt(grad_norm), -lam / p.meta.L_H)
     return SospCertificate(
         grad_norm=grad_norm,

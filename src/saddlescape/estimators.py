@@ -62,6 +62,10 @@ def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream
     With a block of k streams and a (k, d) ``x`` (or one (d,) point that
     all k runs share), row i of ``g`` is the estimate of run i at its
     point, from one oracle call for all k runs.
+
+    Each entry of the sum adds the n1 samples in order, from +0.0, as
+    ``sum(axis=-2)`` does on the C-ordered batches that every oracle here
+    returns; at d = 1 it is ``sum``'s pairwise sum of the one column.
     """
     if not p.has_grad_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no gradient oracle")
@@ -69,8 +73,13 @@ def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream
         raise ConfigurationError(f"n1 must be >= 1, got {n1}")
     seeds = stream.child("xi").seeds(n1)
     grads = p.sample_grad_batch(np.asarray(x, dtype=np.float64), seeds.reshape(-1))
-    # sum / n is what mean computes, without its dispatch cost
-    return GradEstimate(g=grads.reshape(seeds.shape + (-1,)).sum(axis=-2) / n1, oracle_calls=n1)
+    batch = grads.reshape(seeds.shape + (-1,))
+    # einsum runs one inner loop per column where sum runs one per sample row,
+    # with the same additions in the same order.  A one-column batch is one
+    # contiguous run that sum adds pairwise and einsum would not, so it keeps
+    # sum.  sum / n is what mean computes, without its dispatch cost.
+    total = np.einsum("...nd->...d", batch) if batch.shape[-1] > 1 else batch.sum(axis=-2)
+    return GradEstimate(g=total / n1, oracle_calls=n1)
 
 
 def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream: SeedStream) -> GradEstimate:

@@ -378,6 +378,25 @@ def _format_row(record, columns: tuple) -> str:
     return ",".join([_fmt(getattr(record, name)) for name in columns])
 
 
+def _trace_line(row: TraceRow, columns: tuple) -> str:
+    """``_format_row(row, columns)`` of a trace row, from one f-string when
+    each value has its column's exact type: ``float.__repr__`` for a float,
+    the int as is, "1"/"0" for the flag and "" for None.  Any other value (a
+    numpy scalar, an int in a float column) goes through ``_format_row``."""
+    t, f, g, lam, calls, cert = (row.t, row.f, row.grad_norm, row.lambda_min,
+                                 row.oracle_calls, row.certified)
+    if not (type(t) is int and type(f) is float and type(g) is float
+            and type(lam) is float and type(calls) is int and type(cert) is bool):
+        return _format_row(row, columns)
+    line = f"{t},{f!r},{g!r},{lam!r},{calls},{'1' if cert else '0'}"
+    if columns[-1] == "certified":  # a PSGD row stops before the cubic step's columns
+        return line
+    h, dec = row.h_norm, row.model_decrease
+    if not ((h is None or type(h) is float) and (dec is None or type(dec) is float)):
+        return _format_row(row, columns)
+    return f"{line},{'' if h is None else repr(h)},{'' if dec is None else repr(dec)}"
+
+
 def _parse_row(cls, columns: tuple, line: str):
     """The record of one CSV line, its first len(columns) fields parsed."""
     parts = line.split(",")
@@ -410,7 +429,7 @@ def write_trace(trace: RunTrace, path) -> None:
     lines += [f"# {key} = {_fmt(fields[key])}" for key in _TRACE_FIELDS if key in fields]
     columns = _columns(TraceRow, trace.algorithm)
     lines.append(",".join(columns))
-    lines += [_format_row(row, columns) for row in trace.rows]
+    lines += [_trace_line(row, columns) for row in trace.rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -68,6 +68,11 @@ class ProblemMetadata:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
+        # every float field is finite: NaN passes each comparison below
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.L_G <= 0 or self.L_H <= 0:
             raise ConfigurationError("need L_G > 0, L_H > 0")
         if self.rho_true is not None and self.rho_true < 1:
@@ -76,6 +81,9 @@ class ProblemMetadata:
             raise ConfigurationError("noise scales must be nonnegative")
         if self.box_radius <= 0:
             raise ConfigurationError("box_radius must be positive")
+
+
+_FLOAT_FIELDS = ("L_G", "L_H", "f_star", "box_radius", "rho_true", "sigma2", "noise_sigma")
 
 
 @dataclass(frozen=True)
@@ -191,8 +199,6 @@ def _check_box_radius(box_radius: float) -> float:
 
 def two_point_multiplier(seeds: np.ndarray, rho: float) -> np.ndarray:
     """xi in {0, rho} with P(xi = rho) = 1/rho, so E xi = 1 and E xi^2 = rho."""
-    if rho == 1.0:
-        return np.ones(len(seeds), dtype=np.float64)
     u = uniform01(seeds, tag=_TAG_XI)
     return np.where(u <= 1.0 / rho, rho, 0.0)
 
@@ -218,6 +224,9 @@ def make_multiplicative_saddle(
     """
     if not 1 <= neg_count < d:
         raise ConfigurationError(f"need 1 <= neg_count < d, got neg_count={neg_count}, d={d}")
+    for name, value in (("rho", rho), ("quartic_coeff", quartic_coeff)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if rho < 1:
         raise ConfigurationError(f"rho must be >= 1, got {rho}")
     if quartic_coeff < 0:
@@ -260,9 +269,17 @@ def make_multiplicative_saddle(
 
     # each distinct point is evaluated once and scaled by the xi of each of
     # its seeds, the samples of an (n, d) batch of copies bit for bit
-    def scaled(rows, xi):
+    def scaled(rows, seeds, multipliers):
+        if rho == 1.0:
+            # every xi is 1 and 1.0 * v is v bit for bit (NaN and -0.0
+            # included), so the samples are copies of their point's row
+            return np.repeat(rows, len(seeds) // len(rows), axis=0)
+        xi = multipliers(seeds)
         xi_rows = xi.reshape((len(rows), -1) + (1,) * (rows.ndim - 1))
         return (xi_rows * rows[:, None]).reshape((len(xi),) + rows.shape[1:])
+
+    def hashed(seeds):
+        return two_point_multiplier(seeds, rho)
 
     # (a copy of the last value call's seeds, their multipliers): the x,
     # x + nu u and x - nu u queries of a zeroth-order block pass one seeds
@@ -271,20 +288,22 @@ def make_multiplicative_saddle(
     # and Hessian oracles keep no memo: their batches reach 10^6 seeds.
     value_memo = (None, None)
 
-    def value_batch(points, seeds):
+    def remembered(seeds):
         nonlocal value_memo
-        rows = f_rows(_points(points, len(seeds), d))
         seen, xi = value_memo
         if seen is None or not np.array_equal(seeds, seen):
-            xi = two_point_multiplier(seeds, rho)
+            xi = hashed(seeds)
             value_memo = (np.array(seeds), xi)
-        return scaled(rows, xi)
+        return xi
+
+    def value_batch(points, seeds):
+        return scaled(f_rows(_points(points, len(seeds), d)), seeds, remembered)
 
     def grad_batch(points, seeds):
-        return scaled(grad_rows(_points(points, len(seeds), d)), two_point_multiplier(seeds, rho))
+        return scaled(grad_rows(_points(points, len(seeds), d)), seeds, hashed)
 
     def hess_batch(points, seeds):
-        return scaled(hess_rows(_points(points, len(seeds), d)), two_point_multiplier(seeds, rho))
+        return scaled(hess_rows(_points(points, len(seeds), d)), seeds, hashed)
 
     # the exact oracles share the sampled ones' row functions: a (d,) point is
     # row 0 of its one-row stack, so row i of a (k, d) stack is its call
@@ -430,6 +449,8 @@ def make_additive_noise_variant(p: StochasticProblem, sigma: float) -> Stochasti
     vector has squared norm ``sigma^2 d``.  ``sigma = 0`` reproduces ``p``
     seed-for-seed.
     """
+    if not math.isfinite(sigma):
+        raise ConfigurationError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     base_meta = p.meta

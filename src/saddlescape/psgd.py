@@ -33,6 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import diagnostics
+from .config import as_count
 from .diagnostics import RunTrace, TraceRow, certify
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, zo_gradient
@@ -95,6 +96,8 @@ class PsgdConfig:
             raise ConfigurationError(f"eta must be positive, got {self.eta}")
         if self.r < 0:
             raise ConfigurationError(f"perturbation scale r must be >= 0, got {self.r}")
+        for name in ("n1", "T"):  # a fractional count would be charged but not drawn
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.n1 < 1 or self.T < 0:
             raise ConfigurationError("need n1 >= 1 and T >= 0")
         if self.box_radius <= 0 or self.epsilon <= 0:
@@ -283,15 +286,14 @@ def _certify_points(p: StochasticProblem, xs: np.ndarray, epsilons: Sequence[flo
         grads = p.exact_grad(xs)
         lams, _ = diagnostics.min_eigenvalue(p.exact_hess(xs))
     except NumericalError:
-        outcomes = []
-        for x, epsilon in zip(xs, epsilons):
-            try:
-                outcomes.append(certify(p, x, epsilon))
-            except NumericalError as err:
-                outcomes.append(err)
-        return outcomes
-    return [certify(p, x, epsilon, grad=g, lambda_min=lam)
-            for x, epsilon, g, lam in zip(xs, epsilons, grads, lams)]
+        grads = lams = [None] * len(xs)  # certify calls the exact oracles itself
+    outcomes = []
+    for x, epsilon, g, lam in zip(xs, epsilons, grads, lams):
+        try:
+            outcomes.append(certify(p, x, epsilon, grad=g, lambda_min=lam))
+        except NumericalError as err:  # a non-finite gradient, or a row's own failed pass
+            outcomes.append(err)
+    return outcomes
 
 
 def run_steps(

@@ -53,6 +53,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import as_count
 # certify is unused here, but the benchmark's tracer patches it in this module
 from .diagnostics import certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
@@ -376,6 +377,8 @@ class ScrnConfig:
     def __post_init__(self):
         if not (self.M > 0 and math.isfinite(self.M)):
             raise ConfigurationError(f"M must be positive and finite, got {self.M}")
+        for name in ("n1", "n2", "T"):  # a fractional count would be charged but not drawn
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.n1 < 1 or self.n2 < 1 or self.T < 1:
             raise ConfigurationError("need n1, n2, T >= 1")
         if self.box_radius <= 0 or self.epsilon <= 0:

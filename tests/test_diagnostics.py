@@ -102,6 +102,91 @@ def test_min_eigenvalue_rejects_non_finite_entries():
             min_eigenvalue(matrices)
 
 
+def _two_pass_min_eigenvalue(stack):
+    """min_eigenvalue of a (k, d, d) stack by the scale and asymmetry passes
+    alone, which every stack took before the bitwise-symmetric fast path."""
+    k = len(stack)
+    scale = np.abs(stack).reshape(k, -1).max(axis=1)
+    if not math.isfinite(scale.max()):
+        raise NumericalError("matrix has non-finite entries")
+    asym = (stack - stack.transpose(0, 2, 1)).reshape(k, -1).max(axis=1)
+    if (asym > 1e-10 * np.maximum(scale, 1.0)).any():
+        raise ConfigurationError("matrix is not symmetric within tolerance")
+    sym = 0.5 * (stack + stack.transpose(0, 2, 1)) if asym.any() else stack
+    w, v = np.linalg.eigh(sym)
+    lam, vec = w[:, 0], v[:, :, 0].copy()
+    norm = np.maximum(-lam, w[:, -1])
+    vec /= np.sqrt(np.vecdot(vec, vec))[:, None]
+    r = (stack @ vec[:, :, None])[:, :, 0]
+    r -= lam[:, None] * vec
+    resid = np.sqrt(np.vecdot(r, r))
+    over = resid > 1e-8 * np.maximum(norm, 1e-300)
+    if over.any():
+        raise NumericalError(f"eigenpair residual {resid[over.argmax()]:.3e} exceeds 1e-8 * ||H||")
+    return lam, vec
+
+
+def _outcome(fn, stack):
+    """The bits of fn's eigenpairs, or the type and message of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            lam, vec = fn(stack)
+    except (ConfigurationError, NumericalError, np.linalg.LinAlgError) as err:
+        return type(err), str(err)
+    return lam.view(np.uint64).tolist(), vec.view(np.uint64).tolist()
+
+
+def _eigen_check_stacks():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 6, 6))
+    sym = 0.5 * (a + a.transpose(0, 2, 1))
+    zero_pair = sym.copy()
+    zero_pair[1, 2, 3], zero_pair[1, 3, 2] = 0.0, -0.0  # equal, but not bit for bit
+    within = sym.copy()
+    within[2, 1, 4] += 1e-14
+    beyond = sym.copy()
+    beyond[3, 0, 5] += 1e-3
+    huge = np.where(rng.random((6, 6)) < 0.5, 1e308, -1e308)
+    huge = np.triu(huge) + np.triu(huge, 1).T  # finite, but its sum overflows
+    stacks = {"symmetric": sym, "zero_pair": zero_pair, "within_tolerance": within,
+              "beyond_tolerance": beyond, "huge": np.stack([huge, sym[0]]),
+              "huge_diagonal": np.diag([1e308, -1e308, 1e308])[None]}
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("minus_inf", -np.inf)):
+        for where in ((0, 0), (1, 2)):
+            m = sym.copy()
+            m[2][where] = m[2][where[::-1]] = bad  # symmetric bit for bit
+            stacks[f"{name}_{where}"] = m
+            m = sym.copy()
+            m[3][where] = bad
+            stacks[f"{name}_{where}_one_side"] = m
+    return stacks
+
+
+def _one_matrix(stack):
+    """min_eigenvalue of the (d, d) matrix of a one-matrix stack, as a stack's pairs."""
+    lam, vec = min_eigenvalue(stack[0])
+    return np.array([lam]), vec[None]
+
+
+@pytest.mark.parametrize("name", sorted(_eigen_check_stacks()))
+def test_eigen_check_fast_path_keeps_the_two_pass_outcome(name):
+    # a stack equal to its transpose bit for bit skips the scale and asymmetry
+    # passes; the eigenpairs, and the error and its order, stay those of the passes
+    stack = _eigen_check_stacks()[name]
+    assert _outcome(min_eigenvalue, stack) == _outcome(_two_pass_min_eigenvalue, stack)
+    for i in range(len(stack)):  # and each matrix on its own
+        assert (_outcome(_one_matrix, stack[i:i + 1])
+                == _outcome(_two_pass_min_eigenvalue, stack[i:i + 1]))
+
+
+def test_min_eigenvalue_of_empty_input():
+    lam, vec = min_eigenvalue(np.zeros((0, 3, 3)))
+    assert lam.shape == (0,) and vec.shape == (0, 3)
+    for H in (np.zeros((0, 0)), np.zeros((2, 0, 0)), np.zeros((0, 0, 0))):
+        with pytest.raises(ConfigurationError, match="0 x 0 matrix"):
+            min_eigenvalue(H)
+
+
 def test_min_eigenvalue_iterative_path_above_dense_limit():
     # d > 512 switches to the Lanczos branch with a deterministic start
     rng = np.random.default_rng(1)
@@ -175,6 +260,28 @@ def test_certify_preconditions(quad_saddle_2d):
             certify(quad_saddle_2d, np.zeros(2), epsilon)
     with pytest.raises(ConfigurationError, match="both grad and lambda_min"):
         certify(quad_saddle_2d, np.zeros(2), 0.1, grad=np.zeros(2))
+
+
+def test_certify_rejects_non_finite_inputs():
+    # at the origin of the d = 4 saddle lambda_min = -1: never certified.
+    # max(sqrt(||g||), nan) keeps its first argument, so a NaN L_H, gradient
+    # or eigenvalue used to certify it with score 0
+    p = make_multiplicative_saddle(d=4, neg_count=1, rho=2.0, quartic_coeff=0.01)
+    cert = certify(p, np.zeros(4), 0.05)
+    assert not cert.certified and cert.lambda_min == -1.0
+    nan_meta = dataclasses.replace(p.meta)
+    object.__setattr__(nan_meta, "L_H", math.nan)  # past ProblemMetadata's own check
+    with pytest.raises(ConfigurationError, match="L_H > 0"):
+        certify(dataclasses.replace(p, meta=nan_meta), np.zeros(4), 0.05)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            certify(p, np.zeros(4), 0.05, grad=np.array([0.0, bad, 0.0, 0.0]), lambda_min=-1.0)
+        with pytest.raises(NumericalError, match="non-finite lambda_min"):
+            certify(p, np.zeros(4), 0.05, grad=np.zeros(4), lambda_min=bad)
+    # a finite gradient whose squared norm overflows is not certified, as before
+    with np.errstate(over="ignore"):
+        cert = certify(p, np.zeros(4), 0.05, grad=np.full(4, 1e200), lambda_min=1.0)
+    assert cert.grad_norm == math.inf and not cert.certified
 
 
 def _trace_with_flags(flags):

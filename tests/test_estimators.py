@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import sys
 import threading
@@ -560,3 +561,59 @@ def test_producer_error_is_raised_in_the_caller(monkeypatch):
         zo_hessian(p, x, 0.05, n, SeedStream(5))
     assert raised.value is error
     assert threading.active_count() == before
+
+
+def _batch_problem(batch: np.ndarray):
+    """A problem whose sampled gradients are the rows of ``batch``, in seed order."""
+    base = make_multiplicative_saddle(d=2, neg_count=1, rho=1.0, quartic_coeff=0.0)
+    return dataclasses.replace(
+        base, meta=dataclasses.replace(base.meta, dim=batch.shape[1]),
+        sample_grad_batch=lambda points, seeds: batch[:len(seeds)].copy())
+
+
+def _row_fold(batch: np.ndarray) -> np.ndarray:
+    """Rows (..., n, d) added one at a time, in order, from +0.0."""
+    total = np.zeros(batch.shape[:-2] + batch.shape[-1:])
+    for i in range(batch.shape[-2]):
+        total = total + batch[..., i, :]
+    return total
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray, nan_sign: bool = True) -> bool:
+    """Equal bit for bit; with ``nan_sign=False`` a NaN matches any NaN."""
+    if not nan_sign:
+        nan = np.isnan(a)
+        if not np.array_equal(nan, np.isnan(b)):
+            return False
+        a, b = np.where(nan, 0.0, a), np.where(nan, 0.0, b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 15])
+@pytest.mark.parametrize("n1", [1, 2, 1534])
+def test_fo_gradient_adds_the_rows_in_order(k, n1):
+    # the column-loop sum keeps the bits of sum(axis=-2): the row fold for
+    # d >= 2, and the pairwise sum of the one column at d = 1.  With -inf
+    # beside inf, inf - inf makes a NaN of the other sign, and which of two
+    # NaNs an add keeps depends on its operand order, which the two numpy
+    # kernels do not share: there only the NaN positions are pinned.
+    rng = np.random.default_rng(1000 * k + n1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for d, entries in itertools.product((1, 2, 3, 10), ("finite", "inf_nan", "signed_inf")):
+            minus_inf = entries == "signed_inf"
+            batch = rng.standard_normal((k * n1, d)) * 10.0 ** rng.integers(-20, 21, (k * n1, d))
+            specials = rng.random(batch.shape)
+            batch[specials < 0.01] = -0.0
+            if entries != "finite":
+                batch[specials > 0.999] = np.inf
+                batch[(specials > 0.998) & (specials <= 0.999)] = np.nan
+                if minus_inf:
+                    batch[(specials > 0.997) & (specials <= 0.998)] = -np.inf
+            stream = SeedStream(list(range(k))) if k > 1 else SeedStream(0)
+            g = fo_gradient(_batch_problem(batch), np.zeros((k, d)) if k > 1 else np.zeros(d),
+                            n1, stream).g
+            rows = batch.reshape((k, n1, d) if k > 1 else (n1, d))
+            summed = rows.sum(axis=-2) / n1
+            assert _same_bits(g, summed, nan_sign=not minus_inf), (d, k, n1)
+            if d > 1:
+                assert _same_bits(g, _row_fold(rows) / n1, nan_sign=not minus_inf), (d, k, n1)

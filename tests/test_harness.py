@@ -139,6 +139,43 @@ def test_trace_roundtrip(tmp_path):
     assert back.r_certificate is not None
 
 
+_ODD_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+               math.inf, math.nan, np.float64(-0.0), np.float64(2.5), np.float32(0.1), 3)
+
+
+@pytest.mark.parametrize("algorithm", ["psgd", "scrn"])
+def test_trace_lines_are_the_generic_format(tmp_path, algorithm):
+    # write_trace formats a row of exactly typed values with one f-string and
+    # any other row field by field; both give _format_row's bytes
+    from saddlescape.diagnostics import RunTrace, TraceRow
+
+    columns = harness._columns(TraceRow, algorithm)
+    assert columns[:6] == ("t", "f", "grad_norm", "lambda_min", "oracle_calls", "certified")
+    assert columns[6:] == (() if algorithm == "psgd" else ("h_norm", "model_decrease"))
+    trace = RunTrace(seed=0, algorithm=algorithm, config_echo=f"algorithm = {algorithm}")
+    rng = np.random.default_rng(0)
+    ints = (0, 7, 2**70, np.int64(9), np.uint64(11), True)
+    rows = []
+    for t in range(200):
+        typed = t % 2 == 0  # even rows draw only Python floats, ints and bools
+        floats = _ODD_FLOATS[:7] if typed else _ODD_FLOATS
+        f, g, lam, h, dec = (floats[i] for i in rng.integers(len(floats), size=5))
+        calls = ints[rng.integers(3 if typed else len(ints))]
+        certified = (True, False, np.True_)[rng.integers(2 if typed else 3)]
+        optional = (None, h)[rng.integers(2)], (None, dec)[rng.integers(2)]
+        step = t if typed or t % 3 else np.int64(t)
+        rows.append(TraceRow(step, f, g, lam, calls, certified, *optional))
+    rows[0] = TraceRow(0, 1.5, 0.25, -1.0, 3, True)  # every value of its column's type
+    rows[1] = TraceRow(1, 0, 0.25, -1.0, 3, False, 0.5, 0)  # an int in float columns
+    assert all(type(row.f) is float for row in rows[::2])
+    trace.rows = rows
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[-len(rows):] == [harness._format_row(row, columns) for row in rows]
+    assert lines[-len(rows) + 1].startswith("1,0,0.25,-1.0,3,0")
+
+
 def test_read_trace_rejects_malformed_files(tmp_path):
     good = tmp_path / "good.csv"
     write_trace(run_cell(_spec(), 0.2, 0), good)

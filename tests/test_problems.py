@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from saddlescape.errors import ConfigurationError
 from saddlescape.problems import (
+    ProblemMetadata,
     clamp_to_box,
     make_additive_noise_variant,
     make_multiplicative_saddle,
@@ -27,6 +31,52 @@ def test_invalid_construction_rejected():
         make_multiplicative_saddle(d=3, neg_count=3, rho=2.0, quartic_coeff=0.0)
     with pytest.raises(ConfigurationError):
         make_multiplicative_saddle(d=3, neg_count=1, rho=0.5, quartic_coeff=0.0)
+
+
+@pytest.mark.parametrize("field", ["L_G", "L_H", "f_star", "box_radius", "rho_true", "sigma2",
+                                   "noise_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_metadata_floats_must_be_finite(field, value):
+    # NaN passes each comparison of the range checks: with L_H = NaN the
+    # certificate's score kept sqrt(||g||) and certified a strict saddle
+    meta = make_multiplicative_saddle(d=4, neg_count=1, rho=2.0, quartic_coeff=0.0).meta
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got "):
+        dataclasses.replace(meta, **{field: value})
+
+
+@pytest.mark.parametrize("key, value", [("rho", math.nan), ("rho", math.inf),
+                                        ("quartic_coeff", math.nan), ("quartic_coeff", math.inf)])
+def test_saddle_constants_must_be_finite(key, value):
+    kwargs = {"d": 4, "neg_count": 1, "rho": 2.0, "quartic_coeff": 0.01, key: value}
+    with pytest.raises(ConfigurationError, match=f"^{key} must be finite, got {value}$"):
+        make_multiplicative_saddle(**kwargs)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_noise_scale_must_be_finite(sigma):
+    base = make_multiplicative_saddle(d=4, neg_count=1, rho=1.0, quartic_coeff=0.0)
+    with pytest.raises(ConfigurationError, match=f"^sigma must be finite, got {sigma}$"):
+        make_additive_noise_variant(base, sigma)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.01])
+def test_unit_rho_samples_are_copies_of_the_rows(q):
+    # at rho = 1 every multiplier is 1 and the samples are the rows of the
+    # exact oracles, repeated, bit for bit: also at -0.0 and NaN entries
+    p = make_multiplicative_saddle(d=5, neg_count=2, rho=1.0, quartic_coeff=q)
+    pts = np.array([[-0.0, 0.0, -0.0, 1.5, -2.0],
+                    [0.3, -0.0, np.nan, 0.0, -0.0],
+                    [-0.0, -0.0, -0.0, -0.0, -0.0]])
+    seeds = SeedStream(3).seeds(12)
+    with np.errstate(invalid="ignore"):
+        for sample, exact in ((p.sample_value_batch, p.exact_value),
+                              (p.sample_grad_batch, p.exact_grad),
+                              (p.sample_hess_batch, p.exact_hess)):
+            want = np.repeat(exact(pts), 4, axis=0)
+            got = sample(pts, seeds)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), (1.0 * want).view(np.uint64))
 
 
 def test_deterministic_arm_matches_exact(quad_saddle_2d):

@@ -18,6 +18,7 @@ from saddlescape.psgd import (
     ZEROTH_ORDER,
     PsgdConfig,
     ScheduleConstants,
+    _certify_points,
     draw_perturbation,
     psgd_step,
     run_psgd,
@@ -52,6 +53,41 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="nu must be set iff"):
         PsgdConfig(eta=0.1, r=0.0, n1=2, T=1, box_radius=10, epsilon=0.1,
                    mode=FIRST_ORDER, nu=0.1)
+
+
+@pytest.mark.parametrize("field", ["n1", "n2", "T"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_batch_sizes_and_budgets_are_integers(field, value):
+    # a fractional n1 drew ceil(n1) samples a step, charged n1 and wrote a
+    # total_oracle_calls that read_trace could not parse; True ran as 1
+    base = {"n1": 3, "n2": 3, "T": 4}
+    made = [lambda counts: ScrnConfig(M=5.0, box_radius=10.0, epsilon=0.1, **counts)]
+    if field != "n2":
+        made.append(lambda counts: PsgdConfig(eta=0.1, r=0.0, box_radius=10.0, epsilon=0.1,
+                                              **{k: counts[k] for k in ("n1", "T")}))
+    for make in made:
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an integer, got "):
+            make(dict(base, **{field: value}))
+        cfg = make(dict(base, **{field: np.int64(5)}))  # numpy integers are stored as int
+        assert getattr(cfg, field) == 5 and type(getattr(cfg, field)) is int
+
+
+def test_a_non_finite_exact_gradient_fails_only_its_row(sgc_saddle_10d):
+    # certify rejects a NaN gradient, whose score would have been NaN; in the
+    # stacked pass that error is the row's outcome, and the other rows keep
+    # their certificates
+    def exact_grad(x):
+        g = sgc_saddle_10d.exact_grad(x)
+        if np.ndim(x) == 2:
+            g[1, 3] = np.nan
+        return g
+
+    p = dataclasses.replace(sgc_saddle_10d, exact_grad=exact_grad)
+    xs = np.random.default_rng(4).uniform(-1, 1, (3, 10))
+    outcomes = _certify_points(p, xs, [0.1, 0.1, 0.1])
+    assert isinstance(outcomes[1], NumericalError) and "non-finite gradient" in str(outcomes[1])
+    for i in (0, 2):
+        assert outcomes[i] == certify(sgc_saddle_10d, xs[i], 0.1)
 
 
 def test_step_is_exact_gradient_descent_when_unperturbed(quad_saddle_2d):
