@@ -8,7 +8,7 @@ import pytest
 
 from conftest import watched
 from saddlescape import harness
-from saddlescape.diagnostics import sosp_fraction
+from saddlescape.diagnostics import RunTrace, TraceRow, sosp_fraction
 from saddlescape.errors import ConfigurationError, EvaluationError
 from saddlescape.harness import (
     ExperimentSpec,
@@ -147,8 +147,6 @@ _ODD_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.
 def test_trace_lines_are_the_generic_format(tmp_path, algorithm):
     # write_trace formats a row of exactly typed values with one f-string and
     # any other row field by field; both give _format_row's bytes
-    from saddlescape.diagnostics import RunTrace, TraceRow
-
     columns = harness._columns(TraceRow, algorithm)
     assert columns[:6] == ("t", "f", "grad_norm", "lambda_min", "oracle_calls", "certified")
     assert columns[6:] == (() if algorithm == "psgd" else ("h_norm", "model_decrease"))
