@@ -118,6 +118,8 @@ class ExperimentSpec:
         object.__setattr__(self, "seeds", seeds)
         if not (math.isfinite(self.x0_offset) and self.x0_offset >= 0):
             raise ConfigurationError(f"x0_offset must be finite and >= 0, got {self.x0_offset}")
+        for name in ("max_steps", "certify_every"):  # a fractional count fails every cell later
+            object.__setattr__(self, name, _cfg.as_count(getattr(self, name), name))
         if self.max_steps < 1 or self.certify_every < 1:
             raise ConfigurationError("max_steps and certify_every must be >= 1")
         if not 0.0 <= self.burn_in <= 0.9:
@@ -348,7 +350,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))

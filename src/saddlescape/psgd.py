@@ -8,14 +8,15 @@ constants stay valid.
 
 The theta of step t is ``r * standard_normals(s_t, d)``, with ``s_t`` the
 state of the step stream's ``child("theta")``; ``run_psgd`` draws the rows
-of ``_THETA_CHUNK`` steps of all the seeds of a config per call, with the
-same bits as one call a step and seed.
+of ``_THETA_CHUNK`` steps of all the active runs per call, with the same
+bits as one call a step and run.
 
 ``run_steps`` is the one run loop, of PSGD and of cubic Newton: it advances
 the runs of a group in lockstep, each under its own config, and a single
 seed is the group of one.  Both steps, ``psgd_step`` and
-``scrn._estimate_step``, take a group's (k, d) iterates and step streams and
-return ``(x_new, oracle_calls, outcomes)``, one outcome per row.
+``scrn._estimate_step``, take a group's (k, d) iterates, step streams and
+one config per row, and return ``(x_new, oracle_calls, outcomes)``, one
+outcome per row.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -123,44 +124,52 @@ def _fold_steps(run_states: np.ndarray, start: int, stop: int) -> np.ndarray:
     return fold_int_states(run_states, np.arange(start, stop)[:, None])
 
 
-def draw_perturbation(step_states, dim: int, r: float) -> np.ndarray:
+def draw_perturbation(step_states, dim: int, r) -> np.ndarray:
     """(len(step_states), dim) isotropic N(0, r^2 I) perturbations.
 
     Row i belongs to the step whose stream state is ``step_states[i]``: it is
-    ``r`` times the standard normals of that stream's ``child("theta")``, so
-    it does not depend on the other rows drawn with it.
+    ``r`` (or ``r[i]``, for one radius per row) times the standard normals
+    of that stream's ``child("theta")``, so it does not depend on the other
+    rows drawn with it.  A row of radius 0 is +0.0.
     """
     states = np.asarray(step_states, dtype=np.uint64)
-    if r == 0.0:
-        return np.zeros((len(states), dim))
-    theta = standard_normals(fold_label_states(states, "theta"), dim)
-    theta *= r
+    r = np.broadcast_to(np.asarray(r, dtype=np.float64), states.shape)
+    theta = np.zeros((len(states), dim))
+    live = r != 0.0
+    if live.any():
+        normals = standard_normals(fold_label_states(states[live], "theta"), dim)
+        normals *= r[live, None]
+        theta[live] = normals
     return theta
 
 
-def _perturbations(step_states: np.ndarray, dim: int, r: float, T: int) -> Callable:
-    """``theta(t, rows)``: the (len(rows), dim) theta of step t for the runs
-    ``rows`` (ascending) of a group whose ``child("step")`` states are
-    ``step_states``.
+def _config_rows(cfg, k: int) -> tuple:
+    """The configs of k rows, for ``cfg`` one config of all rows or a
+    sequence of one per row, and the rows of each distinct config:
+    ``(configs, [(config, rows), ...])``, rows an index array, or a slice of
+    all rows when they share one config."""
+    if not isinstance(cfg, Sequence):
+        return [cfg] * k, [(cfg, slice(None))]
+    cfgs = list(cfg)
+    if len(cfgs) != k:
+        raise ConfigurationError(f"need one config per row, got {len(cfgs)} for {k} rows")
+    rows: dict = {}
+    for j, c in enumerate(cfgs):
+        rows.setdefault(c, []).append(j)
+    if len(rows) == 1:
+        return cfgs, [(cfgs[0], slice(None))]
+    return cfgs, [(c, np.array(js)) for c, js in rows.items()]
 
-    One call of the module-level ``draw_perturbation``, which the
-    benchmark's tracer patches to time the draws, covers ``_THETA_CHUNK``
-    steps of the runs that are active at the chunk's first step; a run
-    that leaves later in the chunk leaves its rows unread.
-    """
-    chunk = [0, 0, None, None]  # first step, end, runs drawn, (steps, runs, dim) theta
 
-    def theta(t: int, rows: np.ndarray) -> np.ndarray:
-        start, stop, drawn, draws = chunk
-        if t >= stop:
-            start, stop, drawn = t, min(t + _THETA_CHUNK, T + 1), rows
-            states = _fold_steps(step_states[rows], start, stop)
-            draws = draw_perturbation(states.reshape(-1), dim, r).reshape(
-                stop - start, len(rows), dim)
-            chunk[:] = start, stop, drawn, draws
-        return draws[t - start, np.searchsorted(drawn, rows)]
+def _sub_block(stream: SeedStream, rows) -> SeedStream:
+    """The streams of ``rows`` of the block ``stream``."""
+    return stream if isinstance(rows, slice) else SeedStream.block(stream.state[rows])
 
-    return theta
+
+def _step_calls(cfg, calls: np.ndarray):
+    """A step's oracle calls: of one run's step for one config ``cfg``, and
+    the list of each row's for a sequence of configs."""
+    return calls.tolist() if isinstance(cfg, Sequence) else int(calls[0])
 
 
 def _check_rows(x_new: np.ndarray, message: str, outcomes: list) -> list:
@@ -177,38 +186,49 @@ def _check_rows(x_new: np.ndarray, message: str, outcomes: list) -> list:
 def psgd_step(
     p: StochasticProblem,
     x: np.ndarray,
-    cfg: PsgdConfig,
+    cfg,
     stream: SeedStream,
     theta: Optional[np.ndarray] = None,
 ):
     """One perturbed gradient step of k runs; returns (x_new, oracle_calls, outcomes).
 
     ``x`` is the (k, d) iterates of the runs and ``stream`` the block of
-    their step streams; a single run is a group of one.  The calls are
-    those of one run's step, and every row is the one its run alone gives.
-    ``theta`` is the step's (k, d) perturbation when the caller has drawn
-    it; by default the step draws it from the block's states, the same
-    rows.  ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
-    non-finite update (see ``run_steps``).
+    their step streams; a single run is a group of one.  ``cfg`` is one
+    config of all k runs, or a sequence of k configs, one per run: the
+    gradient estimator makes one oracle call per distinct config, and the
+    perturbation, update, clamp and finite check run once for all rows.
+    ``oracle_calls`` is the calls of one run's step for one config, or the
+    list of each row's for a sequence, and every row is the one its run
+    alone gives.  ``theta`` is the step's (k, d) perturbation when the
+    caller has drawn it; by default the step draws it from the block's
+    states, the same rows.  ``outcomes[j]`` is None, or the
+    ``NumericalError`` of row j's non-finite update (see ``run_steps``).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigurationError(f"psgd_step takes the (k, d) iterates of a group, got {x.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
-    if cfg.mode == ZEROTH_ORDER:
-        est = zo_gradient(p, x, cfg.nu, cfg.n1, stream)
-    else:
-        est = fo_gradient(p, x, cfg.n1, stream)
+    cfgs, groups = _config_rows(cfg, len(x))
+    g = np.empty_like(x)
+    calls = np.empty(len(x), dtype=np.int64)
+    for c, rows in groups:
+        sub = _sub_block(stream, rows)
+        if c.mode == ZEROTH_ORDER:
+            est = zo_gradient(p, x[rows], c.nu, c.n1, sub)
+        else:
+            est = fo_gradient(p, x[rows], c.n1, sub)
+        g[rows], calls[rows] = est.g, est.oracle_calls
     if theta is None:
-        theta = draw_perturbation(stream.state, p.meta.dim, cfg.r)
-    x_new = x - cfg.eta * (est.g + theta)
-    for row in x_new:  # one clamp per run: the benchmark's tracer counts them
-        clamped = clamp_to_box(row, cfg.box_radius)
+        theta = draw_perturbation(stream.state, p.meta.dim, [c.r for c in cfgs])
+    eta = cfgs[0].eta if len(groups) == 1 else np.array([[c.eta] for c in cfgs])
+    x_new = x - eta * (g + theta)
+    for row, c in zip(x_new, cfgs):  # one clamp per run: the benchmark's tracer counts them
+        clamped = clamp_to_box(row, c.box_radius)
         if clamped is not row:
             row[...] = clamped
-    return x_new, est.oracle_calls, _check_rows(x_new, "update produced non-finite entries",
-                                                [None] * len(x_new))
+    return x_new, _step_calls(cfg, calls), _check_rows(
+        x_new, "update produced non-finite entries", [None] * len(x_new))
 
 
 def _per_seed(run: Callable, x0, cfg, seed):
@@ -249,12 +269,16 @@ def run_psgd(
     seed (see ``_per_seed``).
     """
     def run(x0s, cfgs, seeds):
-        step_states = SeedStream(seeds, cfgs[0].algorithm, "step").state
-        thetas = {c: _perturbations(step_states, p.meta.dim, c.r, c.T) for c in cfgs}
-        return run_steps(p, x0s, cfgs,
-                         lambda c, t, rows, x, stream: psgd_step(p, x, c, stream,
-                                                                 thetas[c](t, rows)),
-                         seeds, certify_every=certify_every,
+        drawn = [None, None]  # a block's step-stream states and their (steps, k, d) theta
+
+        def step(block_cfgs, x, states, i):
+            if drawn[0] is not states:  # one draw per block of steps, for all its runs
+                r = np.tile([c.r for c in block_cfgs], len(states))
+                drawn[:] = states, draw_perturbation(states.reshape(-1), p.meta.dim, r).reshape(
+                    states.shape + (p.meta.dim,))
+            return psgd_step(p, x, block_cfgs, SeedStream.block(states[i]), drawn[1][i])
+
+        return run_steps(p, x0s, cfgs, step, seeds, certify_every=certify_every,
                          stop_after_certified=stop_after_certified)
 
     return _per_seed(run, x0, cfg, seed)
@@ -311,17 +335,19 @@ def run_steps(
 
     Run i starts at ``x0s[i]`` with config ``cfgs[i]`` and the run stream of
     ``seeds[i]``; the configs are of one class, so the runs share one
-    algorithm.  At t = 1, 2, ... the loop calls ``step(cfg, t, rows, x,
-    stream)`` once for each distinct config ``cfg`` among the runs that are
-    still active, for its runs ``rows`` (an ascending index array): ``x`` is
-    their (k, d) iterates and ``stream`` the block of their step streams
-    ``child("step", t)``, whose states are folded ``_THETA_CHUNK`` steps at
-    a time, and again when the config's active runs change.  The step does
-    the sampling, the estimators and the update once for all k runs and
-    returns ``(x_new, oracle_calls, outcomes)``, with the calls of one run's
-    step and one outcome per row: None, the row's ``CubicSolution``, whose
-    radius and model decrease its trace rows record, or the
-    ``NumericalError`` that ends its run.
+    algorithm.  At t = 1, 2, ... the loop calls ``step(step_cfgs, x, states,
+    i)`` once for all the runs that are still active, whatever their
+    configs: ``step_cfgs`` is their configs, one per row, ``x`` their (k, d)
+    iterates, and ``states`` the (n, k) states of their step streams
+    ``child("step", t)`` for the n steps of a block, of which step t is row
+    ``i``.  The loop folds a block once per ``_THETA_CHUNK`` steps and again
+    when the active set shrinks; ``states`` is one array for the whole
+    block, so a step can draw per block what its rows need.  The step does
+    the sampling, the estimators and the update for all k runs, with one
+    oracle call per estimator and distinct config, and returns ``(x_new,
+    oracle_calls, outcomes)``, with each row's calls and one outcome per
+    row: None, the row's ``CubicSolution``, whose radius and model decrease
+    its trace rows record, or the ``NumericalError`` that ends its run.
 
     Rows are certified on exact oracles, never charged to the budget, at
     t = 0, every ``certify_every`` steps and at the run's own T, against the
@@ -347,11 +373,9 @@ def run_steps(
     if certify_every < 1:
         raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
     x = np.stack([as_point(x0, p.meta.dim) for x0 in x0s])
-    distinct = list(dict.fromkeys(cfgs))  # one step call per distinct config and step
-    kind = [distinct.index(cfg) for cfg in cfgs]
-    echoes = [_config_echo(cfg) for cfg in distinct]
-    traces = [RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=echoes[k])
-              for seed, cfg, k in zip(seeds, cfgs, kind)]
+    echoes = {cfg: _config_echo(cfg) for cfg in cfgs}
+    traces = [RunTrace(seed=seed, algorithm=cfg.algorithm, config_echo=echoes[cfg])
+              for seed, cfg in zip(seeds, cfgs)]
     outcomes: list = list(traces)
     calls = [0] * len(traces)
     ends = [cfg.T for cfg in cfgs]
@@ -389,35 +413,27 @@ def run_steps(
 
     left = record(list(range(len(traces))), 0, {})
     active = [i for i in range(len(traces)) if i not in left and ends[i] > 0]
-    # config index -> (its active runs, their rows, the first step of the
-    # chunk and the chunk's step-stream states, one row a step)
-    blocks: dict = {}
+    block = None  # (its runs, their rows and configs, its first step, its step-stream states)
     for t in range(1, max(ends) + 1):
         if not active:
             break
-        stepped: dict = {}  # run -> the outcome of its step t, in step order
-        for k, cfg in enumerate(distinct):
-            runs = [i for i in active if kind[i] == k]
-            if not runs:
+        # the active set only shrinks: fold again when it does
+        if block is None or block[0] != active or t >= block[3] + len(block[4]):
+            rows = np.array(active)
+            block = active, rows, [cfgs[i] for i in active], t, _fold_steps(
+                step_states[rows], t, min(t + _THETA_CHUNK, max(ends[i] for i in active) + 1))
+        _, rows, step_cfgs, start, states = block
+        x_new, step_calls, step_outcomes = step(step_cfgs, x[rows], states, t - start)
+        x[rows] = x_new
+        stepped: dict = {}  # run -> the outcome of its step t
+        for i, run_calls, outcome in zip(active, step_calls, step_outcomes):
+            if isinstance(outcome, NumericalError):
+                fail(i, t, outcome, calls[i] + run_calls)
                 continue
-            block = blocks.get(k)
-            # a config's active set only shrinks: fold again when it does
-            if block is None or block[0] != runs or t >= block[2] + len(block[3]):
-                rows = np.array(runs)
-                block = blocks[k] = runs, rows, t, _fold_steps(
-                    step_states[rows], t, min(t + _THETA_CHUNK, cfg.T + 1))
-            _, rows, start, states = block
-            x_new, step_calls, step_outcomes = step(cfg, t, rows, x[rows],
-                                                    SeedStream.block(states[t - start]))
-            x[rows] = x_new
-            for i, outcome in zip(runs, step_outcomes):
-                if isinstance(outcome, NumericalError):
-                    fail(i, t, outcome, calls[i] + step_calls)
-                    continue
-                calls[i] += step_calls
-                if r_indices is not None and t == r_indices[i]:
-                    at_r[i] = (x[i].copy(), calls[i])
-                stepped[i] = outcome
+            calls[i] += run_calls
+            if r_indices is not None and t == r_indices[i]:
+                at_r[i] = (x[i].copy(), calls[i])
+            stepped[i] = outcome
         due = list(stepped) if t % certify_every == 0 else [i for i in stepped if ends[i] == t]
         left = record(due, t, stepped)
         active = [i for i in stepped if i not in left and ends[i] > t]

@@ -31,11 +31,16 @@ trade at desk scale: the eigendecomposition is cheap for the dimensions we
 run, and exactness is what makes the optimality conditions testable
 invariants.  Every solve validates all three conditions before returning.
 
-At d = 10 a model check plus solve costs about 80 microseconds (one BLAS
-thread, 2-vCPU Linux host), and ``np.linalg.eigh`` is about 13 of them:
-the rest is some thirty numpy calls on short arrays, each with a fixed
-cost.  So the solve computes each quantity once and reuses it: ``g @ g``
-gives ``||g||`` and screens g's finiteness; the minimum eigenspace is counted as a prefix of the ascending spectrum; the
+At d = 10 a model check plus a solve that decomposes H itself costs about
+60 microseconds (one BLAS thread, 2-vCPU Linux host), of which
+``np.linalg.eigh`` and ``Q'g`` take about 12.  ``_estimate_step``
+decomposes all the rows of a step with one stacked ``eigh`` and one
+``matmul``, about 7 microseconds a row for the 6 rows of a ``scrn_ho``
+step, and hands each row's solve its eigenpairs: about 49 microseconds a
+row in all.  The rest of a solve is some thirty numpy calls on short
+arrays, each with a fixed cost.  So the solve computes each quantity once
+and reuses it: ``g @ g`` gives ``||g||`` and screens g's finiteness; the
+minimum eigenspace is counted as a prefix of the ascending spectrum; the
 Newton loop tests for a pole on ``a[0] + t`` alone; and the radius,
 ``||g||``, ``w_min`` and ``||H||_2`` serve both the model decrease and the
 checks.  Every value that reaches a ``CubicSolution`` is computed by numpy
@@ -48,7 +53,7 @@ zero, an ``eigh`` that fails, or a Brent bracket lost to overflow is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -59,7 +64,8 @@ from .diagnostics import certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
-from .psgd import _check_rows, _per_seed, _require_rho, run_steps
+from .psgd import (_check_rows, _config_rows, _per_seed, _require_rho, _step_calls,
+                   _sub_block, run_steps)
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -83,6 +89,10 @@ class CubicModel:
     g: np.ndarray
     H: np.ndarray
     M: float
+    # (w, Q, Q'g) of H = Q diag(w) Q' when the caller has decomposed H, as
+    # _estimate_step does for all its rows at once (_decomposed_model); the
+    # solve decomposes H itself when it is None
+    _eigen: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.float64)
@@ -232,7 +242,9 @@ def solve_cubic(model: CubicModel) -> CubicSolution:
     root find on the bracket, to a relative tolerance of 4 machine epsilons.
     The hard case is detected from the gradient's component on the minimum
     eigenspace and resolved by adding a null-direction component of the
-    prescribed norm, with a deterministic sign convention.
+    prescribed norm, with a deterministic sign convention.  A model that
+    carries the eigenpairs its caller computed (``_estimate_step``, which
+    also screened it finite) is not decomposed again.
 
     Raises ``NumericalError`` for non-finite model entries, for a solve
     that leaves the float range or whose ``eigh`` fails, or if the
@@ -240,26 +252,43 @@ def solve_cubic(model: CubicModel) -> CubicSolution:
     """
     g, H, M = model.g, model.H, model.M
     gg = g @ g
+    if model._eigen is not None:  # the caller screened the model finite before decomposing it
+        w, Q, b = model._eigen
     # a finite sum of squares has finite terms: g's own check runs only when it is not
-    if not ((math.isfinite(gg) or np.isfinite(g).all()) and np.isfinite(H).all()):
+    elif not ((math.isfinite(gg) or np.isfinite(g).all()) and np.isfinite(H).all()):
         raise NumericalError("cubic model has non-finite entries")
+    else:
+        w, Q, b = _decompose(g, H, M)
     try:
-        return _solve(g, H, M, math.sqrt(gg))
+        return _solve(g, H, M, math.sqrt(gg), w, Q, b)
     except (OverflowError, ZeroDivisionError) as err:
         # a Python float operation left the float range: only this model's solve fails
         raise _solve_failed(M, err) from None
 
 
-def _solve(g: np.ndarray, H: np.ndarray, M: float, g_norm: float) -> CubicSolution:
-    """``solve_cubic`` of a finite model with ``||g|| = g_norm``."""
+def _decompose(g: np.ndarray, H: np.ndarray, M: float) -> tuple:
+    """``(w, Q, Q'g)`` of ``H = Q diag(w) Q'``; a failed ``eigh`` is this solve's error."""
     try:
         w, Q = np.linalg.eigh(H)
     except np.linalg.LinAlgError as err:
         raise _solve_failed(M, err) from None
+    return w, Q, Q.T @ g
+
+
+def _decomposed_model(g: np.ndarray, H: np.ndarray, M: float, eigen: tuple) -> CubicModel:
+    """The model (g, H, M), carrying the caller's ``(w, Q, Q'g)`` of H."""
+    model = CubicModel(g=g, H=H, M=M)
+    object.__setattr__(model, "_eigen", eigen)
+    return model
+
+
+def _solve(g: np.ndarray, H: np.ndarray, M: float, g_norm: float,
+           w: np.ndarray, Q: np.ndarray, b: np.ndarray) -> CubicSolution:
+    """``solve_cubic`` of a finite model with ``||g|| = g_norm`` and
+    ``(w, Q, b = Q'g)`` the eigendecomposition of H."""
     spectrum = w.tolist()
     if not (math.isfinite(sum(spectrum)) or np.isfinite(w).all()):
         raise NumericalError("eigendecomposition produced non-finite eigenvalues")
-    b = Q.T @ g
     w_min = spectrum[0]
     H_norm = max(-w_min, spectrum[-1])  # ||H||_2 from the ends of the ascending spectrum
     eig_scale = max(1.0, H_norm)
@@ -394,34 +423,59 @@ class ScrnConfig:
         return 2 * self.n1 + 3 * self.n2 if self.mode == ZEROTH_ORDER else self.n1 + self.n2
 
 
-def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg: ScrnConfig, stream: SeedStream):
+def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream):
     """One cubic-Newton step of k runs; returns (x_new, oracle calls, outcomes).
 
-    As in ``psgd_step``, ``x`` is the (k, d) iterates of the runs and
-    ``stream`` the block of their step streams, whose estimates come from
-    one oracle call per estimator.  ``outcomes[j]`` is row j's
-    ``CubicSolution``, or the ``NumericalError`` its cubic solve raised or
-    its non-finite step gave.  The cubic solve and the clamp stay one call
-    per run.
+    As in ``psgd_step``, ``x`` is the (k, d) iterates of the runs, ``stream``
+    the block of their step streams and ``cfg`` one config of all runs or
+    one per run; each estimator makes one oracle call per distinct config.
+    The models of all rows are screened for finite entries in one pass, and
+    the finite ones decomposed by one stacked ``eigh``, with every ``Q'g``
+    from one ``matmul``: both give the bits of the one-row calls.  Each row
+    then gets its own ``solve_cubic`` call with its eigenpairs, and its own
+    clamp.  If the stacked ``eigh`` fails, each solve decomposes its own
+    model, so the failure ends only its row's run.  ``outcomes[j]`` is row
+    j's ``CubicSolution``, or the ``NumericalError`` its cubic solve raised
+    or its non-finite step gave.
     """
     x = np.asarray(x, dtype=np.float64)
-    if cfg.mode == ZEROTH_ORDER:
-        grad = zo_gradient(p, x, cfg.nu, cfg.n1, stream)
-        hess = zo_hessian(p, x, cfg.nu, cfg.n2, stream)
-    else:
-        grad = fo_gradient(p, x, cfg.n1, stream)
-        hess = so_hessian(p, x, cfg.n2, stream)
+    cfgs, groups = _config_rows(cfg, len(x))
+    g = np.empty_like(x)
+    H = np.empty(x.shape + x.shape[-1:])
+    calls = np.empty(len(x), dtype=np.int64)
+    for c, rows in groups:
+        xs, sub = x[rows], _sub_block(stream, rows)
+        if c.mode == ZEROTH_ORDER:
+            grad = zo_gradient(p, xs, c.nu, c.n1, sub)
+            hess = zo_hessian(p, xs, c.nu, c.n2, sub)
+        else:
+            grad = fo_gradient(p, xs, c.n1, sub)
+            hess = so_hessian(p, xs, c.n2, sub)
+        g[rows], H[rows], calls[rows] = grad.g, hess.H, grad.oracle_calls + hess.oracle_calls
+    finite = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+    eigen = [None] * len(x)
+    if finite.any():
+        try:
+            w, Q = np.linalg.eigh(H[finite])
+        except np.linalg.LinAlgError:
+            pass  # each solve decomposes its own model
+        else:
+            b = (g[finite, None, :] @ Q)[:, 0]
+            for j, wj, Qj, bj in zip(np.flatnonzero(finite).tolist(), w, Q, b):
+                eigen[j] = wj, Qj, bj
     x_new = np.empty_like(x)
     outcomes = []
-    for j, (g, H) in enumerate(zip(grad.g, hess.H)):
+    for j, (c, e) in enumerate(zip(cfgs, eigen)):
+        model = (CubicModel(g=g[j], H=H[j], M=c.M) if e is None
+                 else _decomposed_model(g[j], H[j], c.M, e))
         try:
-            sol = solve_cubic(CubicModel(g=g, H=H, M=cfg.M))
+            sol = solve_cubic(model)
         except NumericalError as err:
             sol, x_new[j] = err, np.nan
         else:
-            x_new[j] = clamp_to_box(x[j] + sol.h_star, cfg.box_radius)
+            x_new[j] = clamp_to_box(x[j] + sol.h_star, c.box_radius)
         outcomes.append(sol)
-    return x_new, grad.oracle_calls + hess.oracle_calls, _check_rows(
+    return x_new, _step_calls(cfg, calls), _check_rows(
         x_new, "cubic step produced non-finite entries", outcomes)
 
 
@@ -449,7 +503,8 @@ def run_scrn(
         r_indices = [int(r.rng().integers(1, c.T + 1)) for r, c in zip(r_streams, cfgs)]
         return run_steps(
             p, x1s, cfgs,
-            lambda c, t, rows, x, stream: _estimate_step(p, x, c, stream),
+            lambda step_cfgs, x, states, i: _estimate_step(p, x, step_cfgs,
+                                                           SeedStream.block(states[i])),
             seeds, certify_every=certify_every, r_indices=r_indices,
         )
 

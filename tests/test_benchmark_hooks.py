@@ -124,8 +124,13 @@ def test_tracer_sees_an_arm_stepped_and_certified_together(monkeypatch, tmp_path
             eps = trace.echo("epsilon")
             last_step[eps] = max(last_step.get(eps, 0), trace.rows[-1].t)
             checkpoints_by_eps.setdefault(eps, set()).update(row.t for row in trace.rows)
-        # one step call per step and config, for the runs of that config
-        assert tracer.calls[step_span] == sum(last_step.values())
+        # one step call per step of the arm, for all its active runs
+        assert tracer.calls[step_span] == max(last_step.values())
+        # and one clamp, and one cubic solve, per run and step
+        run_steps = sum(trace.rows[-1].t for trace in traces)
+        algorithm = step_span.split(".")[0]
+        assert tracer.calls[f"{algorithm}.clamp_to_box"] == run_steps
+        assert tracer.calls["scrn.solve_cubic"] == (run_steps if algorithm == "scrn" else 0)
         # one stacked exact-Hessian pass and min_eigenvalue call per distinct
         # checkpoint step of the arm, and one for the random iterates
         checkpoints = len(set().union(*checkpoints_by_eps.values())) + r_certificates

@@ -94,6 +94,18 @@ def test_spec_validation():
         _spec(problem=small_gap, delta=0.9)
 
 
+def test_step_counts_are_integers():
+    # a fractional max_steps failed every cell with "T must be an integer"; a
+    # fractional certify_every certified at t = 0, 3, 6, ... for 1.5
+    for key, value in (("max_steps", 2.5), ("max_steps", True), ("max_steps", "100"),
+                       ("certify_every", 1.5), ("certify_every", False)):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer, got {value!r}$"):
+            _spec(**{key: value})
+    spec = _spec(max_steps=np.int64(300), certify_every=np.int32(3))
+    assert (spec.max_steps, spec.certify_every) == (300, 3)
+    assert type(spec.max_steps) is int and type(spec.certify_every) is int
+
+
 def test_spec_needs_growth_constant_for_its_schedule():
     # phase retrieval, and any additive-noise variant, has rho_true = None
     for problem in (dict(family="phase_retrieval", dim=4, m=20), dict(PROBLEM, sigma=0.5)):
@@ -315,6 +327,22 @@ def test_summary_roundtrip(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary(rows, path)
     assert read_summary(path) == rows
+
+
+@pytest.mark.parametrize("flag", [np.True_, np.False_])
+def test_numpy_bools_round_trip(tmp_path, flag):
+    # a numpy bool was written as 1.0, which read_trace rejected
+    trace = RunTrace(seed=0, algorithm="psgd", config_echo="algorithm = psgd")
+    trace.append(TraceRow(0, 0.5, 0.25, -1.0, 0, flag))
+    trace.total_oracle_calls = 0
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    assert path.read_text().splitlines()[-1].endswith(",1" if flag else ",0")
+    assert read_trace(path).rows == [TraceRow(0, 0.5, 0.25, -1.0, 0, bool(flag))]
+    rows = [SummaryRow(0.2, "psgd", "first_order", flag, 1500, 0.8125, 1.0)]
+    write_summary(rows, tmp_path / "summary.csv")
+    (back,) = read_summary(tmp_path / "summary.csv")
+    assert back.sgc_arm is bool(flag) and back == rows[0]
 
 
 def test_summary_audit_against_traces(tmp_path):

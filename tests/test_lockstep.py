@@ -225,3 +225,82 @@ def test_failed_row_of_a_step_leaves_the_other_rows_alone(step, fault, message):
         assert np.isfinite(own_x).all()
         assert np.array_equal(x_new[j], own_x[0]) and calls == own_calls
         assert _same_outcome(outcomes[j], own)
+
+
+def _large_sampled_hessians_beyond(p, limit):
+    """``p`` whose sampled Hessians are 1e6 times larger at points with x[0] > limit."""
+    def hess_batch(points, seeds):
+        hess = p.sample_hess_batch(points, seeds)
+        pts = np.atleast_2d(points)
+        hess[np.repeat(pts[:, 0] > limit, len(seeds) // len(pts))] *= 1e6
+        return hess
+
+    return dataclasses.replace(p, sample_hess_batch=hess_batch)
+
+
+# the rows of one step under two configs: rows 0 and 2 under the first, 1 and 3 under the second
+TWO_CONFIGS = {
+    "psgd": [PsgdConfig(eta=0.02, r=0.3, n1=4, T=10, box_radius=10.0, epsilon=0.1),
+             PsgdConfig(eta=0.01, r=0.0, n1=2, T=20, box_radius=1.2, epsilon=0.05)],
+    "scrn": [ScrnConfig(M=5.0, n1=3, n2=3, T=10, box_radius=10.0, epsilon=0.1),
+             ScrnConfig(M=7.0, n1=2, n2=5, T=20, box_radius=1.2, epsilon=0.05)],
+}
+
+
+@pytest.mark.parametrize("algorithm, fault, message", [
+    ("psgd", _nan_gradients_beyond, "update produced non-finite entries"),
+    ("scrn", _nan_sampled_hessians_beyond, "cubic model has non-finite entries"),
+    ("scrn", _large_sampled_hessians_beyond, r"cubic solve failed (M = 7.0): no convergence"),
+], ids=["psgd_sampled_gradients", "scrn_sampled_hessians", "scrn_failed_eigh"])
+def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch, algorithm,
+                                                                      fault, message):
+    """A step over rows of two configs makes one oracle call per estimator and
+    config, and a fault fails only its own row: every other row is the one
+    its config gives the row alone, bit for bit."""
+    eigh = np.linalg.eigh
+
+    def failing_eigh(H):
+        # LAPACK gives up on any stack that holds one of the large Hessians
+        if np.abs(H).max() > 1e5:
+            raise np.linalg.LinAlgError("no convergence")
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    p = fault(problem_from_config(dict(SADDLE)), 0.5)
+    oracle_calls = []  # (oracle, points) of each sampled-oracle call
+
+    def counted(name):
+        oracle = getattr(p, name)
+
+        def batch(points, seeds):
+            oracle_calls.append((name, len(np.atleast_2d(points))))
+            return oracle(points, seeds)
+        return batch
+
+    p = dataclasses.replace(p, **{name: counted(name)
+                                  for name in ("sample_grad_batch", "sample_hess_batch")})
+    step = psgd_step if algorithm == "psgd" else _estimate_step
+    first, second = TWO_CONFIGS[algorithm]
+    cfgs = [first, second, first, second]
+    x = np.full((4, 10), 0.1)
+    x[1, 0] = 0.9
+    x[2] *= -2.0
+    x[3, 1] = 0.3
+    streams = SeedStream.block([SeedStream(seed, algorithm).child("step", 4).state
+                                for seed in range(4)])
+    x_new, calls, outcomes = step(p, x, cfgs, streams)
+    # one call per estimator and config, each for that config's two rows
+    oracles = ["sample_grad_batch"] if algorithm == "psgd" else ["sample_grad_batch",
+                                                                 "sample_hess_batch"]
+    assert sorted(oracle_calls) == sorted((name, 2) for name in oracles * 2)
+    assert calls == [cfg.calls_per_step for cfg in cfgs]
+    assert len(outcomes) == 4
+    assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
+    for j in (0, 2, 3):
+        own_x, own_calls, (own,) = step(p, x[j:j + 1], cfgs[j],
+                                        SeedStream.block([streams.state[j]]))
+        assert np.isfinite(own_x).all()
+        assert np.array_equal(x_new[j], own_x[0]) and calls[j] == own_calls
+        assert _same_outcome(outcomes[j], own)
+        if algorithm == "psgd" and cfgs[j].r == 0.0:
+            assert np.array_equal(np.signbit(x_new[j]), np.signbit(own_x[0]))

@@ -269,6 +269,16 @@ def test_theta_of_a_step_is_its_own_counter_draw():
     assert np.array_equal(draw_perturbation([stream.state], 10, 0.0), np.zeros((1, 10)))
 
 
+def test_theta_rows_take_their_own_radius():
+    states = [SeedStream(4, "psgd").child("step", t).state for t in (1, 2, 3)]
+    radii = (0.3, 0.0, 2.0)
+    rows = draw_perturbation(states, 10, radii)
+    for state, r, row in zip(states, radii, rows):
+        assert np.array_equal(row, draw_perturbation([state], 10, r)[0])
+    assert not rows[1].any() and not np.signbit(rows[1]).any()  # +0.0, not -0.0
+    assert np.array_equal(draw_perturbation(states, 10, [0.0] * 3), np.zeros((3, 10)))
+
+
 def test_chunked_run_matches_stepwise_steps(sgc_saddle_10d):
     # T spans three theta chunks, the last one partial
     cfg = _fo_config(eta=0.02, r=0.3, n1=4, T=2 * _THETA_CHUNK + 21)

@@ -22,6 +22,15 @@ won (ties count for neither) and the median change in percent, followed by
 every raw run.  Its ``change`` and ``notes`` fields, and the
 claim's ``target``, are left empty to be written by hand.
 
+Each benchmark run also records how busy the host was around it: the
+aggregate CPU line of ``/proc/stat`` is read before and after the run, and
+the run's ``contention`` holds the share of CPU time stolen by the
+hypervisor (``steal_share``) and the share spent busy outside the run's own
+process tree (``others_busy_share``: the host's busy time less the run's
+``RUSAGE_CHILDREN`` CPU time), both None where ``/proc/stat`` is missing.
+The summary's ``host_contention`` reports the largest of each.  The tool
+only reads these counters; it changes no setting of the host.
+
 ``--claim WORKLOAD.METRIC`` adds a ``claimed`` entry, which says whether the
 change won at least nine pairs in ten and whether its median gap exceeds the
 parent's quartile distance.  ``--holdout-seed`` then reruns the benchmark
@@ -38,6 +47,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,6 +65,7 @@ BENCH_TIMEOUT_S = 1200.0  # four workloads, each cut by run.py at 170 s
 TIER1_TIMEOUT_S = 1800.0
 SWEEP_TIMEOUT_S = 600.0
 SWEEP_REPEATS = 3  # timed sweeps per spec and run, after one untimed warm-up
+PROC_STAT = Path("/proc/stat")
 
 # The acceptance sweeps of tests/test_acceptance.py::sweep, run in the
 # checkout: problems, grid and tuned c come from that module, and the other
@@ -106,16 +117,53 @@ def _bench_command(seed: int) -> list:
             "--seconds", str(SECONDS), "--trace", "0"]
 
 
+def cpu_ticks():
+    """The host's CPU time in clock ticks from the aggregate line of
+    ``/proc/stat``: user, nice, system, idle, iowait, irq, softirq and
+    steal; None where the file is missing or reads otherwise."""
+    try:
+        with PROC_STAT.open(encoding="ascii") as fh:
+            fields = fh.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    return [int(v) for v in fields[1:9]]
+
+
+def children_cpu_s() -> float:
+    """User plus system CPU seconds of this process's waited-for descendants."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def contention(before, after, own_cpu_s: float) -> dict:
+    """The steal share and the busy share outside the run's own process
+    tree, between two ``cpu_ticks`` readings, the run's tree having used
+    ``own_cpu_s`` CPU seconds; None for both without two readings."""
+    deltas = None if before is None or after is None else [a - b for a, b in zip(after, before)]
+    if not deltas or sum(deltas) <= 0:
+        return {"steal_share": None, "others_busy_share": None}
+    user, nice, system, _idle, _iowait, irq, softirq, steal = deltas
+    total, ticks_per_s = sum(deltas), os.sysconf("SC_CLK_TCK")
+    others = max(0.0, (user + nice + system + irq + softirq) / ticks_per_s - own_cpu_s)
+    return {"steal_share": round(steal / total, 4),
+            "others_busy_share": round(others / (total / ticks_per_s), 4)}
+
+
 def run_bench(side: Path, seed: int) -> tuple:
-    """The JSON result object that ``perfbench/run.py`` prints last, and its
-    first workload's ``info`` line (library versions)."""
+    """The JSON result object that ``perfbench/run.py`` prints last, with
+    the host's ``contention`` around the run added, and its first
+    workload's ``info`` line (library versions)."""
+    ticks, own = cpu_ticks(), children_cpu_s()
     proc = subprocess.run([sys.executable, *_bench_command(seed)], cwd=side,
                           capture_output=True, text=True, timeout=BENCH_TIMEOUT_S)
+    load = contention(ticks, cpu_ticks(), children_cpu_s() - own)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise PairError(f"benchmark in {side} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     info = [json.loads(line[5:]) for line in lines if line.startswith("info ")]
-    return json.loads(lines[-1]), (info[0] if info else {})
+    return dict(json.loads(lines[-1]), contention=load), (info[0] if info else {})
 
 
 def run_tier1(side: Path) -> dict:
@@ -183,6 +231,17 @@ def run_pairs(dirs: dict, n_pairs: int, seed: int, tier1: bool) -> tuple:
     return pairs, tier1_pairs, sweep_pairs, info
 
 
+def largest_contention(pairs: list) -> dict:
+    """The largest steal and outside-busy shares over the benchmark runs of
+    ``pairs``, each None if no run has it."""
+    runs = [p[side]["contention"] for p in pairs for side in ("parent", "change")]
+    out = {}
+    for key in ("steal_share", "others_busy_share"):
+        values = [run[key] for run in runs if run[key] is not None]
+        out[f"max_{key}"] = max(values) if values else None
+    return out
+
+
 def _values(pairs: list, key: str) -> dict:
     return {side: [p[side]["metrics"][key]["value"] for p in pairs] for side in ("parent", "change")}
 
@@ -201,6 +260,7 @@ def summarize(pairs: list, tier1_pairs: list, sweep_pairs: list, directions: dic
                             [p["change"][name][key] for p in sweep_pairs], "lower")
                for key in SWEEP_METRICS}
         for name in sweep_pairs[0]["parent"]}
+    summary["host_contention"] = largest_contention(pairs)
     return summary
 
 
@@ -228,6 +288,7 @@ def holdout_entry(pairs: list, claim: str, seed: int, better: str) -> dict:
                 "alternating pairs, parent first in odd pairs"),
         **{k: stats[k] for k in ("parent_median", "change_median", "median_change_pct",
                                  "change_better_pairs")},
+        "host_contention": largest_contention(pairs),
         "pairs": [{"pair": p["pair"], "first": p["first"],
                    **{side: round(values[side][i], 6) for side in ("parent", "change")}}
                   for i, p in enumerate(pairs)],
