@@ -36,6 +36,7 @@ from .harness import (
 )
 from .problems import (
     ProblemMetadata,
+    RaggedBatch,
     StochasticProblem,
     make_additive_noise_variant,
     make_multiplicative_saddle,
@@ -67,6 +68,7 @@ __all__ = [
     "NumericalError",
     "ProblemMetadata",
     "PsgdConfig",
+    "RaggedBatch",
     "RhoEstimate",
     "RunTrace",
     "SaddlescapeError",

@@ -15,7 +15,13 @@ Oracle-call accounting is literal query counting: one value query is one
 call, so a zeroth-order gradient costs 2 per direction and a zeroth-order
 Hessian 3 per direction.
 
-Both zeroth-order estimators take the smoothing radius ``nu`` as an argument
+The first- and second-order estimators take one batch size for all k runs
+of a group or one per run.  They pack whole runs, in order, into sampled-
+oracle calls of at most ``_BLOCK_BYTES`` of samples each (a run larger than
+that has a call of its own), so their memory does not grow with k; the
+runs of one call with unequal batch sizes go to the oracle as one ragged
+batch, each run's point once with its seed count.  Both zeroth-order
+estimators take the smoothing radius ``nu`` as an argument
 and stream their directions in blocks of a fixed number of bytes per run, so
 memory does not grow with ``n1`` or ``n2``; a group of k runs holds two
 blocks per run at a time.  When a batch spans several blocks, a second
@@ -30,56 +36,65 @@ the same noise-seed sequence (paired comparisons across oracle modes).
 from __future__ import annotations
 
 import ctypes
+import functools
+import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-from .problems import StochasticProblem
-from .seeds import SeedStream, fold_int_states
+from .problems import RaggedBatch, StochasticProblem
+from .seeds import SeedStream, fold_int_states, ragged_seeds
 
 NU_FLOOR = 1e-12  # below this, forward differences are cancellation noise
-_BLOCK_BYTES = 1 << 18  # zeroth-order directions are streamed in blocks of this many bytes
+_BLOCK_BYTES = 1 << 18  # bytes of directions, or of samples, per block or oracle call
 
 
 @dataclass(frozen=True)
 class GradEstimate:
     g: np.ndarray
-    oracle_calls: int
+    oracle_calls: Union[int, Sequence[int]]  # of each run: one count for all, or one per run
 
 
 @dataclass(frozen=True)
 class HessEstimate:
     H: np.ndarray
-    oracle_calls: int
+    oracle_calls: Union[int, Sequence[int]]
 
 
-def fo_gradient(p: StochasticProblem, x: np.ndarray, n1: int, stream: SeedStream) -> GradEstimate:
+def fo_gradient(p: StochasticProblem, x: np.ndarray, n1, stream: SeedStream) -> GradEstimate:
     """Average of n1 sampled gradients; costs n1 oracle calls.
 
     With a block of k streams and a (k, d) ``x`` (or one (d,) point that
     all k runs share), row i of ``g`` is the estimate of run i at its
-    point, from one oracle call for all k runs.
+    point.  ``n1`` is one batch size for all k runs, or a sequence of k,
+    one per run; ``oracle_calls`` is ``n1`` as given, the calls of each
+    run.  The runs are packed whole into as few oracle calls as
+    ``_BLOCK_BYTES`` allows (see ``_sampled_means``).
 
-    Each entry of the sum adds the n1 samples in order, from +0.0, as
+    Each entry of a run's sum adds its n1 samples in order, from +0.0, as
     ``sum(axis=-2)`` does on the C-ordered batches that every oracle here
     returns; at d = 1 it is ``sum``'s pairwise sum of the one column.
     """
     if not p.has_grad_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no gradient oracle")
-    if n1 < 1:
-        raise ConfigurationError(f"n1 must be >= 1, got {n1}")
-    seeds = stream.child("xi").seeds(n1)
-    grads = p.sample_grad_batch(np.asarray(x, dtype=np.float64), seeds.reshape(-1))
-    batch = grads.reshape(seeds.shape + (-1,))
-    # einsum runs one inner loop per column where sum runs one per sample row,
-    # with the same additions in the same order.  A one-column batch is one
-    # contiguous run that sum adds pairwise and einsum would not, so it keeps
-    # sum.  sum / n is what mean computes, without its dispatch cost.
-    total = np.einsum("...nd->...d", batch) if batch.shape[-1] > 1 else batch.sum(axis=-2)
-    return GradEstimate(g=total / n1, oracle_calls=n1)
+    g = _sampled_means(p.sample_grad_batch, x, n1, stream.child("xi"), (p.meta.dim,), _grad_sums)
+    return GradEstimate(g=g, oracle_calls=n1)
+
+
+def _grad_sums(batch: np.ndarray) -> np.ndarray:
+    """(m, d) column sums of an (m, n, d) batch of m runs' samples.
+
+    einsum runs one inner loop per column where sum runs one per sample row,
+    with the same additions in the same order.  A one-column batch is one
+    contiguous run that sum adds pairwise and einsum would not, so it keeps
+    sum.
+    """
+    return np.einsum("mnd->md", batch) if batch.shape[-1] > 1 else batch.sum(axis=1)
 
 
 def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream: SeedStream) -> GradEstimate:
@@ -98,19 +113,84 @@ def zo_gradient(p: StochasticProblem, x: np.ndarray, nu: float, n1: int, stream:
     return GradEstimate(g=(g / n1).reshape(x.shape), oracle_calls=2 * n1)
 
 
-def so_hessian(p: StochasticProblem, x: np.ndarray, n2: int, stream: SeedStream) -> HessEstimate:
+def so_hessian(p: StochasticProblem, x: np.ndarray, n2, stream: SeedStream) -> HessEstimate:
     """Average of n2 sampled Hessians, symmetrized; costs n2 calls.
 
-    Takes a (k, d) ``x`` with a block of k streams as ``fo_gradient`` does.
+    Takes a (k, d) ``x`` with a block of k streams, and one ``n2`` or one
+    per run, as ``fo_gradient`` does.
     """
     if not p.has_hess_oracle:
         raise CapabilityError(f"problem {p.name!r} exposes no Hessian oracle")
-    if n2 < 1:
-        raise ConfigurationError(f"n2 must be >= 1, got {n2}")
-    seeds = stream.child("xih").seeds(n2)
-    hess = p.sample_hess_batch(np.asarray(x, dtype=np.float64), seeds.reshape(-1))
-    h = hess.reshape(seeds.shape + hess.shape[1:]).sum(axis=-3) / n2
+    d = p.meta.dim
+    h = _sampled_means(p.sample_hess_batch, x, n2, stream.child("xih"), (d, d),
+                       lambda batch: batch.sum(axis=1))
     return HessEstimate(H=0.5 * (h + np.swapaxes(h, -1, -2)), oracle_calls=n2)
+
+
+def _sampled_means(oracle, x, n, stream: SeedStream, shape: tuple, sums) -> np.ndarray:
+    """Each run's mean of its n sampled-oracle samples, of ``shape`` each.
+
+    ``stream`` is the node or the block of k streams whose seeds the runs
+    draw, ``x`` the runs' (k, d) points or one (d,) point that all share,
+    and ``n`` one batch size or k of them.  Run j's samples are
+    ``oracle`` at its point with seeds ``0 .. n_j - 1`` of its stream,
+    ``sums`` maps an (m, n, *shape) batch of m runs to their (m, *shape)
+    sums, and the result holds ``sum / n_j`` for each run: of shape
+    ``shape`` for one node, (k, *shape) for a block.  The runs go to the
+    oracle in the calls of ``_packing``: runs of equal batch size take the
+    (k, d) form, runs of unequal ones a ``RaggedBatch``.  A run's sum is
+    never split across calls, so it keeps its order and its bits whatever
+    else its call holds.
+    """
+    states = stream.state.reshape(-1)
+    k = len(states)
+    counts = (n,) * k if np.ndim(n) == 0 else tuple(n)
+    if len(counts) != k:
+        raise ConfigurationError(f"need one batch size per run, got {len(counts)} for {k} runs")
+    if min(counts) < 1:
+        raise ConfigurationError(f"batch sizes must be >= 1, got {min(counts)}")
+    x = np.asarray(x, dtype=np.float64)
+    means = np.empty((k,) + shape)
+    for start, stop, runs, ragged in _packing(counts, 8 * math.prod(shape)):
+        pts = x[start:stop] if x.ndim == 2 else x
+        if ragged is not None:
+            pts = RaggedBatch(np.broadcast_to(pts, (stop - start, x.shape[-1])), ragged)
+        samples = oracle(pts, ragged_seeds(states[start:stop], runs))
+        pos, row = 0, start
+        for m, c in runs:
+            batch = samples[pos:pos + m * c].reshape((m, c) + shape)
+            np.divide(sums(batch), c, out=means[row:row + m])
+            pos, row = pos + m * c, row + m
+    return means.reshape(stream.state.shape + shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _packing(counts: tuple, sample_bytes: int) -> tuple:
+    """The oracle calls of runs with batch sizes ``counts``, in order.
+
+    Whole runs are packed greedily into calls of at most ``_BLOCK_BYTES``
+    of samples, and a run larger than that is a call of its own.  Each
+    call is ``(start, stop, runs, ragged)``: its runs ``start .. stop - 1``,
+    their ``(m, n)`` runs of equal batch size (see ``ragged_seeds``), and
+    their read-only counts if they differ, else None.
+    """
+    limit = max(1, _BLOCK_BYTES // sample_bytes)
+    bounds, start, total = [], 0, 0
+    for j, c in enumerate(counts):
+        if j > start and total + c > limit:
+            bounds.append((start, j))
+            start, total = j, 0
+        total += c
+    bounds.append((start, len(counts)))
+    calls = []
+    for start, stop in bounds:
+        runs = tuple((len(list(group)), c) for c, group in itertools.groupby(counts[start:stop]))
+        ragged = None
+        if len(runs) > 1:
+            ragged = np.array(counts[start:stop], dtype=np.int64)
+            ragged.flags.writeable = False
+        calls.append((start, stop, runs, ragged))
+    return tuple(calls)
 
 
 def zo_hessian(p: StochasticProblem, x: np.ndarray, nu: float, n2: int, stream: SeedStream) -> HessEstimate:
@@ -333,12 +413,10 @@ def grad_minibatch_trials(
     """(trials, d) minibatch gradient means for Monte-Carlo moment checks.
 
     Trial ``k`` is ``fo_gradient(p, x, n1, stream.child("trial", k)).g``;
-    all trials share one oracle call, as the runs of a group do.
+    the trials share as few oracle calls as ``fo_gradient``'s packing
+    allows, as the runs of a group do.
     """
-    if trials < 1:
-        raise ConfigurationError(f"need trials >= 1, got {trials}")
-    trial_streams = SeedStream.block(fold_int_states(stream.child("trial").state, np.arange(trials)))
-    return fo_gradient(p, x, n1, trial_streams).g
+    return fo_gradient(p, x, n1, _trial_streams(stream, trials)).g
 
 
 def hess_minibatch_trials(
@@ -350,9 +428,14 @@ def hess_minibatch_trials(
 ) -> np.ndarray:
     """(trials, d, d) minibatch Hessian means for Monte-Carlo moment checks.
 
-    Trial ``k`` is ``so_hessian(p, x, n2, stream.child("trial", k)).H``, one
-    call per trial: a block of all trials would hold trials * n2 Hessians.
+    Trial ``k`` is ``so_hessian(p, x, n2, stream.child("trial", k)).H``; the
+    trials share as few oracle calls as ``so_hessian``'s packing allows.
     """
+    return so_hessian(p, x, n2, _trial_streams(stream, trials)).H
+
+
+def _trial_streams(stream: SeedStream, trials: int) -> SeedStream:
+    """The block of the streams ``stream.child("trial", k)``, k < trials."""
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
-    return np.stack([so_hessian(p, x, n2, stream.child("trial", k)).H for k in range(trials)])
+    return SeedStream.block(fold_int_states(stream.child("trial").state, np.arange(trials)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -99,10 +99,15 @@ class StochasticProblem:
     Batch oracles take ``seeds`` of shape ``(n,)`` and ``points`` of shape
     ``(k, d)`` with k dividing n, or a single ``(d,)`` point (k = 1): point
     j serves the n/k consecutive seeds from j n/k on, so one call serves k
-    runs that each draw n/k samples at their own iterate.  They are pure:
-    the same point and seed always reproduce the same sample, bit for bit,
-    whatever else the call holds, so row i of any batch equals its one-row
-    call.
+    runs that each draw n/k samples at their own iterate.  A ragged batch
+    passes ``points`` as a ``RaggedBatch(rows, counts)`` pair: the (k, d)
+    rows and k non-negative integer seed counts that add up to n, row j
+    serving the next ``counts[j]`` seeds.  Each distinct row is evaluated
+    once, so the runs of a step can each draw their own batch size in one
+    call.  Counts of the wrong length or sum, negative or not integers
+    raise ``ConfigurationError``.  The oracles are pure: the same point and seed
+    always reproduce the same sample, bit for bit, whatever else the call
+    holds, so row i of any batch equals its one-row call.
     """
 
     meta: ProblemMetadata
@@ -136,6 +141,14 @@ class StochasticProblem:
         return self.sample_hess_batch(np.asarray(x, dtype=np.float64), _one_seed(seed))[0]
 
 
+class RaggedBatch(NamedTuple):
+    """The points of a ragged batch-oracle call: (k, d) ``rows``, row j
+    serving the next ``counts[j]`` of the call's seeds."""
+
+    rows: np.ndarray
+    counts: np.ndarray
+
+
 def _one_seed(seed) -> np.ndarray:
     return np.asarray([int(seed)], dtype=np.uint64)
 
@@ -160,23 +173,44 @@ def clamp_to_box(x: np.ndarray, radius: float) -> np.ndarray:
     return x * (radius / norm)
 
 
-def _points(points, n: int, dim: int) -> np.ndarray:
-    """The (k, dim) distinct points of an oracle call with n seeds."""
-    pts = np.asarray(points, dtype=np.float64)
+def _points(points, n: int, dim: int) -> tuple:
+    """``(pts, reps)`` of an oracle call with n seeds: its (k, dim) distinct
+    points, and the seeds each serves, one count n / k for all (an equal
+    split) or a (k,) array of counts (a ``RaggedBatch``)."""
+    ragged = isinstance(points, RaggedBatch)
+    rows, counts = points if ragged else (points, None)
+    pts = np.asarray(rows, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ConfigurationError(f"points shape {np.shape(points)} incompatible with dimension {dim}")
+        raise ConfigurationError(f"points shape {np.shape(rows)} incompatible with dimension {dim}")
+    if ragged:
+        return pts, _seed_counts(counts, len(pts), n)
     if not len(pts) or n % len(pts):
         raise ConfigurationError(f"{len(pts)} points cannot serve {n} seeds; "
                                  "the point count must divide the seed count")
-    return pts
+    return pts, n // len(pts)
+
+
+def _seed_counts(counts, k: int, n: int) -> np.ndarray:
+    """The seed counts of a ragged batch of k rows and n seeds, checked."""
+    c = np.asarray(counts)
+    if c.shape != (k,):
+        raise ConfigurationError(f"a ragged batch needs one seed count per row: "
+                                 f"got counts of shape {c.shape} for {k} rows")
+    if c.dtype.kind not in "iu":
+        raise ConfigurationError(f"seed counts must be integers, got {c.dtype}")
+    if k and c.min() < 0:
+        raise ConfigurationError(f"seed counts must be >= 0, got {c.min()}")
+    if c.sum() != n:
+        raise ConfigurationError(f"seed counts add up to {c.sum()}, not to the {n} seeds")
+    return c
 
 
 def _rows(points, n: int, dim: int) -> np.ndarray:
     """(n, dim): the point each of an oracle call's n seeds is evaluated at."""
-    pts = _points(points, n, dim)
-    return pts if len(pts) == n else np.repeat(pts, n // len(pts), axis=0)
+    pts, reps = _points(points, n, dim)
+    return pts if np.ndim(reps) == 0 and reps == 1 else np.repeat(pts, reps, axis=0)
 
 
 def _row_by_row(one: Callable) -> Callable:
@@ -268,13 +302,18 @@ def make_multiplicative_saddle(
         return a_mat + ((4.0 * q) * nrm2 * eye + (8.0 * q) * (pts[:, :, None] * pts[:, None, :]))
 
     # each distinct point is evaluated once and scaled by the xi of each of
-    # its seeds, the samples of an (n, d) batch of copies bit for bit
-    def scaled(rows, seeds, multipliers):
+    # its seeds (reps of them, see _points), the samples of an (n, d) batch
+    # of copies bit for bit
+    def scaled(rows, reps, seeds, multipliers):
         if rho == 1.0:
             # every xi is 1 and 1.0 * v is v bit for bit (NaN and -0.0
             # included), so the samples are copies of their point's row
-            return np.repeat(rows, len(seeds) // len(rows), axis=0)
+            return np.repeat(rows, reps, axis=0)
         xi = multipliers(seeds)
+        if np.ndim(reps):  # a ragged batch: the copies, scaled in place
+            samples = np.repeat(rows, reps, axis=0)
+            samples *= xi.reshape((-1,) + (1,) * (rows.ndim - 1))
+            return samples
         xi_rows = xi.reshape((len(rows), -1) + (1,) * (rows.ndim - 1))
         return (xi_rows * rows[:, None]).reshape((len(xi),) + rows.shape[1:])
 
@@ -297,13 +336,16 @@ def make_multiplicative_saddle(
         return xi
 
     def value_batch(points, seeds):
-        return scaled(f_rows(_points(points, len(seeds), d)), seeds, remembered)
+        pts, reps = _points(points, len(seeds), d)
+        return scaled(f_rows(pts), reps, seeds, remembered)
 
     def grad_batch(points, seeds):
-        return scaled(grad_rows(_points(points, len(seeds), d)), seeds, hashed)
+        pts, reps = _points(points, len(seeds), d)
+        return scaled(grad_rows(pts), reps, seeds, hashed)
 
     def hess_batch(points, seeds):
-        return scaled(hess_rows(_points(points, len(seeds), d)), seeds, hashed)
+        pts, reps = _points(points, len(seeds), d)
+        return scaled(hess_rows(pts), reps, seeds, hashed)
 
     # the exact oracles share the sampled ones' row functions: a (d,) point is
     # row 0 of its one-row stack, so row i of a (k, d) stack is its call

@@ -15,8 +15,9 @@ bits as one call a step and run.
 the runs of a group in lockstep, each under its own config, and a single
 seed is the group of one.  Both steps, ``psgd_step`` and
 ``scrn._estimate_step``, take a group's (k, d) iterates, step streams and
-one config per row, and return ``(x_new, oracle_calls, outcomes)``, one
-outcome per row.
+one config per row, which the loop passes as the ``StepLayout`` of a block
+of steps, and return ``(x_new, oracle_calls, outcomes)``, one outcome per
+row.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -143,22 +144,60 @@ def draw_perturbation(step_states, dim: int, r) -> np.ndarray:
     return theta
 
 
-def _config_rows(cfg, k: int) -> tuple:
-    """The configs of k rows, for ``cfg`` one config of all rows or a
-    sequence of one per row, and the rows of each distinct config:
-    ``(configs, [(config, rows), ...])``, rows an index array, or a slice of
-    all rows when they share one config."""
-    if not isinstance(cfg, Sequence):
-        return [cfg] * k, [(cfg, slice(None))]
-    cfgs = list(cfg)
+class StepLayout:
+    """The configs of a step's k rows as per-row columns, built once per
+    block of steps by ``run_steps`` rather than once per step.
+
+    ``cfgs`` holds each row's config and ``calls`` its oracle calls per
+    step.  The rows of the sampled-oracle (first- and second-order) modes
+    are ``sampled``, a slice of all rows when every row is one, with their
+    batch sizes ``n1`` and, for cubic Newton, ``n2``: their estimators make
+    one packed call for all of them.  ``zo_groups`` lists each zeroth-order
+    config with its rows, for the zeroth-order estimators, which take one
+    config's rows per call.  ``eta`` (a (k, 1) column) and ``r`` are PSGD's
+    step sizes and perturbation radii, ``box`` every row's clamp radius.
+    In the run loop a layout also holds the block's step-stream ``states``,
+    (n, k) for its n steps, and ``theta``: PSGD's (n, k, d) perturbations
+    once its step has drawn them.
+    """
+
+    def __init__(self, cfgs: list, states: Optional[np.ndarray] = None):
+        self.cfgs, self.states, self.theta = cfgs, states, None
+        self.calls = [c.calls_per_step for c in cfgs]
+        self.box = [c.box_radius for c in cfgs]
+        sampled = [j for j, c in enumerate(cfgs) if c.mode != ZEROTH_ORDER]
+        self.sampled = (slice(None) if len(sampled) == len(cfgs)
+                        else np.array(sampled, dtype=np.intp))
+        self.n1 = tuple(cfgs[j].n1 for j in sampled)
+        self.n2 = tuple(cfgs[j].n2 for j in sampled) if hasattr(cfgs[0], "n2") else ()
+        zo: dict = {}
+        for j, c in enumerate(cfgs):
+            if c.mode == ZEROTH_ORDER:
+                zo.setdefault(c, []).append(j)
+        self.zo_groups = [(c, slice(None) if len(js) == len(cfgs) else np.array(js))
+                          for c, js in zo.items()]
+        if hasattr(cfgs[0], "eta"):
+            self.eta = np.array([[c.eta] for c in cfgs])
+            self.r = np.array([c.r for c in cfgs])
+
+    def narrow(self, keep: list) -> "StepLayout":
+        """The layout of the rows at positions ``keep``, in order, with their
+        columns of the block's states and of its drawn perturbations."""
+        out = StepLayout([self.cfgs[j] for j in keep], self.states[:, keep])
+        if self.theta is not None:
+            out.theta = self.theta[:, keep]
+        return out
+
+
+def _layout(cfg, k: int) -> StepLayout:
+    """The layout of k rows under ``cfg``: one config of all rows, a
+    sequence of one per row, or a layout already built."""
+    if isinstance(cfg, StepLayout):
+        return cfg
+    cfgs = list(cfg) if isinstance(cfg, Sequence) else [cfg] * k
     if len(cfgs) != k:
         raise ConfigurationError(f"need one config per row, got {len(cfgs)} for {k} rows")
-    rows: dict = {}
-    for j, c in enumerate(cfgs):
-        rows.setdefault(c, []).append(j)
-    if len(rows) == 1:
-        return cfgs, [(cfgs[0], slice(None))]
-    return cfgs, [(c, np.array(js)) for c, js in rows.items()]
+    return StepLayout(cfgs)
 
 
 def _sub_block(stream: SeedStream, rows) -> SeedStream:
@@ -166,10 +205,10 @@ def _sub_block(stream: SeedStream, rows) -> SeedStream:
     return stream if isinstance(rows, slice) else SeedStream.block(stream.state[rows])
 
 
-def _step_calls(cfg, calls: np.ndarray):
+def _step_calls(cfg, layout: StepLayout):
     """A step's oracle calls: of one run's step for one config ``cfg``, and
-    the list of each row's for a sequence of configs."""
-    return calls.tolist() if isinstance(cfg, Sequence) else int(calls[0])
+    the list of each row's for a sequence of configs or a layout."""
+    return layout.calls if isinstance(cfg, (Sequence, StepLayout)) else layout.calls[0]
 
 
 def _check_rows(x_new: np.ndarray, message: str, outcomes: list) -> list:
@@ -194,40 +233,39 @@ def psgd_step(
 
     ``x`` is the (k, d) iterates of the runs and ``stream`` the block of
     their step streams; a single run is a group of one.  ``cfg`` is one
-    config of all k runs, or a sequence of k configs, one per run: the
-    gradient estimator makes one oracle call per distinct config, and the
-    perturbation, update, clamp and finite check run once for all rows.
-    ``oracle_calls`` is the calls of one run's step for one config, or the
-    list of each row's for a sequence, and every row is the one its run
-    alone gives.  ``theta`` is the step's (k, d) perturbation when the
-    caller has drawn it; by default the step draws it from the block's
-    states, the same rows.  ``outcomes[j]`` is None, or the
-    ``NumericalError`` of row j's non-finite update (see ``run_steps``).
+    config of all k runs, a sequence of k configs, one per run, or their
+    ``StepLayout``.  The first-order rows make one ``fo_gradient`` call,
+    each row with its own batch size (one sampled-oracle call per block of
+    rows, see ``estimators``), the zeroth-order rows one ``zo_gradient``
+    call per distinct config, and the perturbation, update, clamp and
+    finite check run once for all rows.  ``oracle_calls`` is the calls of
+    one run's step for one config, or the list of each row's for a
+    sequence or a layout, and every row is the one its run alone gives.
+    ``theta`` is the step's (k, d) perturbation when the caller has drawn
+    it; by default the step draws it from the block's states, the same
+    rows.  ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
+    non-finite update (see ``run_steps``).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigurationError(f"psgd_step takes the (k, d) iterates of a group, got {x.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
-    cfgs, groups = _config_rows(cfg, len(x))
+    layout = _layout(cfg, len(x))
     g = np.empty_like(x)
-    calls = np.empty(len(x), dtype=np.int64)
-    for c, rows in groups:
-        sub = _sub_block(stream, rows)
-        if c.mode == ZEROTH_ORDER:
-            est = zo_gradient(p, x[rows], c.nu, c.n1, sub)
-        else:
-            est = fo_gradient(p, x[rows], c.n1, sub)
-        g[rows], calls[rows] = est.g, est.oracle_calls
+    if layout.n1:
+        rows = layout.sampled
+        g[rows] = fo_gradient(p, x[rows], layout.n1, _sub_block(stream, rows)).g
+    for c, rows in layout.zo_groups:
+        g[rows] = zo_gradient(p, x[rows], c.nu, c.n1, _sub_block(stream, rows)).g
     if theta is None:
-        theta = draw_perturbation(stream.state, p.meta.dim, [c.r for c in cfgs])
-    eta = cfgs[0].eta if len(groups) == 1 else np.array([[c.eta] for c in cfgs])
-    x_new = x - eta * (g + theta)
-    for row, c in zip(x_new, cfgs):  # one clamp per run: the benchmark's tracer counts them
-        clamped = clamp_to_box(row, c.box_radius)
+        theta = draw_perturbation(stream.state, p.meta.dim, layout.r)
+    x_new = x - layout.eta * (g + theta)
+    for row, box in zip(x_new, layout.box):  # one clamp per run: the benchmark's tracer counts them
+        clamped = clamp_to_box(row, box)
         if clamped is not row:
             row[...] = clamped
-    return x_new, _step_calls(cfg, calls), _check_rows(
+    return x_new, _step_calls(cfg, layout), _check_rows(
         x_new, "update produced non-finite entries", [None] * len(x_new))
 
 
@@ -269,14 +307,13 @@ def run_psgd(
     seed (see ``_per_seed``).
     """
     def run(x0s, cfgs, seeds):
-        drawn = [None, None]  # a block's step-stream states and their (steps, k, d) theta
-
-        def step(block_cfgs, x, states, i):
-            if drawn[0] is not states:  # one draw per block of steps, for all its runs
-                r = np.tile([c.r for c in block_cfgs], len(states))
-                drawn[:] = states, draw_perturbation(states.reshape(-1), p.meta.dim, r).reshape(
-                    states.shape + (p.meta.dim,))
-            return psgd_step(p, x, block_cfgs, SeedStream.block(states[i]), drawn[1][i])
+        def step(layout, x, i):
+            states = layout.states
+            if layout.theta is None:  # one draw per block of steps, for all its runs
+                layout.theta = draw_perturbation(
+                    states.reshape(-1), p.meta.dim, np.tile(layout.r, len(states)),
+                ).reshape(states.shape + (p.meta.dim,))
+            return psgd_step(p, x, layout, SeedStream.block(states[i]), layout.theta[i])
 
         return run_steps(p, x0s, cfgs, step, seeds, certify_every=certify_every,
                          stop_after_certified=stop_after_certified)
@@ -335,19 +372,21 @@ def run_steps(
 
     Run i starts at ``x0s[i]`` with config ``cfgs[i]`` and the run stream of
     ``seeds[i]``; the configs are of one class, so the runs share one
-    algorithm.  At t = 1, 2, ... the loop calls ``step(step_cfgs, x, states,
-    i)`` once for all the runs that are still active, whatever their
-    configs: ``step_cfgs`` is their configs, one per row, ``x`` their (k, d)
-    iterates, and ``states`` the (n, k) states of their step streams
+    algorithm.  At t = 1, 2, ... the loop calls ``step(layout, x, i)`` once
+    for all the runs that are still active, whatever their configs:
+    ``layout`` is the ``StepLayout`` of their configs, ``x`` their (k, d)
+    iterates, and ``layout.states`` the (n, k) states of their step streams
     ``child("step", t)`` for the n steps of a block, of which step t is row
-    ``i``.  The loop folds a block once per ``_THETA_CHUNK`` steps and again
-    when the active set shrinks; ``states`` is one array for the whole
-    block, so a step can draw per block what its rows need.  The step does
-    the sampling, the estimators and the update for all k runs, with one
-    oracle call per estimator and distinct config, and returns ``(x_new,
-    oracle_calls, outcomes)``, with each row's calls and one outcome per
-    row: None, the row's ``CubicSolution``, whose radius and model decrease
-    its trace rows record, or the ``NumericalError`` that ends its run.
+    ``i``.  The loop folds a block, and builds its layout, once per
+    ``_THETA_CHUNK`` steps.  When runs leave mid-block it narrows the
+    layout to the remaining runs' columns, keeping what the step drew for
+    the block, so a step can draw per block what its rows need.  The step
+    does the sampling, the estimators and the update for all k runs, with
+    one packed sampled-oracle call per first- or second-order estimator and
+    block of rows, and returns ``(x_new, oracle_calls, outcomes)``, with
+    each row's calls and one outcome per row: None, the row's
+    ``CubicSolution``, whose radius and model decrease its trace rows
+    record, or the ``NumericalError`` that ends its run.
 
     Rows are certified on exact oracles, never charged to the budget, at
     t = 0, every ``certify_every`` steps and at the run's own T, against the
@@ -413,17 +452,20 @@ def run_steps(
 
     left = record(list(range(len(traces))), 0, {})
     active = [i for i in range(len(traces)) if i not in left and ends[i] > 0]
-    block = None  # (its runs, their rows and configs, its first step, its step-stream states)
+    block = None  # (its runs, their rows, its first step, its layout)
     for t in range(1, max(ends) + 1):
         if not active:
             break
-        # the active set only shrinks: fold again when it does
-        if block is None or block[0] != active or t >= block[3] + len(block[4]):
+        if block is None or t >= block[2] + len(block[3].states):
             rows = np.array(active)
-            block = active, rows, [cfgs[i] for i in active], t, _fold_steps(
-                step_states[rows], t, min(t + _THETA_CHUNK, max(ends[i] for i in active) + 1))
-        _, rows, step_cfgs, start, states = block
-        x_new, step_calls, step_outcomes = step(step_cfgs, x[rows], states, t - start)
+            block = active, rows, t, StepLayout([cfgs[i] for i in active], _fold_steps(
+                step_states[rows], t, min(t + _THETA_CHUNK, max(ends[i] for i in active) + 1)))
+        elif block[0] != active:  # the active set only shrinks: narrow the block to it
+            position = {i: j for j, i in enumerate(block[0])}
+            block = active, np.array(active), block[2], block[3].narrow(
+                [position[i] for i in active])
+        _, rows, start, layout = block
+        x_new, step_calls, step_outcomes = step(layout, x[rows], t - start)
         x[rows] = x_new
         stepped: dict = {}  # run -> the outcome of its step t
         for i, run_calls, outcome in zip(active, step_calls, step_outcomes):

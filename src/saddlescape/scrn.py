@@ -33,17 +33,19 @@ invariants.  Every solve validates all three conditions before returning.
 
 At d = 10 a model check plus a solve that decomposes H itself costs about
 60 microseconds (one BLAS thread, 2-vCPU Linux host), of which
-``np.linalg.eigh`` and ``Q'g`` take about 12.  ``_estimate_step``
-decomposes all the rows of a step with one stacked ``eigh`` and one
-``matmul``, about 7 microseconds a row for the 6 rows of a ``scrn_ho``
-step, and hands each row's solve its eigenpairs: about 49 microseconds a
-row in all.  The rest of a solve is some thirty numpy calls on short
-arrays, each with a fixed cost.  So the solve computes each quantity once
-and reuses it: ``g @ g`` gives ``||g||`` and screens g's finiteness; the
-minimum eigenspace is counted as a prefix of the ascending spectrum; the
-Newton loop tests for a pole on ``a[0] + t`` alone; and the radius,
-``||g||``, ``w_min`` and ``||H||_2`` serve both the model decrease and the
-checks.  Every value that reaches a ``CubicSolution`` is computed by numpy
+``np.linalg.eigh`` and ``Q'g`` take about 12.  ``_estimate_step`` samples
+the gradients and the Hessians of all the rows of a step with one packed
+oracle call each, whatever their batch sizes: about 145 microseconds for
+the 6 rows of a ``scrn_ho`` step, against 240 with one call per config.
+It decomposes all the rows with one stacked ``eigh`` and one ``matmul``,
+about 7 microseconds a row, and hands each row's solve its eigenpairs:
+about 49 microseconds a row in all.  The rest of a solve is some thirty
+numpy calls on short arrays, each with a fixed cost.  So the solve
+computes each quantity once and reuses it: ``g @ g`` gives ``||g||`` and
+screens g's finiteness; the minimum eigenspace is counted as a prefix of
+the ascending spectrum; the Newton loop tests for a pole on ``a[0] + t``
+alone; and the radius, ``||g||``, ``w_min`` and ``||H||_2`` serve both the
+model decrease and the checks.  Every value that reaches a ``CubicSolution`` is computed by numpy
 dots and ufuncs, never by a Python sum, which rounds differently, so the
 traces keep their bytes.  A float operation that overflows or divides by
 zero, an ``eigh`` that fails, or a Brent bracket lost to overflow is a
@@ -64,8 +66,8 @@ from .diagnostics import certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
-from .psgd import (_check_rows, _config_rows, _per_seed, _require_rho, _step_calls,
-                   _sub_block, run_steps)
+from .psgd import (_check_rows, _layout, _per_seed, _require_rho, _step_calls, _sub_block,
+                   run_steps)
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -427,31 +429,33 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
     """One cubic-Newton step of k runs; returns (x_new, oracle calls, outcomes).
 
     As in ``psgd_step``, ``x`` is the (k, d) iterates of the runs, ``stream``
-    the block of their step streams and ``cfg`` one config of all runs or
-    one per run; each estimator makes one oracle call per distinct config.
-    The models of all rows are screened for finite entries in one pass, and
-    the finite ones decomposed by one stacked ``eigh``, with every ``Q'g``
-    from one ``matmul``: both give the bits of the one-row calls.  Each row
-    then gets its own ``solve_cubic`` call with its eigenpairs, and its own
-    clamp.  If the stacked ``eigh`` fails, each solve decomposes its own
-    model, so the failure ends only its row's run.  ``outcomes[j]`` is row
-    j's ``CubicSolution``, or the ``NumericalError`` its cubic solve raised
-    or its non-finite step gave.
+    the block of their step streams and ``cfg`` one config of all runs, one
+    per run or their ``StepLayout``.  The higher-order rows make one
+    ``fo_gradient`` and one ``so_hessian`` call, each row with its own
+    batch sizes (one sampled-oracle call per estimator and block of rows),
+    and the zeroth-order rows one call of each estimator per distinct
+    config.  The models of all rows are screened for finite entries in one
+    pass, and the finite ones decomposed by one stacked ``eigh``, with every
+    ``Q'g`` from one ``matmul``: both give the bits of the one-row calls.
+    Each row then gets its own ``solve_cubic`` call with its eigenpairs, and
+    its own clamp.  If the stacked ``eigh`` fails, each solve decomposes its
+    own model, so the failure ends only its row's run.  ``outcomes[j]`` is
+    row j's ``CubicSolution``, or the ``NumericalError`` its cubic solve
+    raised or its non-finite step gave.
     """
     x = np.asarray(x, dtype=np.float64)
-    cfgs, groups = _config_rows(cfg, len(x))
+    layout = _layout(cfg, len(x))
     g = np.empty_like(x)
     H = np.empty(x.shape + x.shape[-1:])
-    calls = np.empty(len(x), dtype=np.int64)
-    for c, rows in groups:
+    if layout.n1:
+        rows = layout.sampled
         xs, sub = x[rows], _sub_block(stream, rows)
-        if c.mode == ZEROTH_ORDER:
-            grad = zo_gradient(p, xs, c.nu, c.n1, sub)
-            hess = zo_hessian(p, xs, c.nu, c.n2, sub)
-        else:
-            grad = fo_gradient(p, xs, c.n1, sub)
-            hess = so_hessian(p, xs, c.n2, sub)
-        g[rows], H[rows], calls[rows] = grad.g, hess.H, grad.oracle_calls + hess.oracle_calls
+        g[rows] = fo_gradient(p, xs, layout.n1, sub).g
+        H[rows] = so_hessian(p, xs, layout.n2, sub).H
+    for c, rows in layout.zo_groups:
+        xs, sub = x[rows], _sub_block(stream, rows)
+        g[rows] = zo_gradient(p, xs, c.nu, c.n1, sub).g
+        H[rows] = zo_hessian(p, xs, c.nu, c.n2, sub).H
     finite = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
     eigen = [None] * len(x)
     if finite.any():
@@ -465,7 +469,7 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
                 eigen[j] = wj, Qj, bj
     x_new = np.empty_like(x)
     outcomes = []
-    for j, (c, e) in enumerate(zip(cfgs, eigen)):
+    for j, (c, e) in enumerate(zip(layout.cfgs, eigen)):
         model = (CubicModel(g=g[j], H=H[j], M=c.M) if e is None
                  else _decomposed_model(g[j], H[j], c.M, e))
         try:
@@ -475,7 +479,7 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
         else:
             x_new[j] = clamp_to_box(x[j] + sol.h_star, c.box_radius)
         outcomes.append(sol)
-    return x_new, _step_calls(cfg, calls), _check_rows(
+    return x_new, _step_calls(cfg, layout), _check_rows(
         x_new, "cubic step produced non-finite entries", outcomes)
 
 
@@ -503,8 +507,7 @@ def run_scrn(
         r_indices = [int(r.rng().integers(1, c.T + 1)) for r, c in zip(r_streams, cfgs)]
         return run_steps(
             p, x1s, cfgs,
-            lambda step_cfgs, x, states, i: _estimate_step(p, x, step_cfgs,
-                                                           SeedStream.block(states[i])),
+            lambda layout, x, i: _estimate_step(p, x, layout, SeedStream.block(layout.states[i])),
             seeds, certify_every=certify_every, r_indices=r_indices,
         )
 

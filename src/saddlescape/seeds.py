@@ -175,6 +175,24 @@ class SeedStream:
         return f"SeedStream(state={self.state.tolist()})"
 
 
+def ragged_seeds(states: np.ndarray, runs) -> np.ndarray:
+    """The oracle seeds of a block's streams when each takes its own count,
+    concatenated in stream order.
+
+    ``states`` holds the streams' states and ``runs`` lists ``(m, n)``
+    pairs: the next m streams take seeds ``0 .. n - 1`` each.  Equals the
+    concatenated ``seeds(n)`` rows of each run of streams bit for bit, with
+    one broadcast XOR per run into one buffer and one finalizer pass.
+    """
+    out = np.empty(sum(m * n for m, n in runs), dtype=np.uint64)
+    pos = row = 0
+    for m, n in runs:
+        np.bitwise_xor(_first_hashes(0, n), states[row:row + m, None],
+                       out=out[pos:pos + m * n].reshape(m, n))
+        pos, row = pos + m * n, row + m
+    return _mix_inplace(out)
+
+
 def _stream(state) -> SeedStream:
     """The stream, or block of streams, whose state is ``state``."""
     s = SeedStream.__new__(SeedStream)

@@ -124,11 +124,19 @@ def test_tracer_sees_an_arm_stepped_and_certified_together(monkeypatch, tmp_path
             eps = trace.echo("epsilon")
             last_step[eps] = max(last_step.get(eps, 0), trace.rows[-1].t)
             checkpoints_by_eps.setdefault(eps, set()).update(row.t for row in trace.rows)
-        # one step call per step of the arm, for all its active runs
-        assert tracer.calls[step_span] == max(last_step.values())
+        # one step call per step of the arm, for all its active runs, with
+        # one call of each sampled estimator for all of them
+        arm_steps = max(last_step.values())
+        algorithm = step_span.split(".")[0]
+        assert tracer.calls[step_span] == arm_steps
+        assert tracer.calls["estimators.fo_gradient"] == arm_steps
+        assert tracer.calls["estimators.so_hessian"] == (arm_steps if algorithm == "scrn" else 0)
+        # a run that leaves mid-block narrows it, keeping its drawn
+        # perturbations: one draw per block of steps
+        blocks = -(-arm_steps // psgd._THETA_CHUNK) if algorithm == "psgd" else 0
+        assert tracer.calls["psgd.draw_perturbation"] == blocks
         # and one clamp, and one cubic solve, per run and step
         run_steps = sum(trace.rows[-1].t for trace in traces)
-        algorithm = step_span.split(".")[0]
         assert tracer.calls[f"{algorithm}.clamp_to_box"] == run_steps
         assert tracer.calls["scrn.solve_cubic"] == (run_steps if algorithm == "scrn" else 0)
         # one stacked exact-Hessian pass and min_eigenvalue call per distinct

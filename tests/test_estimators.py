@@ -11,6 +11,7 @@ import pytest
 from conftest import constant_problem, counting_problem, watched
 from saddlescape.errors import CapabilityError, ConfigurationError
 from saddlescape.estimators import (
+    _BLOCK_BYTES,
     _block_rows,
     _direction_blocks,
     estimate_sgc_rho,
@@ -24,6 +25,7 @@ from saddlescape.estimators import (
 from saddlescape.problems import (
     make_additive_noise_variant,
     make_multiplicative_saddle,
+    make_phase_retrieval,
 )
 from saddlescape.seeds import SeedStream
 
@@ -108,9 +110,10 @@ def test_trials_helper_matches_estimator():
     x = np.array([0.2, 1.0, -0.7])
     stream = SeedStream(77)
     trials = grad_minibatch_trials(p, x, 8, 5, stream)
+    hess_trials = hess_minibatch_trials(p, x, 6, 5, stream)
     for k in range(5):
-        est = fo_gradient(p, x, 8, stream.child("trial", k))
-        assert np.array_equal(est.g, trials[k])
+        assert np.array_equal(fo_gradient(p, x, 8, stream.child("trial", k)).g, trials[k])
+        assert np.array_equal(so_hessian(p, x, 6, stream.child("trial", k)).H, hess_trials[k])
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +566,14 @@ def test_producer_error_is_raised_in_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def _batch_problem(batch: np.ndarray):
-    """A problem whose sampled gradients are the rows of ``batch``, in seed order."""
+def _batch_problem(batch: np.ndarray, seeds: np.ndarray):
+    """A problem whose sampled gradient at ``seeds[i]`` is row i of ``batch``,
+    whichever oracle call of the estimator draws it."""
     base = make_multiplicative_saddle(d=2, neg_count=1, rho=1.0, quartic_coeff=0.0)
+    order = np.argsort(seeds)
     return dataclasses.replace(
         base, meta=dataclasses.replace(base.meta, dim=batch.shape[1]),
-        sample_grad_batch=lambda points, seeds: batch[:len(seeds)].copy())
+        sample_grad_batch=lambda points, drawn: batch[order[np.searchsorted(seeds[order], drawn)]])
 
 
 def _row_fold(batch: np.ndarray) -> np.ndarray:
@@ -610,10 +615,62 @@ def test_fo_gradient_adds_the_rows_in_order(k, n1):
                 if minus_inf:
                     batch[(specials > 0.997) & (specials <= 0.998)] = -np.inf
             stream = SeedStream(list(range(k))) if k > 1 else SeedStream(0)
-            g = fo_gradient(_batch_problem(batch), np.zeros((k, d)) if k > 1 else np.zeros(d),
-                            n1, stream).g
+            seeds = stream.child("xi").seeds(n1).reshape(-1)
+            g = fo_gradient(_batch_problem(batch, seeds),
+                            np.zeros((k, d)) if k > 1 else np.zeros(d), n1, stream).g
             rows = batch.reshape((k, n1, d) if k > 1 else (n1, d))
             summed = rows.sum(axis=-2) / n1
             assert _same_bits(g, summed, nan_sign=not minus_inf), (d, k, n1)
             if d > 1:
                 assert _same_bits(g, _row_fold(rows) / n1, nan_sign=not minus_inf), (d, k, n1)
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_a_step_of_three_batch_sizes_gives_each_row_its_own_call(d):
+    # ten runs of three batch sizes, one of them larger than a block: every
+    # row is its run's own call, bit for bit, and each oracle call holds
+    # whole runs, at most a block of samples unless it holds one run alone
+    p = make_phase_retrieval(d=1, m=16, planted_seed=2) if d == 1 else make_multiplicative_saddle(
+        d=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
+    big = _BLOCK_BYTES // (8 * d) + 1
+    sizes = [5, 37, 5, 5, big, 37, 37, 5, 37, 5]
+    x = np.random.default_rng(d).uniform(-1.5, 1.5, (10, d))
+    runs = SeedStream(list(range(10)))
+    for estimator, oracle, field, sample_bytes in (
+            (fo_gradient, "sample_grad_batch", "g", 8 * d),
+            (so_hessian, "sample_hess_batch", "H", 8 * d * d)):
+        calls = []
+
+        def batch(points, seeds, oracle=getattr(p, oracle)):
+            calls.append(len(seeds))
+            return oracle(points, seeds)
+
+        est = estimator(dataclasses.replace(p, **{oracle: batch}), x, sizes, runs)
+        assert est.oracle_calls == sizes and sum(calls) == sum(sizes)
+        assert all(n * sample_bytes <= _BLOCK_BYTES or n in sizes for n in calls)
+        assert len(calls) < len(set(sizes)) + 2  # a packed call, not one per config
+        for j, (row, n, node) in enumerate(zip(x, sizes, runs.nodes())):
+            own = getattr(estimator(p, row, n, node), field)
+            assert getattr(est, field)[j].tobytes() == own.tobytes(), (estimator.__name__, j)
+
+
+@pytest.mark.parametrize("estimator, oracle, n", [(fo_gradient, "sample_grad_batch", 1534),
+                                                 (so_hessian, "sample_hess_batch", 300)])
+def test_sampled_estimator_memory_does_not_grow_with_k(estimator, oracle, n):
+    # 20 runs of a 1534-sample additive-noise gradient batch, or of a
+    # 300-sample Hessian batch, would take 2.5 or 4.8 MB in one call; packed
+    # into calls of whole runs the peak stays a few blocks whatever k
+    p = make_additive_noise_variant(
+        make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.008), 0.5)
+    sample_bytes = 80 if oracle == "sample_grad_batch" else 800
+    bound = 6 * max(_BLOCK_BYTES, n * sample_bytes)
+    for k in (1, 2, 5, 20):
+        x = np.full((k, 10), 0.1)
+        runs = SeedStream(list(range(k)))
+        tracemalloc.start()
+        try:
+            estimator(p, x, n, runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (k, peak, bound)

@@ -18,7 +18,7 @@ from conftest import counting_problem, watched
 from saddlescape import harness
 from saddlescape.errors import NumericalError
 from saddlescape.harness import ExperimentSpec, read_trace, run_cell, run_experiment, write_trace
-from saddlescape.problems import problem_from_config
+from saddlescape.problems import RaggedBatch, problem_from_config
 from saddlescape.psgd import PsgdConfig, psgd_step
 from saddlescape.scrn import CubicSolution, ScrnConfig, _estimate_step
 from saddlescape.seeds import SeedStream
@@ -90,12 +90,27 @@ def test_group_traces_are_the_one_seed_traces(tmp_path, arm):
         assert run_lengths == {100, 282} and last_rows == run_lengths
 
 
+def _call_rows(points, n):
+    """The (k, d) distinct points of an oracle call with n seeds and the
+    seed count of each, for the equal-split and the ragged form."""
+    if isinstance(points, RaggedBatch):
+        rows, counts = points
+        return np.asarray(rows), np.asarray(counts)
+    rows = np.atleast_2d(points)
+    return rows, np.full(len(rows), n // len(rows))
+
+
+def _beyond(points, n, limit):
+    """Whether each of an oracle call's n samples is at a point with x[0] > limit."""
+    rows, counts = _call_rows(points, n)
+    return np.repeat(rows[:, 0] > limit, counts)
+
+
 def _nan_gradients_beyond(p, limit):
     """``p`` whose sampled gradients are NaN at points with x[0] > limit."""
     def grad_batch(points, seeds):
         grads = p.sample_grad_batch(points, seeds)
-        pts = np.atleast_2d(points)
-        grads[np.repeat(pts[:, 0] > limit, len(seeds) // len(pts))] = np.nan
+        grads[_beyond(points, len(seeds), limit)] = np.nan
         return grads
 
     return dataclasses.replace(p, sample_grad_batch=grad_batch)
@@ -105,8 +120,7 @@ def _nan_sampled_hessians_beyond(p, limit):
     """``p`` whose sampled Hessians are NaN at points with x[0] > limit."""
     def hess_batch(points, seeds):
         hess = p.sample_hess_batch(points, seeds)
-        pts = np.atleast_2d(points)
-        hess[np.repeat(pts[:, 0] > limit, len(seeds) // len(pts))] = np.nan
+        hess[_beyond(points, len(seeds), limit)] = np.nan
         return hess
 
     return dataclasses.replace(p, sample_hess_batch=hess_batch)
@@ -231,8 +245,7 @@ def _large_sampled_hessians_beyond(p, limit):
     """``p`` whose sampled Hessians are 1e6 times larger at points with x[0] > limit."""
     def hess_batch(points, seeds):
         hess = p.sample_hess_batch(points, seeds)
-        pts = np.atleast_2d(points)
-        hess[np.repeat(pts[:, 0] > limit, len(seeds) // len(pts))] *= 1e6
+        hess[_beyond(points, len(seeds), limit)] *= 1e6
         return hess
 
     return dataclasses.replace(p, sample_hess_batch=hess_batch)
@@ -254,9 +267,10 @@ TWO_CONFIGS = {
 ], ids=["psgd_sampled_gradients", "scrn_sampled_hessians", "scrn_failed_eigh"])
 def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch, algorithm,
                                                                       fault, message):
-    """A step over rows of two configs makes one oracle call per estimator and
-    config, and a fault fails only its own row: every other row is the one
-    its config gives the row alone, bit for bit."""
+    """A step over rows of two configs makes one ragged oracle call per
+    estimator for all its rows, each row with its own config's batch size,
+    and a fault fails only its own row: every other row is the one its
+    config gives the row alone, bit for bit."""
     eigh = np.linalg.eigh
 
     def failing_eigh(H):
@@ -267,13 +281,13 @@ def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     p = fault(problem_from_config(dict(SADDLE)), 0.5)
-    oracle_calls = []  # (oracle, points) of each sampled-oracle call
+    oracle_calls = []  # (oracle, each point's seed count) of each sampled-oracle call
 
     def counted(name):
         oracle = getattr(p, name)
 
         def batch(points, seeds):
-            oracle_calls.append((name, len(np.atleast_2d(points))))
+            oracle_calls.append((name, _call_rows(points, len(seeds))[1].tolist()))
             return oracle(points, seeds)
         return batch
 
@@ -289,10 +303,11 @@ def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch
     streams = SeedStream.block([SeedStream(seed, algorithm).child("step", 4).state
                                 for seed in range(4)])
     x_new, calls, outcomes = step(p, x, cfgs, streams)
-    # one call per estimator and config, each for that config's two rows
-    oracles = ["sample_grad_batch"] if algorithm == "psgd" else ["sample_grad_batch",
-                                                                 "sample_hess_batch"]
-    assert sorted(oracle_calls) == sorted((name, 2) for name in oracles * 2)
+    # one call per estimator and block (the four rows fit in one), each row
+    # drawing its own config's batch
+    batches = [("sample_grad_batch", "n1")] + (
+        [("sample_hess_batch", "n2")] if algorithm == "scrn" else [])
+    assert oracle_calls == [(name, [getattr(cfg, n) for cfg in cfgs]) for name, n in batches]
     assert calls == [cfg.calls_per_step for cfg in cfgs]
     assert len(outcomes) == 4
     assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
@@ -304,3 +319,34 @@ def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch
         assert _same_outcome(outcomes[j], own)
         if algorithm == "psgd" and cfgs[j].r == 0.0:
             assert np.array_equal(np.signbit(x_new[j]), np.signbit(own_x[0]))
+
+
+MIXED_MODES = {  # first- or higher-order rows 0 and 2, zeroth-order rows 1 and 3
+    "psgd": [PsgdConfig(eta=0.02, r=0.3, n1=4, T=10, box_radius=10.0, epsilon=0.1),
+             PsgdConfig(eta=0.01, r=0.1, n1=3, T=10, box_radius=10.0, epsilon=0.1,
+                        mode="zeroth_order", nu=0.01),
+             PsgdConfig(eta=0.02, r=0.0, n1=7, T=10, box_radius=1.2, epsilon=0.1)],
+    "scrn": [ScrnConfig(M=5.0, n1=3, n2=3, T=10, box_radius=10.0, epsilon=0.1),
+             ScrnConfig(M=5.0, n1=3, n2=4, T=10, box_radius=10.0, epsilon=0.1,
+                        mode="zeroth_order", nu=0.01),
+             ScrnConfig(M=7.0, n1=2, n2=5, T=10, box_radius=1.2, epsilon=0.1)],
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(MIXED_MODES))
+def test_a_step_of_mixed_modes_gives_each_row_its_own_step(algorithm):
+    # the sampled-oracle rows share one packed call per estimator, the
+    # zeroth-order rows one call of their config; every row is its own step
+    sampled, zeroth, other = MIXED_MODES[algorithm]
+    cfgs = [sampled, zeroth, other, zeroth]
+    step = psgd_step if algorithm == "psgd" else _estimate_step
+    p = problem_from_config(dict(SADDLE))
+    x = np.full((4, 10), 0.1) + 0.05 * np.arange(4)[:, None]
+    streams = SeedStream.block([SeedStream(seed, algorithm).child("step", 2).state
+                                for seed in range(4)])
+    x_new, calls, outcomes = step(p, x, cfgs, streams)
+    assert calls == [cfg.calls_per_step for cfg in cfgs]
+    for j, cfg in enumerate(cfgs):
+        own_x, own_calls, (own,) = step(p, x[j:j + 1], cfg, SeedStream.block([streams.state[j]]))
+        assert np.array_equal(x_new[j], own_x[0]) and calls[j] == own_calls
+        assert _same_outcome(outcomes[j], own)

@@ -7,6 +7,7 @@ import pytest
 from saddlescape.errors import ConfigurationError
 from saddlescape.problems import (
     ProblemMetadata,
+    RaggedBatch,
     clamp_to_box,
     make_additive_noise_variant,
     make_multiplicative_saddle,
@@ -194,8 +195,8 @@ def test_single_point_oracles_match_tiled_batch(rho, sigma):
         tiled = np.tile(x, (n, 1))
         grads = p.sample_grad_batch(tiled, seeds)
         hessians = p.sample_hess_batch(tiled, seeds)
-        # a (d,) point, as an array or as any array-like
-        for point in (x, list(x)):
+        # a (d,) point, as an array or as any array-like, a tuple included
+        for point in (x, list(x), tuple(x)):
             assert np.array_equal(p.sample_grad_batch(point, seeds), grads)
             assert np.array_equal(p.sample_hess_batch(point, seeds), hessians)
     with pytest.raises(ConfigurationError):
@@ -361,7 +362,47 @@ _CONTRACT_PROBLEMS = {
     "phase_retrieval": make_phase_retrieval(d=_D, m=32, planted_seed=1),
     "additive": make_additive_noise_variant(
         make_multiplicative_saddle(d=_D, neg_count=1, rho=1.0, quartic_coeff=0.05), 0.5),
+    "saddle_rho1": make_multiplicative_saddle(d=_D, neg_count=1, rho=1.0, quartic_coeff=0.05),
 }
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))
+def test_ragged_batch_is_the_per_row_calls(name):
+    # a ragged batch (rows, counts) equals each row's own equal-split call on
+    # its run of seeds, bit for bit: rows of -0.0 and NaN included, where
+    # the rho = 1 saddle's samples are copies of their row
+    p = _CONTRACT_PROBLEMS[name]
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-1.5, 1.5, (6, _D))
+    pts[1] = -0.0
+    pts[3, 2] = np.nan
+    for counts in ([3, 1, 4, 0, 5, 2], [7, 7, 1, 1, 30, 2], np.array([1, 2, 3, 4, 5, 6], np.uint8)):
+        seeds = SeedStream(len(counts)).seeds(int(np.sum(counts)))
+        bounds = np.cumsum(np.concatenate([[0], counts])).tolist()
+        with np.errstate(invalid="ignore"):
+            for oracle in (p.sample_value_batch, p.sample_grad_batch, p.sample_hess_batch):
+                ragged = oracle(RaggedBatch(pts, counts), seeds)
+                own = np.concatenate([oracle(x, seeds[a:b])
+                                      for x, a, b in zip(pts, bounds, bounds[1:]) if b > a])
+                assert ragged.shape == own.shape and ragged.tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))
+@pytest.mark.parametrize("counts, message", [
+    ([2, 2], "a ragged batch needs one seed count per row: got counts of shape (2,) for 3 rows"),
+    ([[2, 2, 2]], "a ragged batch needs one seed count per row: got counts of shape (1, 3) for 3 rows"),
+    ([2, 2, 3], "seed counts add up to 7, not to the 6 seeds"),
+    ([4, -1, 3], "seed counts must be >= 0, got -1"),
+    ([2.0, 2.0, 2.0], "seed counts must be integers, got float64"),
+    ([True, True, False], "seed counts must be integers, got bool"),
+], ids=["short", "2d", "sum", "negative", "float", "bool"])
+def test_ragged_batch_rejects_malformed_counts(name, counts, message):
+    p = _CONTRACT_PROBLEMS[name]
+    seeds = SeedStream(0).seeds(6)
+    for oracle in (p.sample_value_batch, p.sample_grad_batch, p.sample_hess_batch):
+        with pytest.raises(ConfigurationError) as raised:
+            oracle(RaggedBatch(np.zeros((3, _D)), counts), seeds)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(_CONTRACT_PROBLEMS))

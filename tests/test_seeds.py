@@ -10,6 +10,7 @@ from saddlescape.seeds import (
     fold_int_states,
     fold_label_states,
     mix64_array,
+    ragged_seeds,
     random_signs,
     standard_normals,
     uniform01,
@@ -193,6 +194,16 @@ def test_kernels_leave_their_input_unchanged():
     fold_label_states(seeds, "u")
     SeedStream.block(seeds).seeds(3)
     assert np.array_equal(seeds, kept)
+
+
+def test_ragged_seeds_concatenate_each_streams_own_seeds():
+    # runs of streams that take their own counts, the longest past the cached
+    # index hashes: the one buffer holds each stream's seeds(n), in order
+    block = SeedStream(list(range(7))).child("xi")
+    runs = [(2, 3), (1, 1), (3, 5000), (1, 3)]
+    sizes = [n for m, n in runs for _ in range(m)]
+    expected = np.concatenate([node.seeds(n) for node, n in zip(block.nodes(), sizes)])
+    assert np.array_equal(ragged_seeds(block.state, runs), expected)
 
 
 def test_block_derives_each_node_as_its_own_stream():
