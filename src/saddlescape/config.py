@@ -80,6 +80,17 @@ def as_count(value, key: str) -> int:
     raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
+def check_finite(values: dict) -> None:
+    """Reject the first of ``values`` (name -> number, None skipped) that is
+    NaN or infinite.  NaN passes every range check and infinity every lower
+    bound, so such a constant would fail far from its cause (a bare
+    ValueError where a schedule rounds it to a count) or run every step to
+    a non-finite iterate."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 def as_float_list(raw: str, key: str) -> list[float]:
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:

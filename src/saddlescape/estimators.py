@@ -154,7 +154,9 @@ def _sampled_means(oracle, x, n, stream: SeedStream, shape: tuple, sums) -> np.n
     for start, stop, runs, ragged in _packing(counts, 8 * math.prod(shape)):
         pts = x[start:stop] if x.ndim == 2 else x
         if ragged is not None:
-            pts = RaggedBatch(np.broadcast_to(pts, (stop - start, x.shape[-1])), ragged)
+            if x.ndim != 2:  # the shared point, once per run
+                pts = np.broadcast_to(pts, (stop - start, x.shape[-1]))
+            pts = RaggedBatch(pts, ragged)
         samples = oracle(pts, ragged_seeds(states[start:stop], runs))
         pos, row = 0, start
         for m, c in runs:

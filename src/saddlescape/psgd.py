@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import diagnostics
-from .config import as_count
+from .config import as_count, check_finite
 from .diagnostics import RunTrace, TraceRow, certify
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, zo_gradient
@@ -68,6 +68,8 @@ class ScheduleConstants:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
+        check_finite({"a0": self.a0, "a1": self.a1, "c": self.c,
+                      **{f"kappa[{i}]": k for i, k in enumerate(self.kappa)}})
         if self.a0 <= 0 or self.a1 <= 0 or self.c <= 0:
             raise ConfigurationError("a0, a1, c must be positive")
         if len(self.kappa) != 10 or any(k <= 0 for k in self.kappa):
@@ -94,6 +96,7 @@ class PsgdConfig:
     algorithm = "psgd"  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
+        check_finite({"eta": self.eta, "r": self.r, "epsilon": self.epsilon, "nu": self.nu})
         if self.eta <= 0:
             raise ConfigurationError(f"eta must be positive, got {self.eta}")
         if self.r < 0:
@@ -102,8 +105,9 @@ class PsgdConfig:
             object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.n1 < 1 or self.T < 0:
             raise ConfigurationError("need n1 >= 1 and T >= 0")
-        if self.box_radius <= 0 or self.epsilon <= 0:
-            raise ConfigurationError("box_radius and epsilon must be positive")
+        _check_box(self.box_radius)
+        if self.epsilon <= 0:
+            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.mode not in (FIRST_ORDER, ZEROTH_ORDER):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if (self.nu is not None) != (self.mode == ZEROTH_ORDER):
@@ -113,6 +117,12 @@ class PsgdConfig:
     def calls_per_step(self) -> int:
         """Oracle calls of one step: n1 sampled gradients, or 2 n1 values."""
         return 2 * self.n1 if self.mode == ZEROTH_ORDER else self.n1
+
+
+def _check_box(radius) -> None:
+    """A run's clamp radius: positive, or inf for a run that is never clamped."""
+    if not radius > 0:  # NaN fails the comparison
+        raise ConfigurationError(f"box_radius must be positive or inf, got {radius}")
 
 
 _THETA_CHUNK = 64  # steps of one step-stream fold and one theta draw; no value depends on it
@@ -238,9 +248,11 @@ def psgd_step(
     each row with its own batch size (one sampled-oracle call per block of
     rows, see ``estimators``), the zeroth-order rows one ``zo_gradient``
     call per distinct config, and the perturbation, update, clamp and
-    finite check run once for all rows.  ``oracle_calls`` is the calls of
-    one run's step for one config, or the list of each row's for a
-    sequence or a layout, and every row is the one its run alone gives.
+    finite check run once for all rows.  When every row is first-order the
+    step takes the (k, d) gradients as ``fo_gradient`` returns them.
+    ``oracle_calls`` is the calls of one run's step for one config, or the
+    list of each row's for a sequence or a layout, and every row is the one
+    its run alone gives.
     ``theta`` is the step's (k, d) perturbation when the caller has drawn
     it; by default the step draws it from the block's states, the same
     rows.  ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
@@ -252,12 +264,15 @@ def psgd_step(
     if not np.isfinite(x).all():
         raise NumericalError("iterate has non-finite entries")
     layout = _layout(cfg, len(x))
-    g = np.empty_like(x)
-    if layout.n1:
-        rows = layout.sampled
-        g[rows] = fo_gradient(p, x[rows], layout.n1, _sub_block(stream, rows)).g
-    for c, rows in layout.zo_groups:
-        g[rows] = zo_gradient(p, x[rows], c.nu, c.n1, _sub_block(stream, rows)).g
+    if isinstance(layout.sampled, slice):  # every row samples: no scatter
+        g = fo_gradient(p, x, layout.n1, stream).g
+    else:
+        g = np.empty_like(x)
+        if layout.n1:
+            rows = layout.sampled
+            g[rows] = fo_gradient(p, x[rows], layout.n1, _sub_block(stream, rows)).g
+        for c, rows in layout.zo_groups:
+            g[rows] = zo_gradient(p, x[rows], c.nu, c.n1, _sub_block(stream, rows)).g
     if theta is None:
         theta = draw_perturbation(stream.state, p.meta.dim, layout.r)
     x_new = x - layout.eta * (g + theta)

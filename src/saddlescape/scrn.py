@@ -35,21 +35,24 @@ At d = 10 a model check plus a solve that decomposes H itself costs about
 60 microseconds (one BLAS thread, 2-vCPU Linux host), of which
 ``np.linalg.eigh`` and ``Q'g`` take about 12.  ``_estimate_step`` samples
 the gradients and the Hessians of all the rows of a step with one packed
-oracle call each, whatever their batch sizes: about 145 microseconds for
-the 6 rows of a ``scrn_ho`` step, against 240 with one call per config.
-It decomposes all the rows with one stacked ``eigh`` and one ``matmul``,
-about 7 microseconds a row, and hands each row's solve its eigenpairs:
-about 49 microseconds a row in all.  The rest of a solve is some thirty
+oracle call each, whatever their batch sizes, and builds the models and
+the update from the stacks: one finite screen, one byte compare for
+symmetry, one stacked ``eigh``, one ``matmul`` for every ``Q'g`` and one
+``x + h*``.  A row pays only for its solve and its clamp.  Timed in
+process, a ``scrn_ho`` step of 6 rows took about 270 microseconds: 65 for
+the two estimators, 30 for the screen, the decomposition and the six
+models, and 140 for the six solves, each given its eigenpairs (timeit,
+one BLAS thread, 2-vCPU Linux host).  The rest of a solve is some thirty
 numpy calls on short arrays, each with a fixed cost.  So the solve
 computes each quantity once and reuses it: ``g @ g`` gives ``||g||`` and
 screens g's finiteness; the minimum eigenspace is counted as a prefix of
 the ascending spectrum; the Newton loop tests for a pole on ``a[0] + t``
 alone; and the radius, ``||g||``, ``w_min`` and ``||H||_2`` serve both the
-model decrease and the checks.  Every value that reaches a ``CubicSolution`` is computed by numpy
-dots and ufuncs, never by a Python sum, which rounds differently, so the
-traces keep their bytes.  A float operation that overflows or divides by
-zero, an ``eigh`` that fails, or a Brent bracket lost to overflow is a
-``NumericalError`` of that solve alone.
+model decrease and the checks.  Every value that reaches a
+``CubicSolution`` is computed by numpy dots and ufuncs, never by a Python
+sum, which rounds differently, so the traces keep their bytes.  A float
+operation that overflows or divides by zero, an ``eigh`` that fails, or a
+Brent bracket lost to overflow is a ``NumericalError`` of that solve alone.
 """
 
 from __future__ import annotations
@@ -60,14 +63,14 @@ from typing import Optional
 
 import numpy as np
 
-from .config import as_count
+from .config import as_count, check_finite
 # certify is unused here, but the benchmark's tracer patches it in this module
 from .diagnostics import certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
-from .psgd import (_check_rows, _layout, _per_seed, _require_rho, _step_calls, _sub_block,
-                   run_steps)
+from .psgd import (_check_box, _check_rows, _layout, _per_seed, _require_rho, _step_calls,
+                   _sub_block, run_steps)
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -92,7 +95,7 @@ class CubicModel:
     H: np.ndarray
     M: float
     # (w, Q, Q'g) of H = Q diag(w) Q' when the caller has decomposed H, as
-    # _estimate_step does for all its rows at once (_decomposed_model); the
+    # _estimate_step does for all its rows at once (_row_models); the
     # solve decomposes H itself when it is None
     _eigen: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -277,9 +280,17 @@ def _decompose(g: np.ndarray, H: np.ndarray, M: float) -> tuple:
     return w, Q, Q.T @ g
 
 
-def _decomposed_model(g: np.ndarray, H: np.ndarray, M: float, eigen: tuple) -> CubicModel:
-    """The model (g, H, M), carrying the caller's ``(w, Q, Q'g)`` of H."""
-    model = CubicModel(g=g, H=H, M=M)
+def _decomposed_model(g: np.ndarray, H: np.ndarray, M: float, eigen,
+                      checks: bool = True) -> CubicModel:
+    """The model (g, H, M), carrying the caller's ``(w, Q, Q'g)`` of H, or
+    None.  ``checks=False`` skips ``CubicModel``'s checks, for a float64
+    (d,) g, a finite (d, d) H equal to its transpose bit for bit and a
+    positive, finite M: such a triple passes them."""
+    if checks:
+        model = CubicModel(g=g, H=H, M=M)
+    else:
+        model = object.__new__(CubicModel)
+        vars(model).update(g=g, H=H, M=M)
     object.__setattr__(model, "_eigen", eigen)
     return model
 
@@ -408,12 +419,14 @@ class ScrnConfig:
     def __post_init__(self):
         if not (self.M > 0 and math.isfinite(self.M)):
             raise ConfigurationError(f"M must be positive and finite, got {self.M}")
+        check_finite({"epsilon": self.epsilon, "nu": self.nu})
         for name in ("n1", "n2", "T"):  # a fractional count would be charged but not drawn
             object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.n1 < 1 or self.n2 < 1 or self.T < 1:
             raise ConfigurationError("need n1, n2, T >= 1")
-        if self.box_radius <= 0 or self.epsilon <= 0:
-            raise ConfigurationError("box_radius and epsilon must be positive")
+        _check_box(self.box_radius)
+        if self.epsilon <= 0:
+            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.mode not in (HIGHER_ORDER, ZEROTH_ORDER):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if (self.nu is not None) != (self.mode == ZEROTH_ORDER):
@@ -434,10 +447,16 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
     ``fo_gradient`` and one ``so_hessian`` call, each row with its own
     batch sizes (one sampled-oracle call per estimator and block of rows),
     and the zeroth-order rows one call of each estimator per distinct
-    config.  The models of all rows are screened for finite entries in one
-    pass, and the finite ones decomposed by one stacked ``eigh``, with every
-    ``Q'g`` from one ``matmul``: both give the bits of the one-row calls.
-    Each row then gets its own ``solve_cubic`` call with its eigenpairs, and
+    config; when every row is higher-order, the step takes the (k, d) and
+    (k, d, d) stacks as the estimators return them.  The stacks are screened
+    for finite rows in one pass, and the finite Hessians decomposed by one
+    stacked ``eigh``, with every ``Q'g`` from one ``matmul``: both give the
+    bits of the one-row calls.  A stack that is finite and equal to its
+    transpose bit for bit, as both Hessian estimators make it, passes every
+    model check at once, so its rows' models skip ``CubicModel``'s checks;
+    any other stack builds each row's ``CubicModel``.  Each row then gets
+    its own ``solve_cubic`` call with its eigenpairs.  The update ``x + h*``
+    is one operation for all rows, and each row whose solve succeeded gets
     its own clamp.  If the stacked ``eigh`` fails, each solve decomposes its
     own model, so the failure ends only its row's run.  ``outcomes[j]`` is
     row j's ``CubicSolution``, or the ``NumericalError`` its cubic solve
@@ -445,42 +464,66 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
     """
     x = np.asarray(x, dtype=np.float64)
     layout = _layout(cfg, len(x))
-    g = np.empty_like(x)
-    H = np.empty(x.shape + x.shape[-1:])
-    if layout.n1:
-        rows = layout.sampled
-        xs, sub = x[rows], _sub_block(stream, rows)
-        g[rows] = fo_gradient(p, xs, layout.n1, sub).g
-        H[rows] = so_hessian(p, xs, layout.n2, sub).H
-    for c, rows in layout.zo_groups:
-        xs, sub = x[rows], _sub_block(stream, rows)
-        g[rows] = zo_gradient(p, xs, c.nu, c.n1, sub).g
-        H[rows] = zo_hessian(p, xs, c.nu, c.n2, sub).H
-    finite = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
-    eigen = [None] * len(x)
-    if finite.any():
-        try:
-            w, Q = np.linalg.eigh(H[finite])
-        except np.linalg.LinAlgError:
-            pass  # each solve decomposes its own model
-        else:
-            b = (g[finite, None, :] @ Q)[:, 0]
-            for j, wj, Qj, bj in zip(np.flatnonzero(finite).tolist(), w, Q, b):
-                eigen[j] = wj, Qj, bj
-    x_new = np.empty_like(x)
+    if isinstance(layout.sampled, slice):  # every row samples: no gather, no scatter
+        g = fo_gradient(p, x, layout.n1, stream).g
+        H = so_hessian(p, x, layout.n2, stream).H
+    else:
+        g = np.empty_like(x)
+        H = np.empty(x.shape + x.shape[-1:])
+        if layout.n1:
+            rows = layout.sampled
+            xs, sub = x[rows], _sub_block(stream, rows)
+            g[rows] = fo_gradient(p, xs, layout.n1, sub).g
+            H[rows] = so_hessian(p, xs, layout.n2, sub).H
+        for c, rows in layout.zo_groups:
+            xs, sub = x[rows], _sub_block(stream, rows)
+            g[rows] = zo_gradient(p, xs, c.nu, c.n1, sub).g
+            H[rows] = zo_hessian(p, xs, c.nu, c.n2, sub).H
+    h = np.empty_like(x)
     outcomes = []
-    for j, (c, e) in enumerate(zip(layout.cfgs, eigen)):
-        model = (CubicModel(g=g[j], H=H[j], M=c.M) if e is None
-                 else _decomposed_model(g[j], H[j], c.M, e))
+    for j, model in enumerate(_row_models(g, H, layout.cfgs)):
         try:
             sol = solve_cubic(model)
         except NumericalError as err:
-            sol, x_new[j] = err, np.nan
+            sol, h[j] = err, np.nan
         else:
-            x_new[j] = clamp_to_box(x[j] + sol.h_star, c.box_radius)
+            h[j] = sol.h_star
         outcomes.append(sol)
+    x_new = x + h
+    for row, box, sol in zip(x_new, layout.box, outcomes):
+        # one clamp per solved row: the benchmark's tracer counts them
+        if not isinstance(sol, NumericalError):
+            clamped = clamp_to_box(row, box)
+            if clamped is not row:
+                row[...] = clamped
     return x_new, _step_calls(cfg, layout), _check_rows(
         x_new, "cubic step produced non-finite entries", outcomes)
+
+
+def _row_models(g: np.ndarray, H: np.ndarray, cfgs: list) -> list:
+    """The ``CubicModel`` of each row of the (k, d) gradients ``g`` and
+    (k, d, d) Hessians ``H``, row j with the penalty of ``cfgs[j]``.
+
+    The finite rows' Hessians are decomposed by one stacked ``eigh`` and
+    the models carry their eigenpairs; a row that is not finite, or every
+    row when the ``eigh`` fails, is left to its solve.  A finite stack
+    equal to its transpose bit for bit needs no model checks (the configs
+    checked each ``M``), so its models are built without them.
+    """
+    finite = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+    every = bool(finite.all())
+    checks = not (every and H.tobytes() == np.swapaxes(H, 1, 2).tobytes())
+    eigen = [None] * len(g)
+    if finite.any():
+        try:
+            w, Q = np.linalg.eigh(H if every else H[finite])
+        except np.linalg.LinAlgError:
+            pass  # each solve decomposes its own model
+        else:
+            b = ((g if every else g[finite])[:, None, :] @ Q)[:, 0]
+            for j, wj, Qj, bj in zip(np.flatnonzero(finite).tolist(), w, Q, b):
+                eigen[j] = wj, Qj, bj
+    return [_decomposed_model(gj, Hj, c.M, e, checks) for gj, Hj, c, e in zip(g, H, cfgs, eigen)]
 
 
 def run_scrn(
@@ -515,8 +558,11 @@ def run_scrn(
 
 
 def check_mu(mu) -> None:
-    """The schedule constants ``mu``: five positive numbers."""
-    if len(mu) != 5 or any(m <= 0 for m in mu):
+    """The schedule constants ``mu``: five positive, finite numbers."""
+    if len(mu) != 5:
+        raise ScheduleError("mu must hold 5 positive constants")
+    check_finite({f"mu[{i}]": m for i, m in enumerate(mu)})
+    if any(m <= 0 for m in mu):
         raise ScheduleError("mu must hold 5 positive constants")
 
 

@@ -126,3 +126,14 @@ def test_bad_arguments_are_rejected(tmp_path, capsys, argv, message):
         bench_pairs.parse_args(["--parent", str(tmp_path), "--change", str(tmp_path),
                                 "--out", str(tmp_path / "out.json"), *argv])
     assert exit_info.value.code == 2 and message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("environ, caches", [
+    ({}, True),
+    ({"PYTHONDONTWRITEBYTECODE": ""}, True),  # an empty value leaves caching on
+    ({"PYTHONDONTWRITEBYTECODE": "1"}, False),
+])
+def test_host_line_says_whether_bytecode_is_cached(environ, caches):
+    note = bench_pairs.bytecode_note(environ)
+    assert ("compiles src/ afresh" not in note) == caches
+    assert ("PYTHONDONTWRITEBYTECODE" in note) != caches

@@ -674,3 +674,68 @@ def test_sampled_estimator_memory_does_not_grow_with_k(estimator, oracle, n):
         finally:
             tracemalloc.stop()
         assert peak < bound, (k, peak, bound)
+
+
+# ---------------------------------------------------------------------------
+# both Hessian estimators return stacks equal to their transpose bit for bit:
+# the cubic step skips the model checks of such a stack (scrn._row_models)
+
+def _bit_symmetric(H: np.ndarray) -> bool:
+    return H.tobytes() == np.swapaxes(H, -1, -2).tobytes()
+
+
+@pytest.mark.parametrize("sizes, oracle_calls", [
+    ([4] * 6, 1),  # equal batch sizes: one (k, d) call
+    ([3, 5, 3, 7, 5, 3], 1),  # unequal ones: one ragged call
+    ([200, 100, 200], 2),  # 500 samples of 800 bytes span two calls
+], ids=["equal", "ragged", "two_calls"])
+def test_so_hessian_stacks_are_bit_symmetric(sizes, oracle_calls):
+    p = make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
+    calls = []
+
+    def skewed_batch(points, seeds):
+        # sampled Hessians that are not symmetric: the estimate still is
+        calls.append(len(seeds))
+        hess = p.sample_hess_batch(points, seeds)
+        return hess + 1e-3 * np.triu(np.ones((10, 10)), 1) * np.arange(len(seeds))[:, None, None]
+
+    x = np.random.default_rng(3).uniform(-1.5, 1.5, (len(sizes), 10))
+    H = so_hessian(dataclasses.replace(p, sample_hess_batch=skewed_batch), x, sizes,
+                   SeedStream(list(range(len(sizes))))).H
+    assert len(calls) == oracle_calls
+    assert H.shape == (len(sizes), 10, 10) and np.isfinite(H).all()
+    assert not _bit_symmetric(skewed_batch(x[:1], np.arange(2, dtype=np.uint64)))
+    assert _bit_symmetric(H)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_zo_hessian_stacks_are_bit_symmetric(blocks):
+    p, x, n = _multi_block_case()
+    n = n if blocks == 3 else 50
+    xs = np.stack([x, -0.5 * x, x + 0.25])
+    H = zo_hessian(p, xs, 0.05, n, SeedStream([1, 2, 3])).H
+    assert -(-n // _block_rows(4)) == blocks
+    assert H.shape == (3, 4, 4) and np.isfinite(H).all() and _bit_symmetric(H)
+
+
+def test_a_shared_point_serves_runs_of_unequal_batch_sizes():
+    # one (d,) point for all runs goes to the oracle once per run, read-only;
+    # a (k, d) stack goes as it is
+    p = make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
+    x = np.linspace(-0.5, 0.5, 10)
+    sizes = [3, 5, 3, 7]
+    runs = SeedStream(list(range(4)))
+    points = []
+
+    def hess_batch(pts, seeds):
+        points.append(pts.rows)
+        return p.sample_hess_batch(pts, seeds)
+
+    shared = so_hessian(dataclasses.replace(p, sample_hess_batch=hess_batch), x, sizes, runs).H
+    stacked = so_hessian(dataclasses.replace(p, sample_hess_batch=hess_batch),
+                         np.tile(x, (4, 1)), sizes, runs).H
+    assert points[0].shape == (4, 10) and not points[0].flags.writeable
+    assert points[1].shape == (4, 10)
+    assert shared.tobytes() == stacked.tobytes()
+    for j, (n, node) in enumerate(zip(sizes, runs.nodes())):
+        assert shared[j].tobytes() == so_hessian(p, x, n, node).H.tobytes()

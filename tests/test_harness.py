@@ -519,6 +519,26 @@ def test_tune_constants_scores_an_undefined_schedule_as_a_loss():
     assert best == {"delta": 0.1}
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"c": math.nan}, "c must be finite, got nan"),  # was a bare ValueError
+    ({"a1": math.inf}, "a1 must be finite, got inf"),  # was an OverflowError
+    ({"a0": math.nan}, "a0 must be finite, got nan"),  # was a spec whose every cell failed
+    ({"kappa": (1.0,) * 9 + (math.nan,)}, r"kappa\[9\] must be finite, got nan"),
+    ({"algorithm": "scrn", "mode": "higher_order", "stop_after_certified": False,
+      "mu": (1.0, 1.0, math.nan, 1.0, 1.0)}, r"mu\[2\] must be finite, got nan"),
+], ids=["c_nan", "a1_inf", "a0_nan", "kappa_nan", "mu_nan"])
+def test_spec_constants_must_be_finite(overrides, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        _spec(**overrides)
+
+
+def test_tune_constants_scores_a_non_finite_candidate_as_a_loss():
+    spec = _spec(max_steps=1200)
+    best = tune_constants(spec, [{"c": math.nan}, {"a1": math.inf}, {"c": 0.01}],
+                          tune_seeds=(0,))
+    assert best == {"c": 0.01}
+
+
 def test_tune_constants_rejects_bad_input_before_any_run(monkeypatch):
     spec = _spec(max_steps=1200)
     monkeypatch.setattr(harness, "_run_group", None)  # any run would fail with a TypeError

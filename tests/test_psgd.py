@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,41 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="nu must be set iff"):
         PsgdConfig(eta=0.1, r=0.0, n1=2, T=1, box_radius=10, epsilon=0.1,
                    mode=FIRST_ORDER, nu=0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["eta", "r", "epsilon", "nu"])
+def test_psgd_constants_must_be_finite(field, value):
+    # NaN passed every range check: a NaN eta or r ran every step to a
+    # non-finite iterate, and an infinite eta was accepted
+    base = dict(eta=0.1, r=0.1, n1=2, T=3, box_radius=10.0, epsilon=0.1)
+    if field == "nu":
+        base.update(mode=ZEROTH_ORDER, nu=0.01)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {value}$"):
+        PsgdConfig(**dict(base, **{field: value}))
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 0.0])
+def test_box_radius_is_positive_or_infinite(value):
+    base = dict(eta=0.1, r=0.1, n1=2, T=3, epsilon=0.1)
+    with pytest.raises(ConfigurationError, match="^box_radius must be positive or inf, got "):
+        PsgdConfig(box_radius=value, **base)
+    assert PsgdConfig(box_radius=math.inf, **base).box_radius == math.inf  # never clamped
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["a0", "a1", "c", "kappa"])
+def test_schedule_constants_must_be_finite(field, value):
+    # a NaN c raised a bare ValueError from the batch size's ceil, an
+    # infinite a1 an OverflowError from the budget's, and a NaN a0 or kappa
+    # scheduled a NaN step size
+    if field == "kappa":
+        overrides, name = {"kappa": (1.0,) * 4 + (value,) + (1.0,) * 5}, "kappa[4]"
+    else:
+        overrides, name = {field: value}, field
+    message = rf"^{re.escape(name)} must be finite, got {value}$"
+    with pytest.raises(ConfigurationError, match=message):
+        ScheduleConstants(epsilon=0.1, **overrides)
 
 
 @pytest.mark.parametrize("field", ["n1", "n2", "T"])

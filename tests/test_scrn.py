@@ -11,6 +11,7 @@ from saddlescape import scrn
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
 from saddlescape.problems import (
     ProblemMetadata,
+    clamp_to_box,
     make_multiplicative_saddle,
     make_phase_retrieval,
 )
@@ -25,6 +26,28 @@ from saddlescape.scrn import (
     solve_cubic,
 )
 from saddlescape.seeds import SeedStream
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["epsilon", "nu"])
+def test_scrn_constants_must_be_finite(field, value):
+    base = dict(M=5.0, n1=2, n2=2, T=3, box_radius=10.0, epsilon=0.1)
+    if field == "nu":
+        base.update(mode=ZEROTH_ORDER, nu=0.01)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {value}$"):
+        ScrnConfig(**dict(base, **{field: value}))
+    with pytest.raises(ConfigurationError, match="^box_radius must be positive or inf, got nan$"):
+        ScrnConfig(**dict(base, box_radius=math.nan))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_mu_must_be_finite(value):
+    # a NaN mu was accepted, and the zeroth-order schedule then rounded it
+    # to a batch size with a bare ValueError
+    with pytest.raises(ConfigurationError, match=rf"^mu\[2\] must be finite, got {value}$"):
+        scrn.check_mu((1.0, 1.0, value, 1.0, 1.0))
+    with pytest.raises(ScheduleError, match="5 positive constants"):
+        scrn.check_mu((1.0, 1.0, -1.0, 1.0, 1.0))
 
 
 def test_cubic_model_validation():
@@ -302,6 +325,80 @@ def test_step_bitwise_deterministic(sgc_saddle_10d):
     a, _, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
     b, _, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
     assert np.all(np.isfinite(a)) and np.array_equal(a, b)
+
+
+def _stack_step_case():
+    """A step of four rows under two configs, with its problem, configs,
+    iterates and step streams."""
+    p = make_multiplicative_saddle(d=10, neg_count=1, rho=2.0, quartic_coeff=0.008)
+    two = [_ho_config(M=5.0, n1=3, n2=3), _ho_config(M=7.0, n1=2, n2=5, box=1.2)]
+    cfgs = [two[j % 2] for j in range(4)]
+    x = np.full((4, 10), 0.1) + 0.05 * np.arange(4)[:, None]
+    stream = SeedStream.block([SeedStream(seed, "scrn").child("step", 3).state
+                               for seed in range(4)])
+    return p, cfgs, x, stream
+
+
+def _model_checks(monkeypatch) -> list:
+    """The models whose ``CubicModel`` checks run from now on."""
+    checked = []
+    post_init = CubicModel.__post_init__
+
+    def counted(model):
+        checked.append(model)
+        post_init(model)
+
+    monkeypatch.setattr(CubicModel, "__post_init__", counted)
+    return checked
+
+
+def _assert_rows_solved_alone(p, cfgs, x, stream, x_new, outcomes):
+    """Each row is what its own checked ``CubicModel``, its own
+    ``solve_cubic`` and its own clamp give from the step's estimates."""
+    g = scrn.fo_gradient(p, x, [c.n1 for c in cfgs], stream).g
+    H = scrn.so_hessian(p, x, [c.n2 for c in cfgs], stream).H
+    for j, c in enumerate(cfgs):
+        own = solve_cubic(CubicModel(g=g[j], H=H[j], M=c.M))
+        assert outcomes[j].h_star.tobytes() == own.h_star.tobytes()
+        assert (outcomes[j].model_decrease, outcomes[j].radius, outcomes[j].multiplier,
+                outcomes[j].hard_case) == (own.model_decrease, own.radius, own.multiplier,
+                                           own.hard_case)
+        assert x_new[j].tobytes() == clamp_to_box(x[j] + own.h_star, c.box_radius).tobytes()
+
+
+def test_a_bit_symmetric_stack_builds_its_models_unchecked(monkeypatch):
+    # the sampled Hessians come back finite and equal to their transpose bit
+    # for bit, which passes every model check at once
+    p, cfgs, x, stream = _stack_step_case()
+    checked = _model_checks(monkeypatch)
+    x_new, _, outcomes = _estimate_step(p, x, cfgs, stream)
+    assert checked == []
+    _assert_rows_solved_alone(p, cfgs, x, stream, x_new, outcomes)
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-6])
+def test_a_stack_that_is_not_bit_symmetric_checks_each_model(monkeypatch, offset):
+    # one entry off by 1e-12 is inside the symmetry tolerance, so every row
+    # is solved from its checked model; off by 1e-6 it is not, and the
+    # step raises the model's ConfigurationError
+    p, cfgs, x, stream = _stack_step_case()
+    so_hessian = scrn.so_hessian
+
+    def skewed(*args):
+        est = so_hessian(*args)
+        H = est.H.copy()
+        H[1, 0, 1] += offset
+        return dataclasses.replace(est, H=H)
+
+    monkeypatch.setattr(scrn, "so_hessian", skewed)
+    checked = _model_checks(monkeypatch)
+    if offset > 1e-10:
+        with pytest.raises(ConfigurationError, match="^model Hessian must be symmetric$"):
+            _estimate_step(p, x, cfgs, stream)
+        return
+    x_new, _, outcomes = _estimate_step(p, x, cfgs, stream)
+    assert len(checked) == len(cfgs)
+    _assert_rows_solved_alone(p, cfgs, x, stream, x_new, outcomes)
 
 
 def test_run_single_step_matches_step():

@@ -29,7 +29,11 @@ hypervisor (``steal_share``) and the share spent busy outside the run's own
 process tree (``others_busy_share``: the host's busy time less the run's
 ``RUSAGE_CHILDREN`` CPU time), both None where ``/proc/stat`` is missing.
 The summary's ``host_contention`` reports the largest of each.  The tool
-only reads these counters; it changes no setting of the host.
+only reads these counters; it changes no setting of the host.  The ``host``
+line also says whether the measured processes, which inherit this
+process's environment, write bytecode caches: with
+``PYTHONDONTWRITEBYTECODE`` set, every run compiles ``src/`` afresh, and
+``setup_s`` grows with the size of ``src/``.
 
 ``--claim WORKLOAD.METRIC`` adds a ``claimed`` entry, which says whether the
 change won at least nine pairs in ten and whether its median gap exceeds the
@@ -314,6 +318,14 @@ def parse_args(argv=None):
     return args
 
 
+def bytecode_note(environ=os.environ) -> str:
+    """Whether processes started with ``environ`` write bytecode caches."""
+    if environ.get("PYTHONDONTWRITEBYTECODE"):
+        return ("PYTHONDONTWRITEBYTECODE set, so every measured process compiles src/ "
+                "afresh")
+    return "bytecode cached by the measured processes"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -341,8 +353,8 @@ def main(argv=None) -> int:
         "tier1_command": TIER1_TEXT,
         "host": (f"{os.cpu_count()}-vCPU {platform.system()}, one BLAS thread, "
                  f"numpy {info.get('numpy')}, scipy {info.get('scipy')}, "
-                 f"python {platform.python_version()}; parent and change from separate "
-                 "checkouts of the same machine, run one at a time"),
+                 f"python {platform.python_version()}; {bytecode_note()}; parent and "
+                 "change from separate checkouts of the same machine, run one at a time"),
         "protocol": (f"{args.pairs} pairs; parent runs first in odd pairs, change first in even "
                      "pairs; in each pair both benchmark runs come first, then one tier-1 run "
                      "per side, then one run of the three acceptance sweeps per side, in the "
