@@ -157,33 +157,40 @@ def min_eigenvalue(H: np.ndarray):
     return (float(lam[0]), vec[0]) if H.ndim == 2 else (lam, vec)
 
 
-def certify(p: StochasticProblem, x, epsilon: float, *, grad=None,
+def certify(p: StochasticProblem, x, epsilon: float, *, grad_norm=None,
             lambda_min=None) -> SospCertificate:
     """Certify x against the epsilon-local-minimizer definition (exact oracles).
 
-    ``grad`` and ``lambda_min``, given together, are the exact gradient and
-    Hessian minimum eigenvalue at x, computed by the caller with those of
-    other points (``psgd.run_steps``); without them certify calls the exact
-    oracles at x itself.  A non-finite gradient or eigenvalue raises
-    ``NumericalError``: the score's ``max`` would keep its first argument
-    past a NaN and could certify any point.
+    ``grad_norm`` and ``lambda_min``, given together, are the floats
+    ||grad f(x)|| and lambda_min(hess f(x)), computed by the caller with
+    those of other points (``psgd._certify_points``); certify then checks
+    and scores them without calling numpy.  Without them certify calls the
+    exact oracles at x itself.  A non-finite gradient entry or eigenvalue
+    raises ``NumericalError``: the score's ``max`` would keep its first
+    argument past a NaN and could certify any point.  A given NaN norm
+    stands for a gradient with a non-finite entry and raises the same error;
+    an infinite norm, the square of finite entries overflowing, is scored
+    and never certified.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigurationError(f"epsilon must be finite and positive, got {epsilon}")
     if not p.meta.L_H > 0:
         raise ConfigurationError("certification needs metadata L_H > 0")
-    if (grad is None) != (lambda_min is None):
-        raise ConfigurationError("certify needs both grad and lambda_min, or neither")
-    if grad is None:
+    if (grad_norm is None) != (lambda_min is None):
+        raise ConfigurationError("certify needs both grad_norm and lambda_min, or neither")
+    if grad_norm is None:
         x = np.asarray(x, dtype=np.float64)
-        grad = p.exact_grad(x)
+        g = np.ascontiguousarray(p.exact_grad(x), dtype=np.float64)
         lambda_min, _ = min_eigenvalue(p.exact_hess(x))
-    g = np.ascontiguousarray(grad, dtype=np.float64)
-    grad_norm = math.sqrt(g @ g)
-    lam = float(lambda_min)
-    # a finite norm screens the entries; an overflowing one leaves it to isfinite
-    if not (math.isfinite(grad_norm) or np.isfinite(g).all()):
-        raise NumericalError("certify got a non-finite gradient")
+        grad_norm = math.sqrt(g @ g)
+        # a finite norm screens the entries; an overflowing one leaves it to isfinite
+        if not (math.isfinite(grad_norm) or np.isfinite(g).all()):
+            grad_norm = math.nan
+    grad_norm, lam = float(grad_norm), float(lambda_min)
+    if not grad_norm >= 0:
+        if math.isnan(grad_norm):
+            raise NumericalError("certify got a non-finite gradient")
+        raise ConfigurationError(f"grad_norm must be non-negative, got {grad_norm}")
     if not math.isfinite(lam):
         raise NumericalError(f"certify got a non-finite lambda_min ({lam})")
     score = max(math.sqrt(grad_norm), -lam / p.meta.L_H)

@@ -629,7 +629,9 @@ def tune_constants(
     coarsest epsilon of the grid and return the best override dict.
 
     A candidate wins by (certification success over the tuning seeds, then
-    lower median first-hit budget).  The caller freezes the winner into the
+    lower median first-hit budget); a candidate that certifies no tuning
+    seed never wins, and when no candidate certifies one,
+    ``EvaluationError`` is raised.  The caller freezes the winner into the
     spec before evaluating the full grid.  No tuning seeds, tuning seeds
     that repeat modulo 2^64 (as a spec's seeds may not), or a candidate key
     that is no spec field, is rejected before any candidate runs.
@@ -656,8 +658,11 @@ def tune_constants(
         wins = sum(h is not None for h in hits)
         med = float(np.median([h for h in hits if h is not None])) if wins else math.inf
         score = (-wins, med)
-        if best is None or score < best[0]:
+        if wins and (best is None or score < best[0]):
             best = (score, cand)
+    if best is None:
+        raise EvaluationError(f"no candidate certified a tuning seed at epsilon = {eps} "
+                              f"({len(candidates)} candidates)")
     return best[1]
 
 

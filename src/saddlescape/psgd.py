@@ -247,8 +247,9 @@ def psgd_step(
     ``StepLayout``.  The first-order rows make one ``fo_gradient`` call,
     each row with its own batch size (one sampled-oracle call per block of
     rows, see ``estimators``), the zeroth-order rows one ``zo_gradient``
-    call per distinct config, and the perturbation, update, clamp and
-    finite check run once for all rows.  When every row is first-order the
+    call per distinct config, and the perturbation, update and finite
+    check run once for all rows; each finite row then gets its own clamp to
+    the box.  When every row is first-order the
     step takes the (k, d) gradients as ``fo_gradient`` returns them.
     ``oracle_calls`` is the calls of one run's step for one config, or the
     list of each row's for a sequence or a layout, and every row is the one
@@ -256,7 +257,7 @@ def psgd_step(
     ``theta`` is the step's (k, d) perturbation when the caller has drawn
     it; by default the step draws it from the block's states, the same
     rows.  ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
-    non-finite update (see ``run_steps``).
+    non-finite update, which is not clamped (see ``run_steps``).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -276,12 +277,14 @@ def psgd_step(
     if theta is None:
         theta = draw_perturbation(stream.state, p.meta.dim, layout.r)
     x_new = x - layout.eta * (g + theta)
-    for row, box in zip(x_new, layout.box):  # one clamp per run: the benchmark's tracer counts them
-        clamped = clamp_to_box(row, box)
-        if clamped is not row:
-            row[...] = clamped
-    return x_new, _step_calls(cfg, layout), _check_rows(
-        x_new, "update produced non-finite entries", [None] * len(x_new))
+    outcomes = _check_rows(x_new, "update produced non-finite entries", [None] * len(x_new))
+    for row, box, outcome in zip(x_new, layout.box, outcomes):
+        # one clamp per finite row: the benchmark's tracer counts them
+        if outcome is None:
+            clamped = clamp_to_box(row, box)
+            if clamped is not row:
+                row[...] = clamped
+    return x_new, _step_calls(cfg, layout), outcomes
 
 
 def _per_seed(run: Callable, x0, cfg, seed):
@@ -354,19 +357,30 @@ def _certify_points(p: StochasticProblem, xs: np.ndarray, epsilons: Sequence[flo
 
     One call of each exact oracle and of ``min_eigenvalue`` (looked up in
     ``diagnostics`` at call time, where the benchmark's tracer times it)
-    serve all rows; each row then gets its certificate from its own
-    ``certify`` call, which the tracer counts.  If the stacked pass fails,
-    each row is certified on its own, so a failure ends only its row's run.
+    serve all rows, and one ``vecdot`` takes every row's gradient norm,
+    each equal to the row's own ``math.sqrt(g @ g)`` bit for bit.  A row
+    with a non-finite gradient entry gets a NaN norm, which its ``certify``
+    call rejects; a finite row whose square overflows keeps its infinite
+    norm and is not certified.  Each row then gets its certificate from its
+    own ``certify`` call on these floats, which the tracer counts.  If the
+    stacked pass fails, each row is certified on its own, so a failure ends
+    only its row's run.
     """
     try:
         grads = p.exact_grad(xs)
-        lams, _ = diagnostics.min_eigenvalue(p.exact_hess(xs))
+        lams = diagnostics.min_eigenvalue(p.exact_hess(xs))[0].tolist()
     except NumericalError:
-        grads = lams = [None] * len(xs)  # certify calls the exact oracles itself
+        squares = lams = [None] * len(xs)  # certify calls the exact oracles itself
+    else:
+        squares = np.vecdot(grads, grads).tolist()
+        if not math.isfinite(sum(squares)):  # a non-finite entry, or an overflow
+            finite = np.isfinite(grads).all(axis=-1).tolist()
+            squares = [s if ok else math.nan for s, ok in zip(squares, finite)]
     outcomes = []
-    for x, epsilon, g, lam in zip(xs, epsilons, grads, lams):
+    for x, epsilon, square, lam in zip(xs, epsilons, squares, lams):
         try:
-            outcomes.append(certify(p, x, epsilon, grad=g, lambda_min=lam))
+            outcomes.append(certify(p, x, epsilon, lambda_min=lam,
+                                    grad_norm=None if square is None else math.sqrt(square)))
         except NumericalError as err:  # a non-finite gradient, or a row's own failed pass
             outcomes.append(err)
     return outcomes
@@ -407,11 +421,13 @@ def run_steps(
     t = 0, every ``certify_every`` steps and at the run's own T, against the
     run's own epsilon.  All runs due at a step are certified together
     (``_certify_points``), whatever their configs: the exact oracles take
-    their (k, d) stack of iterates and ``min_eigenvalue`` the (k, d, d)
-    Hessians, once per step.  The per-row ``certify`` call, like the cubic
-    solve and the clamp to the box, stays one call per run: the benchmark's
-    tracer counts those calls by patching them, so they stay per run until
-    the program counts them itself.
+    their (k, d) stack of iterates, ``min_eigenvalue`` the (k, d, d)
+    Hessians and one ``vecdot`` the gradients, once per step, and each
+    trace row is built from these float columns.  The per-row ``certify``
+    call, which scores a row's two floats, stays one call per run, like the
+    cubic solve and the clamp to the box: the benchmark's tracer counts
+    those calls by patching them, so they stay per run until the program
+    counts them itself.
     ``stop_after_certified`` ends a run at its first certified row (a pure
     function of its trajectory, so traces stay byte-reproducible);
     ``r_indices[i]`` keeps that step's iterate and budget of run i, and the

@@ -233,7 +233,8 @@ def test_certificate_matches_independent_recomputation():
         x = rng.standard_normal(5)
         cert = certify(p, x, 0.1)
         lam, _ = min_eigenvalue(p.exact_hess(x))
-        assert certify(p, x, 0.1, grad=p.exact_grad(x), lambda_min=lam) == cert
+        g = p.exact_grad(x)
+        assert certify(p, x, 0.1, grad_norm=math.sqrt(g @ g), lambda_min=lam) == cert
         # finite-difference gradient norm
         h = 1e-6
         fd = np.array([
@@ -258,8 +259,10 @@ def test_certify_preconditions(quad_saddle_2d):
     for epsilon in (math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="finite"):
             certify(quad_saddle_2d, np.zeros(2), epsilon)
-    with pytest.raises(ConfigurationError, match="both grad and lambda_min"):
-        certify(quad_saddle_2d, np.zeros(2), 0.1, grad=np.zeros(2))
+    with pytest.raises(ConfigurationError, match="both grad_norm and lambda_min"):
+        certify(quad_saddle_2d, np.zeros(2), 0.1, grad_norm=0.0)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        certify(quad_saddle_2d, np.zeros(2), 0.1, grad_norm=-1.0, lambda_min=0.0)
 
 
 def test_certify_rejects_non_finite_inputs():
@@ -273,15 +276,24 @@ def test_certify_rejects_non_finite_inputs():
     object.__setattr__(nan_meta, "L_H", math.nan)  # past ProblemMetadata's own check
     with pytest.raises(ConfigurationError, match="L_H > 0"):
         certify(dataclasses.replace(p, meta=nan_meta), np.zeros(4), 0.05)
+    # a NaN norm stands for a non-finite gradient entry (the stacked screen
+    # of psgd._certify_points sets it, see tests/test_psgd.py)
+    with pytest.raises(NumericalError, match="non-finite gradient"):
+        certify(p, np.zeros(4), 0.05, grad_norm=math.nan, lambda_min=-1.0)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NumericalError, match="non-finite gradient"):
-            certify(p, np.zeros(4), 0.05, grad=np.array([0.0, bad, 0.0, 0.0]), lambda_min=-1.0)
         with pytest.raises(NumericalError, match="non-finite lambda_min"):
-            certify(p, np.zeros(4), 0.05, grad=np.zeros(4), lambda_min=bad)
-    # a finite gradient whose squared norm overflows is not certified, as before
-    with np.errstate(over="ignore"):
-        cert = certify(p, np.zeros(4), 0.05, grad=np.full(4, 1e200), lambda_min=1.0)
+            certify(p, np.zeros(4), 0.05, grad_norm=0.0, lambda_min=bad)
+        # without the floats, certify screens the exact gradient's entries itself
+        bad_grad = dataclasses.replace(p, exact_grad=lambda x, b=bad: np.array([0.0, b, 0.0, 0.0]))
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            certify(bad_grad, np.zeros(4), 0.05)
+    # a finite gradient whose squared norm overflows has an infinite norm and
+    # is not certified, as before
+    cert = certify(p, np.zeros(4), 0.05, grad_norm=math.inf, lambda_min=1.0)
     assert cert.grad_norm == math.inf and not cert.certified
+    overflowing = dataclasses.replace(p, exact_grad=lambda x: np.full(4, 1e200))
+    with np.errstate(over="ignore"):
+        assert certify(overflowing, np.zeros(4), 0.05).grad_norm == math.inf
 
 
 def _trace_with_flags(flags):

@@ -539,6 +539,16 @@ def test_tune_constants_scores_a_non_finite_candidate_as_a_loss():
     assert best == {"c": 0.01}
 
 
+def test_tune_constants_raises_when_no_candidate_certifies():
+    # at max_steps = 40 no seed certifies at epsilon = 0.2 (the benchmark's
+    # psgd_sgc spec); the first candidate, whose spec cannot be built, used
+    # to win the tie
+    spec = _spec(max_steps=40)
+    with pytest.raises(EvaluationError,
+                       match=r"^no candidate certified a tuning seed at epsilon = 0\.2 \(2 candidates\)$"):
+        tune_constants(spec, [{"c": math.nan}, {"c": 0.01}], tune_seeds=(0,))
+
+
 def test_tune_constants_rejects_bad_input_before_any_run(monkeypatch):
     spec = _spec(max_steps=1200)
     monkeypatch.setattr(harness, "_run_group", None)  # any run would fail with a TypeError

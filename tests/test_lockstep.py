@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import counting_problem, watched
 
-from saddlescape import harness, scrn
+from saddlescape import harness, psgd, scrn
 from saddlescape.errors import NumericalError
 from saddlescape.harness import ExperimentSpec, read_trace, run_cell, run_experiment, write_trace
 from saddlescape.problems import RaggedBatch, problem_from_config
@@ -270,10 +270,10 @@ def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch
     """A step over rows of two configs makes one ragged oracle call per
     estimator for all its rows, each row with its own config's batch size,
     and a fault fails only its own row: every other row is the one its
-    config gives the row alone, bit for bit.  A cubic step clamps each
-    solved row once and never the failed one, which stays NaN (a NaN row
-    through ``clamp_to_box`` is a new array: the benchmark's tracer would
-    count it as a clamped step)."""
+    config gives the row alone, bit for bit.  A step clamps each finite row
+    once and never the failed one, which stays NaN (a NaN row through
+    ``clamp_to_box`` is a new array: the benchmark's tracer would count it
+    as a clamped step)."""
     eigh = np.linalg.eigh
 
     def failing_eigh(H):
@@ -283,14 +283,15 @@ def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch
         return eigh(H)
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    clamped = []  # the rows the cubic step clamps
-    clamp = scrn.clamp_to_box
+    clamped = []  # the rows the step clamps
+    module = psgd if algorithm == "psgd" else scrn
+    clamp = module.clamp_to_box
 
     def counted_clamp(row, radius):
         clamped.append(row.copy())
         return clamp(row, radius)
 
-    monkeypatch.setattr(scrn, "clamp_to_box", counted_clamp)
+    monkeypatch.setattr(module, "clamp_to_box", counted_clamp)
     p = fault(problem_from_config(dict(SADDLE)), 0.5)
     oracle_calls = []  # (oracle, each point's seed count) of each sampled-oracle call
 
@@ -323,8 +324,7 @@ def test_failed_row_of_a_two_config_step_leaves_the_other_rows_alone(monkeypatch
     assert len(outcomes) == 4
     assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
     assert np.isnan(x_new[1]).all()
-    if algorithm == "scrn":
-        assert len(clamped) == 3 and np.isfinite(clamped).all()
+    assert len(clamped) == 3 and np.isfinite(clamped).all()
     for j in (0, 2, 3):
         own_x, own_calls, (own,) = step(p, x[j:j + 1], cfgs[j],
                                         SeedStream.block([streams.state[j]]))

@@ -111,19 +111,49 @@ def test_batch_sizes_and_budgets_are_integers(field, value):
 def test_a_non_finite_exact_gradient_fails_only_its_row(sgc_saddle_10d):
     # certify rejects a NaN gradient, whose score would have been NaN; in the
     # stacked pass that error is the row's outcome, and the other rows keep
-    # their certificates
-    def exact_grad(x):
-        g = sgc_saddle_10d.exact_grad(x)
-        if np.ndim(x) == 2:
-            g[1, 3] = np.nan
-        return g
-
-    p = dataclasses.replace(sgc_saddle_10d, exact_grad=exact_grad)
+    # their certificates.  An infinite entry fails its row too, while a finite
+    # row whose squared norm overflows keeps an infinite norm and is not
+    # certified, as certify scores it on its own
     xs = np.random.default_rng(4).uniform(-1, 1, (3, 10))
-    outcomes = _certify_points(p, xs, [0.1, 0.1, 0.1])
-    assert isinstance(outcomes[1], NumericalError) and "non-finite gradient" in str(outcomes[1])
-    for i in (0, 2):
-        assert outcomes[i] == certify(sgc_saddle_10d, xs[i], 0.1)
+    every = slice(None)
+    for corrupt in ({1: (3, math.nan)}, {1: (3, math.inf)}, {1: (3, -math.inf)},
+                    {1: ([3, 5], [math.inf, -math.inf])}, {1: (every, 1e200)},
+                    {0: (3, math.inf), 1: (every, 1e200)}):
+        def exact_grad(x, corrupt=corrupt):
+            g = sgc_saddle_10d.exact_grad(x)
+            if np.ndim(x) == 2:
+                for row, (cols, value) in corrupt.items():
+                    g[row, cols] = value
+            return g
+
+        p = dataclasses.replace(sgc_saddle_10d, exact_grad=exact_grad)
+        with np.errstate(over="ignore"):
+            outcomes = _certify_points(p, xs, [0.1, 0.1, 0.1])
+        for i, outcome in enumerate(outcomes):
+            if i not in corrupt:
+                assert outcome == certify(sgc_saddle_10d, xs[i], 0.1)
+            elif corrupt[i] == (every, 1e200):
+                assert outcome.grad_norm == math.inf and not outcome.certified
+            else:
+                assert isinstance(outcome, NumericalError)
+                assert str(outcome) == "certify got a non-finite gradient"
+
+
+@pytest.mark.parametrize("family, d", [("saddle", d) for d in (2, 10, 33)]
+                         + [("phase_retrieval", d) for d in (1, 2, 10, 33)])
+def test_stacked_gradient_norms_match_each_rows_own_bit_for_bit(family, d):
+    # one vecdot over the (k, d) gradients in place of each row's g @ g: the
+    # norms keep their bits.  ddot's vector kernel starts at 32 entries, so
+    # d = 33 sums in another order than d <= 31 (the saddle needs d >= 2)
+    if family == "saddle":
+        p = make_multiplicative_saddle(d=d, neg_count=1, rho=2.0, quartic_coeff=0.008)
+    else:
+        p = make_phase_retrieval(d=d, m=4 * d, planted_seed=1)
+    xs = np.random.default_rng(d).uniform(-2, 2, (40, d))
+    certs = _certify_points(p, xs, [0.1] * len(xs))
+    for g, cert in zip(p.exact_grad(xs), certs):
+        g = np.ascontiguousarray(g)
+        assert cert.grad_norm == math.sqrt(g @ g)
 
 
 def test_step_is_exact_gradient_descent_when_unperturbed(quad_saddle_2d):
