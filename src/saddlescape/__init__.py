@@ -46,7 +46,6 @@ from .problems import (
 from .psgd import (
     PsgdConfig,
     ScheduleConstants,
-    psgd_step,
     run_psgd,
     schedule_first_order,
     schedule_zeroth_order,
@@ -92,7 +91,6 @@ __all__ = [
     "make_phase_retrieval",
     "min_eigenvalue",
     "problem_from_config",
-    "psgd_step",
     "run_experiment",
     "run_psgd",
     "run_scrn",

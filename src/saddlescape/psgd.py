@@ -7,17 +7,17 @@ clamped to the problem's declared ball so the box-restricted Lipschitz
 constants stay valid.
 
 The theta of step t is ``r * standard_normals(s_t, d)``, with ``s_t`` the
-state of the step stream's ``child("theta")``; ``run_psgd`` draws the rows
-of ``_THETA_CHUNK`` steps of all the active runs per call, with the same
-bits as one call a step and run.
+state of the step stream's ``child("theta")``; ``psgd_step`` draws the rows
+of a block's ``_THETA_CHUNK`` steps of all its runs in one call, with the
+same bits as one call a step and run.
 
 ``run_steps`` is the one run loop, of PSGD and of cubic Newton: it advances
 the runs of a group in lockstep, each under its own config, and a single
 seed is the group of one.  Both steps, ``psgd_step`` and
-``scrn._estimate_step``, take a group's (k, d) iterates, step streams and
-one config per row, which the loop passes as the ``StepLayout`` of a block
-of steps, and return ``(x_new, oracle_calls, outcomes)``, one outcome per
-row.
+``scrn._estimate_step``, take ``(p, x, layout, i)``: the group's (k, d)
+iterates, the ``StepLayout`` of a block of steps and the step's row of
+its states.  They return ``(x_new, outcomes)``, one outcome per row, and
+the loop charges each row its config's oracle calls.
 
 The schedule constructors translate the convergence-theorem parameter
 displays into runnable configurations.  The analysis leaves its absolute
@@ -155,8 +155,9 @@ def draw_perturbation(step_states, dim: int, r) -> np.ndarray:
 
 
 class StepLayout:
-    """The configs of a step's k rows as per-row columns, built once per
-    block of steps by ``run_steps`` rather than once per step.
+    """A block of steps of k rows: the rows' configs as per-row columns and
+    the block's step-stream states, built once per block by ``run_steps``
+    rather than once per step.
 
     ``cfgs`` holds each row's config and ``calls`` its oracle calls per
     step.  The rows of the sampled-oracle (first- and second-order) modes
@@ -166,12 +167,12 @@ class StepLayout:
     config with its rows, for the zeroth-order estimators, which take one
     config's rows per call.  ``eta`` (a (k, 1) column) and ``r`` are PSGD's
     step sizes and perturbation radii, ``box`` every row's clamp radius.
-    In the run loop a layout also holds the block's step-stream ``states``,
-    (n, k) for its n steps, and ``theta``: PSGD's (n, k, d) perturbations
-    once its step has drawn them.
+    ``states`` is the (n, k) states of the rows' step streams for the n
+    steps of the block, and ``theta`` PSGD's (n, k, d) perturbations once
+    its step has drawn them.
     """
 
-    def __init__(self, cfgs: list, states: Optional[np.ndarray] = None):
+    def __init__(self, cfgs: list, states: np.ndarray):
         self.cfgs, self.states, self.theta = cfgs, states, None
         self.calls = [c.calls_per_step for c in cfgs]
         self.box = [c.box_radius for c in cfgs]
@@ -194,31 +195,8 @@ class StepLayout:
         """The layout of the rows at positions ``keep``, in order, with their
         columns of the block's states and of its drawn perturbations."""
         out = StepLayout([self.cfgs[j] for j in keep], self.states[:, keep])
-        if self.theta is not None:
-            out.theta = self.theta[:, keep]
+        out.theta = None if self.theta is None else self.theta[:, keep]
         return out
-
-
-def _layout(cfg, k: int) -> StepLayout:
-    """The layout of k rows under ``cfg``: one config of all rows, a
-    sequence of one per row, or a layout already built."""
-    if isinstance(cfg, StepLayout):
-        return cfg
-    cfgs = list(cfg) if isinstance(cfg, Sequence) else [cfg] * k
-    if len(cfgs) != k:
-        raise ConfigurationError(f"need one config per row, got {len(cfgs)} for {k} rows")
-    return StepLayout(cfgs)
-
-
-def _sub_block(stream: SeedStream, rows) -> SeedStream:
-    """The streams of ``rows`` of the block ``stream``."""
-    return stream if isinstance(rows, slice) else SeedStream.block(stream.state[rows])
-
-
-def _step_calls(cfg, layout: StepLayout):
-    """A step's oracle calls: of one run's step for one config ``cfg``, and
-    the list of each row's for a sequence of configs or a layout."""
-    return layout.calls if isinstance(cfg, (Sequence, StepLayout)) else layout.calls[0]
 
 
 def _check_rows(x_new: np.ndarray, message: str, outcomes: list) -> list:
@@ -232,51 +210,35 @@ def _check_rows(x_new: np.ndarray, message: str, outcomes: list) -> list:
     return outcomes
 
 
-def psgd_step(
-    p: StochasticProblem,
-    x: np.ndarray,
-    cfg,
-    stream: SeedStream,
-    theta: Optional[np.ndarray] = None,
-):
-    """One perturbed gradient step of k runs; returns (x_new, oracle_calls, outcomes).
+def psgd_step(p: StochasticProblem, x: np.ndarray, layout: StepLayout, i: int):
+    """Step i of the block ``layout`` for its k rows at the (k, d) iterates
+    ``x`` (see ``run_steps``); returns (x_new, outcomes).
 
-    ``x`` is the (k, d) iterates of the runs and ``stream`` the block of
-    their step streams; a single run is a group of one.  ``cfg`` is one
-    config of all k runs, a sequence of k configs, one per run, or their
-    ``StepLayout``.  The first-order rows make one ``fo_gradient`` call,
-    each row with its own batch size (one sampled-oracle call per block of
-    rows, see ``estimators``), the zeroth-order rows one ``zo_gradient``
-    call per distinct config, and the perturbation, update and finite
-    check run once for all rows; each finite row then gets its own clamp to
-    the box.  When every row is first-order the
-    step takes the (k, d) gradients as ``fo_gradient`` returns them.
-    ``oracle_calls`` is the calls of one run's step for one config, or the
-    list of each row's for a sequence or a layout, and every row is the one
-    its run alone gives.
-    ``theta`` is the step's (k, d) perturbation when the caller has drawn
-    it; by default the step draws it from the block's states, the same
-    rows.  ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
-    non-finite update, which is not clamped (see ``run_steps``).
+    The first-order rows make one ``fo_gradient`` call, each row with its
+    own batch size (see ``estimators``), and the zeroth-order rows one
+    ``zo_gradient`` call per distinct config.  The block's first step draws
+    the perturbations of all its steps and rows with one
+    ``draw_perturbation`` call, into ``layout.theta``.  The update and the
+    finite check run once for all rows, then each finite row gets its own
+    clamp to the box.  Every row is the one its run alone gives.
+    ``outcomes[j]`` is None, or the ``NumericalError`` of row j's
+    non-finite update, which is not clamped.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigurationError(f"psgd_step takes the (k, d) iterates of a group, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise NumericalError("iterate has non-finite entries")
-    layout = _layout(cfg, len(x))
+    stream = SeedStream.block(layout.states[i])
     if isinstance(layout.sampled, slice):  # every row samples: no scatter
         g = fo_gradient(p, x, layout.n1, stream).g
     else:
         g = np.empty_like(x)
         if layout.n1:
             rows = layout.sampled
-            g[rows] = fo_gradient(p, x[rows], layout.n1, _sub_block(stream, rows)).g
+            g[rows] = fo_gradient(p, x[rows], layout.n1, SeedStream.block(stream.state[rows])).g
         for c, rows in layout.zo_groups:
-            g[rows] = zo_gradient(p, x[rows], c.nu, c.n1, _sub_block(stream, rows)).g
-    if theta is None:
-        theta = draw_perturbation(stream.state, p.meta.dim, layout.r)
-    x_new = x - layout.eta * (g + theta)
+            g[rows] = zo_gradient(p, x[rows], c.nu, c.n1, SeedStream.block(stream.state[rows])).g
+    if layout.theta is None:  # one draw per block of steps, for all its rows
+        n, k = layout.states.shape
+        layout.theta = draw_perturbation(layout.states.reshape(-1), p.meta.dim,
+                                         np.tile(layout.r, n)).reshape(n, k, -1)
+    x_new = x - layout.eta * (g + layout.theta[i])
     outcomes = _check_rows(x_new, "update produced non-finite entries", [None] * len(x_new))
     for row, box, outcome in zip(x_new, layout.box, outcomes):
         # one clamp per finite row: the benchmark's tracer counts them
@@ -284,11 +246,12 @@ def psgd_step(
             clamped = clamp_to_box(row, box)
             if clamped is not row:
                 row[...] = clamped
-    return x_new, _step_calls(cfg, layout), outcomes
+    return x_new, outcomes
 
 
-def _per_seed(run: Callable, x0, cfg, seed):
-    """``run(x0s, cfgs, seeds)`` on one seed or on a sequence of seeds.
+def _per_seed(run: Callable, x0, cfg, seed, cls: type):
+    """``run(x0s, cfgs, seeds)`` on one seed or on a sequence of seeds, with
+    configs of class ``cls``.
 
     For one seed, ``x0`` is its start point, ``cfg`` its config and the
     result its RunTrace; the NumericalError that ended the run is raised.
@@ -296,15 +259,20 @@ def _per_seed(run: Callable, x0, cfg, seed):
     ``cfg`` is one config for all of them or a sequence of S configs, one
     per seed, and the result is the list of outcomes of ``run_steps``.
     """
-    if np.ndim(seed):
-        seeds = [int(s) for s in seed]
-        cfgs = list(cfg) if isinstance(cfg, Sequence) else [cfg] * len(seeds)
+    many = bool(np.ndim(seed))
+    seeds = [int(s) for s in seed] if many else [int(seed)]
+    cfgs = list(cfg) if many and isinstance(cfg, Sequence) else [cfg] * len(seeds)
+    for c in cfgs:
+        if not isinstance(c, cls):
+            raise ConfigurationError(
+                f"run_{cls.algorithm} takes {cls.__name__}, got {type(c).__name__}")
+    if many:
         if not seeds or len(x0) != len(seeds) or len(cfgs) != len(seeds):
             raise ConfigurationError(
                 f"need at least one seed, and one start point and one config per seed; got "
                 f"{len(x0)} start points and {len(cfgs)} configs for {len(seeds)} seeds")
         return run(x0, cfgs, seeds)
-    (outcome,) = run([x0], [cfg], [int(seed)])
+    (outcome,) = run([x0], cfgs, seeds)
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
@@ -325,18 +293,10 @@ def run_psgd(
     seed (see ``_per_seed``).
     """
     def run(x0s, cfgs, seeds):
-        def step(layout, x, i):
-            states = layout.states
-            if layout.theta is None:  # one draw per block of steps, for all its runs
-                layout.theta = draw_perturbation(
-                    states.reshape(-1), p.meta.dim, np.tile(layout.r, len(states)),
-                ).reshape(states.shape + (p.meta.dim,))
-            return psgd_step(p, x, layout, SeedStream.block(states[i]), layout.theta[i])
-
-        return run_steps(p, x0s, cfgs, step, seeds, certify_every=certify_every,
+        return run_steps(p, x0s, cfgs, psgd_step, seeds, certify_every=certify_every,
                          stop_after_certified=stop_after_certified)
 
-    return _per_seed(run, x0, cfg, seed)
+    return _per_seed(run, x0, cfg, seed, PsgdConfig)
 
 
 def _config_echo(cfg) -> str:
@@ -401,21 +361,18 @@ def run_steps(
 
     Run i starts at ``x0s[i]`` with config ``cfgs[i]`` and the run stream of
     ``seeds[i]``; the configs are of one class, so the runs share one
-    algorithm.  At t = 1, 2, ... the loop calls ``step(layout, x, i)`` once
-    for all the runs that are still active, whatever their configs:
-    ``layout`` is the ``StepLayout`` of their configs, ``x`` their (k, d)
-    iterates, and ``layout.states`` the (n, k) states of their step streams
-    ``child("step", t)`` for the n steps of a block, of which step t is row
-    ``i``.  The loop folds a block, and builds its layout, once per
-    ``_THETA_CHUNK`` steps.  When runs leave mid-block it narrows the
-    layout to the remaining runs' columns, keeping what the step drew for
-    the block, so a step can draw per block what its rows need.  The step
-    does the sampling, the estimators and the update for all k runs, with
-    one packed sampled-oracle call per first- or second-order estimator and
-    block of rows, and returns ``(x_new, oracle_calls, outcomes)``, with
-    each row's calls and one outcome per row: None, the row's
+    algorithm.  At t = 1, 2, ... the loop calls ``step(p, x, layout, i)``
+    once for all the runs still active, whatever their configs.  ``x`` is
+    their (k, d) iterates, a finite float64 stack: its rows come from
+    ``as_point``, and a failed row leaves the group.  ``layout`` is the
+    ``StepLayout`` of a block of ``_THETA_CHUNK`` steps, whose step t is
+    row ``i`` of ``layout.states``; when runs leave mid-block the loop
+    narrows it to the remaining runs' columns, keeping what the step drew
+    for the block.  The step samples, estimates and updates all k runs and
+    returns ``(x_new, outcomes)``, one outcome per row: None, the row's
     ``CubicSolution``, whose radius and model decrease its trace rows
-    record, or the ``NumericalError`` that ends its run.
+    record, or the ``NumericalError`` that ends its run.  The loop charges
+    row j ``layout.calls[j]`` oracle calls.
 
     Rows are certified on exact oracles, never charged to the budget, at
     t = 0, every ``certify_every`` steps and at the run's own T, against the
@@ -440,6 +397,7 @@ def run_steps(
     trace, whose ``total_oracle_calls`` counts the samples drawn.  Each
     outcome is the one a group of that run alone gives.
     """
+    certify_every = as_count(certify_every, "certify_every")
     if certify_every < 1:
         raise ConfigurationError(f"certify_every must be >= 1, got {certify_every}")
     x = np.stack([as_point(x0, p.meta.dim) for x0 in x0s])
@@ -496,10 +454,9 @@ def run_steps(
             block = active, np.array(active), block[2], block[3].narrow(
                 [position[i] for i in active])
         _, rows, start, layout = block
-        x_new, step_calls, step_outcomes = step(layout, x[rows], t - start)
-        x[rows] = x_new
+        x[rows], step_outcomes = step(p, x[rows], layout, t - start)
         stepped: dict = {}  # run -> the outcome of its step t
-        for i, run_calls, outcome in zip(active, step_calls, step_outcomes):
+        for i, run_calls, outcome in zip(active, layout.calls, step_outcomes):
             if isinstance(outcome, NumericalError):
                 fail(i, t, outcome, calls[i] + run_calls)
                 continue

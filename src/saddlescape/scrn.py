@@ -69,8 +69,7 @@ from .diagnostics import certify  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ScheduleError
 from .estimators import NU_FLOOR, fo_gradient, so_hessian, zo_gradient, zo_hessian
 from .problems import ProblemMetadata, StochasticProblem, clamp_to_box
-from .psgd import (_check_box, _check_rows, _layout, _per_seed, _require_rho, _step_calls,
-                   _sub_block, run_steps)
+from .psgd import StepLayout, _check_box, _check_rows, _per_seed, _require_rho, run_steps
 from .seeds import SeedStream
 
 HIGHER_ORDER = "higher_order"
@@ -438,12 +437,11 @@ class ScrnConfig:
         return 2 * self.n1 + 3 * self.n2 if self.mode == ZEROTH_ORDER else self.n1 + self.n2
 
 
-def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream):
-    """One cubic-Newton step of k runs; returns (x_new, oracle calls, outcomes).
+def _estimate_step(p: StochasticProblem, x: np.ndarray, layout: StepLayout, i: int):
+    """One cubic-Newton step of the k rows of ``layout``; returns (x_new, outcomes).
 
-    As in ``psgd_step``, ``x`` is the (k, d) iterates of the runs, ``stream``
-    the block of their step streams and ``cfg`` one config of all runs, one
-    per run or their ``StepLayout``.  The higher-order rows make one
+    As in ``psgd_step``, ``x`` is the rows' (k, d) iterates and
+    ``layout.states[i]`` their step streams.  The higher-order rows make one
     ``fo_gradient`` and one ``so_hessian`` call, each row with its own
     batch sizes (one sampled-oracle call per estimator and block of rows),
     and the zeroth-order rows one call of each estimator per distinct
@@ -462,8 +460,7 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
     row j's ``CubicSolution``, or the ``NumericalError`` its cubic solve
     raised or its non-finite step gave.
     """
-    x = np.asarray(x, dtype=np.float64)
-    layout = _layout(cfg, len(x))
+    stream = SeedStream.block(layout.states[i])
     if isinstance(layout.sampled, slice):  # every row samples: no gather, no scatter
         g = fo_gradient(p, x, layout.n1, stream).g
         H = so_hessian(p, x, layout.n2, stream).H
@@ -472,11 +469,11 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
         H = np.empty(x.shape + x.shape[-1:])
         if layout.n1:
             rows = layout.sampled
-            xs, sub = x[rows], _sub_block(stream, rows)
+            xs, sub = x[rows], SeedStream.block(stream.state[rows])
             g[rows] = fo_gradient(p, xs, layout.n1, sub).g
             H[rows] = so_hessian(p, xs, layout.n2, sub).H
         for c, rows in layout.zo_groups:
-            xs, sub = x[rows], _sub_block(stream, rows)
+            xs, sub = x[rows], SeedStream.block(stream.state[rows])
             g[rows] = zo_gradient(p, xs, c.nu, c.n1, sub).g
             H[rows] = zo_hessian(p, xs, c.nu, c.n2, sub).H
     h = np.empty_like(x)
@@ -496,8 +493,7 @@ def _estimate_step(p: StochasticProblem, x: np.ndarray, cfg, stream: SeedStream)
             clamped = clamp_to_box(row, box)
             if clamped is not row:
                 row[...] = clamped
-    return x_new, _step_calls(cfg, layout), _check_rows(
-        x_new, "cubic step produced non-finite entries", outcomes)
+    return x_new, _check_rows(x_new, "cubic step produced non-finite entries", outcomes)
 
 
 def _row_models(g: np.ndarray, H: np.ndarray, cfgs: list) -> list:
@@ -548,13 +544,10 @@ def run_scrn(
     def run(x1s, cfgs, seeds):
         r_streams = SeedStream(seeds, cfgs[0].algorithm, "random_iterate").nodes()
         r_indices = [int(r.rng().integers(1, c.T + 1)) for r, c in zip(r_streams, cfgs)]
-        return run_steps(
-            p, x1s, cfgs,
-            lambda layout, x, i: _estimate_step(p, x, layout, SeedStream.block(layout.states[i])),
-            seeds, certify_every=certify_every, r_indices=r_indices,
-        )
+        return run_steps(p, x1s, cfgs, _estimate_step, seeds, certify_every=certify_every,
+                         r_indices=r_indices)
 
-    return _per_seed(run, x1, cfg, seed)
+    return _per_seed(run, x1, cfg, seed, ScrnConfig)
 
 
 def check_mu(mu) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from saddlescape.problems import StochasticProblem, make_multiplicative_saddle
+from saddlescape.psgd import StepLayout
 
 
 WATCHDOG_S = 60  # each watched test takes a few seconds at most
@@ -34,6 +35,16 @@ def watched(test):
         if raised:
             raise raised[0]
     return watched_test
+
+
+def step_rows(step, p, x, cfgs, stream):
+    """``step`` (``psgd.psgd_step`` or ``scrn._estimate_step``) on the (k, d)
+    rows ``x`` as a block of one step, whose step streams are the block
+    ``stream``, under one config of all rows or a sequence of one per row:
+    the step's ``(x_new, outcomes)``."""
+    x = np.asarray(x, dtype=np.float64)
+    cfgs = list(cfgs) if isinstance(cfgs, (list, tuple)) else [cfgs] * len(x)
+    return step(p, x, StepLayout(cfgs, stream.state[None]), 0)
 
 
 class OracleCounter:

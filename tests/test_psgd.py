@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import step_rows
 
 from saddlescape.diagnostics import TraceRow, certify
 from saddlescape.errors import ConfigurationError, NumericalError, ScheduleError
@@ -36,11 +37,11 @@ def _fo_config(eta=0.01, r=0.0, n1=1, T=10, box=10.0, eps=0.05):
 
 def _one_step(p, x, cfg, stream):
     """``psgd_step`` on the group of one run at ``x`` with step stream
-    ``stream``: its new point and oracle calls."""
-    x_new, calls, (outcome,) = psgd_step(p, np.asarray(x)[None], cfg,
-                                         SeedStream.block([stream.state]))
+    ``stream``: its new point."""
+    x_new, (outcome,) = step_rows(psgd_step, p, np.asarray(x)[None], cfg,
+                                  SeedStream.block([stream.state]))
     assert outcome is None
-    return x_new[0], calls
+    return x_new[0]
 
 
 def test_config_validation():
@@ -159,9 +160,8 @@ def test_stacked_gradient_norms_match_each_rows_own_bit_for_bit(family, d):
 def test_step_is_exact_gradient_descent_when_unperturbed(quad_saddle_2d):
     x = np.array([0.0, 1.0])
     cfg = _fo_config(eta=0.05)
-    x1, calls = _one_step(quad_saddle_2d, x, cfg, SeedStream(0))
+    x1 = _one_step(quad_saddle_2d, x, cfg, SeedStream(0))
     assert np.allclose(x1, [0.0, 1.0 - 0.05])
-    assert calls == 1
 
 
 def test_step_fixed_point_at_interpolation():
@@ -171,30 +171,16 @@ def test_step_fixed_point_at_interpolation():
     xs /= np.linalg.norm(xs)
     cfg = _fo_config(eta=0.1, r=0.0)
     for seed in range(20):
-        x1, _ = _one_step(p, xs, cfg, SeedStream(seed))
+        x1 = _one_step(p, xs, cfg, SeedStream(seed))
         assert np.array_equal(x1, xs)
 
 
 def test_step_bitwise_deterministic(sgc_saddle_10d):
     cfg = _fo_config(eta=0.02, r=0.3, n1=4)
     x = 0.1 * np.ones(10)
-    a, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(5, "step", 3))
-    b, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(5, "step", 3))
+    a = _one_step(sgc_saddle_10d, x, cfg, SeedStream(5, "step", 3))
+    b = _one_step(sgc_saddle_10d, x, cfg, SeedStream(5, "step", 3))
     assert np.array_equal(a, b)
-
-
-def test_step_rejects_nonfinite_iterate(quad_saddle_2d):
-    cfg = _fo_config()
-    with pytest.raises(NumericalError):
-        psgd_step(quad_saddle_2d, np.array([[np.nan, 0.0]]), cfg,
-                  SeedStream.block([SeedStream(0).state]))
-
-
-def test_step_rejects_a_single_iterate(quad_saddle_2d):
-    # a single run is a group of one: a (1, d) iterate, not a (d,) one
-    with pytest.raises(ConfigurationError, match=r"\(k, d\) iterates of a group, got \(2,\)"):
-        psgd_step(quad_saddle_2d, np.zeros(2), _fo_config(),
-                  SeedStream.block([SeedStream(0).state]))
 
 
 def test_run_zero_steps_records_initial_row(quad_saddle_2d):
@@ -304,9 +290,9 @@ def test_stop_after_certified_ends_at_first_certified_row(sgc_saddle_10d):
 
 
 def _stepwise_rows(p, x0, cfg, seed, certify_every=1, stop_after_certified=False):
-    """The rows of ``run_psgd``, from one ``psgd_step`` call per step on the
-    group of one run that draws its own theta: the run loop without chunked
-    draws."""
+    """The rows of ``run_psgd``, from one ``psgd_step`` call per step on a
+    block of one step of one run, which draws its own theta: the run loop
+    without chunked draws."""
     run = SeedStream(seed, cfg.algorithm)
     x, calls, rows = np.asarray(x0, dtype=np.float64), 0, []
 
@@ -320,8 +306,8 @@ def _stepwise_rows(p, x0, cfg, seed, certify_every=1, stop_after_certified=False
     for t in range(1, cfg.T + 1):
         if done:
             break
-        x, step_calls = _one_step(p, x, cfg, run.child("step", t))
-        calls += step_calls
+        x = _one_step(p, x, cfg, run.child("step", t))
+        calls += cfg.calls_per_step
         if t % certify_every == 0 or t == cfg.T:
             done = record(t)
     return rows
@@ -372,11 +358,14 @@ def test_one_config_per_seed_matches_stepwise_steps(sgc_saddle_10d):
         run_psgd(sgc_saddle_10d, [x0] * 3, cfgs[:2], seed=seeds)
 
 
-@pytest.mark.parametrize("run, cfg", [
-    (run_psgd, _fo_config()),
-    (run_scrn, ScrnConfig(M=5.0, n1=1, n2=1, T=5, box_radius=10.0, epsilon=0.05)),
+_SCRN_CONFIG = ScrnConfig(M=5.0, n1=1, n2=1, T=5, box_radius=10.0, epsilon=0.05)
+
+
+@pytest.mark.parametrize("run, cfg, other", [
+    (run_psgd, _fo_config(), _SCRN_CONFIG),
+    (run_scrn, _SCRN_CONFIG, _fo_config()),
 ], ids=["psgd", "scrn"])
-def test_group_needs_one_start_point_per_seed(run, cfg):
+def test_group_needs_one_start_point_per_seed(run, cfg, other):
     p = make_multiplicative_saddle(d=4, neg_count=1, rho=2.0, quartic_coeff=0.008)
     x0 = np.full(4, 0.1)
     with pytest.raises(ConfigurationError, match="got 3 start points and 2 configs for 2 seeds"):
@@ -385,6 +374,18 @@ def test_group_needs_one_start_point_per_seed(run, cfg):
         run(p, [x0], cfg, seed=[0, 1])
     with pytest.raises(ConfigurationError, match="at least one seed.* for 0 seeds"):
         run(p, [], cfg, seed=[])
+    # a config of the other algorithm, alone, for a group or beside one of its own
+    wrong = f"^{run.__name__} takes {type(cfg).__name__}, got {type(other).__name__}$"
+    for cfgs, seed in ((other, 0), (other, [0, 1]), ([cfg, other], [0, 1])):
+        with pytest.raises(ConfigurationError, match=wrong):
+            run(p, [x0] * 2 if np.ndim(seed) else x0, cfgs, seed=seed)
+    # certify_every is a count, as in ExperimentSpec
+    for every, shown in ((2.5, "2.5"), (math.nan, "nan"), (math.inf, "inf"), (True, "True")):
+        with pytest.raises(ConfigurationError,
+                           match=f"^certify_every must be an integer, got {shown}$"):
+            run(p, x0, cfg, certify_every=every, seed=0)
+    with pytest.raises(ConfigurationError, match="^certify_every must be >= 1, got 0$"):
+        run(p, x0, cfg, certify_every=0, seed=0)
 
 
 def test_stop_mid_chunk_matches_stepwise_steps(sgc_saddle_10d):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import step_rows
 from scipy.optimize import brentq
 
 from cubic_reference import grid_min, reference_min
@@ -283,10 +284,10 @@ def _ho_config(M=10.0, n1=1, n2=1, T=5, eps=0.05, box=10.0):
 
 def _one_step(p, x, cfg, stream):
     """``_estimate_step`` on the group of one run at ``x`` with step stream
-    ``stream``: its new point, oracle calls and cubic solution."""
-    x_new, calls, (sol,) = _estimate_step(p, np.asarray(x)[None], cfg,
-                                          SeedStream.block([stream.state]))
-    return x_new[0], calls, sol
+    ``stream``: its new point and cubic solution."""
+    x_new, (sol,) = step_rows(_estimate_step, p, np.asarray(x)[None], cfg,
+                              SeedStream.block([stream.state]))
+    return x_new[0], sol
 
 
 def test_config_validation():
@@ -304,16 +305,15 @@ def test_step_fixed_at_second_order_stationary_point():
     p = make_phase_retrieval(d=4, m=24, planted_seed=3)
     xs = SeedStream(3, "phase_retrieval").child("planted").rng().standard_normal(4)
     xs /= np.linalg.norm(xs)
-    x1, calls, _ = _one_step(p, xs, _ho_config(M=5.0, n1=3, n2=3), SeedStream(0))
+    x1, _ = _one_step(p, xs, _ho_config(M=5.0, n1=3, n2=3), SeedStream(0))
     assert np.array_equal(x1, xs)
-    assert calls == 6
 
 
 def test_step_escapes_saddle_with_closed_form_radius():
     # deterministic quadratic saddle at the origin: step radius is 2|lambda_min|/M
     p = make_multiplicative_saddle(d=3, neg_count=1, rho=1.0, quartic_coeff=0.0)
     M = 4.0
-    x1, _, sol = _one_step(p, np.zeros(3), _ho_config(M=M), SeedStream(1))
+    x1, sol = _one_step(p, np.zeros(3), _ho_config(M=M), SeedStream(1))
     assert sol.hard_case
     assert np.linalg.norm(x1) == pytest.approx(2.0 / M, abs=1e-10)
     assert abs(x1[0]) == pytest.approx(2.0 / M, abs=1e-10)
@@ -322,8 +322,8 @@ def test_step_escapes_saddle_with_closed_form_radius():
 def test_step_bitwise_deterministic(sgc_saddle_10d):
     cfg = _ho_config(M=50.0, n1=4, n2=4)
     x = 0.2 * np.ones(10)
-    a, _, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
-    b, _, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
+    a, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
+    b, _ = _one_step(sgc_saddle_10d, x, cfg, SeedStream(8, "s", 1))
     assert np.all(np.isfinite(a)) and np.array_equal(a, b)
 
 
@@ -371,7 +371,7 @@ def test_a_bit_symmetric_stack_builds_its_models_unchecked(monkeypatch):
     # for bit, which passes every model check at once
     p, cfgs, x, stream = _stack_step_case()
     checked = _model_checks(monkeypatch)
-    x_new, _, outcomes = _estimate_step(p, x, cfgs, stream)
+    x_new, outcomes = step_rows(_estimate_step, p, x, cfgs, stream)
     assert checked == []
     _assert_rows_solved_alone(p, cfgs, x, stream, x_new, outcomes)
 
@@ -394,9 +394,9 @@ def test_a_stack_that_is_not_bit_symmetric_checks_each_model(monkeypatch, offset
     checked = _model_checks(monkeypatch)
     if offset > 1e-10:
         with pytest.raises(ConfigurationError, match="^model Hessian must be symmetric$"):
-            _estimate_step(p, x, cfgs, stream)
+            step_rows(_estimate_step, p, x, cfgs, stream)
         return
-    x_new, _, outcomes = _estimate_step(p, x, cfgs, stream)
+    x_new, outcomes = step_rows(_estimate_step, p, x, cfgs, stream)
     assert len(checked) == len(cfgs)
     _assert_rows_solved_alone(p, cfgs, x, stream, x_new, outcomes)
 
